@@ -23,7 +23,6 @@ definition; the check functions live in the verification suite and tests.
 from math import lcm
 
 from .exactlin import Matrix, hstack, mat_kron, mat_mul, vstack
-from .groups import factorize
 from .repcat import (
     Morphism,
     Rep,
@@ -37,40 +36,34 @@ from .repcat import (
 
 
 class CoindRep(Rep):
-    """A coinduced representation, remembering its H-side source."""
-
-    def __init__(self, carrier, field, mats, source, cs, validate=False, tag=""):
-        super().__init__(carrier, field, mats, validate=validate, tag=tag)
-        self.source = source
-        self.cs = cs
-
-
-def coind_obj(n, cs, validate=False):
-    """Coinduce an H-representation to G along the coset space.
+    """A coinduced representation, remembering its H-side source.
 
     The action matrix of g sends block column sigma(i) to block row i
     through n.mat(h_i), where r_i g = h_i r_sigma(i) is the coset
-    factorization.  Correct by construction; validation is optional
-    because the generator check is exercised separately on small cases.
+    factorization; it is built when g is first read.
     """
-    if n.carrier is not cs.subgroup:
-        raise RepError("representation must live over the coset space's subgroup")
-    g = cs.group
-    index = cs.index
-    dn = n.dim
-    d = index * dn
-    field = n.field
-    mats = {}
-    for gg in g.elements:
-        nums = [0] * (d * d)
-        scale = 1
+
+    def __init__(self, source, cs, validate=False, tag=""):
+        # set first: validation in Rep.__init__ already reads the action
+        self.source = source
+        self.cs = cs
+        super().__init__(cs.group, source.field, self._block_action, validate=validate,
+                         tag=tag, dim=cs.index * source.dim)
+
+    def _block_action(self, gg):
+        cs, n = self.cs, self.source
+        g = cs.group
+        dn = n.dim
+        d = self.dim
         blocks = []
         for i, r in enumerate(cs.reps):
-            h, _ = factorize(cs, g.mul(r, gg))
-            blocks.append((i, cs.coset_of[g.mul(r, gg)], n.mat(h)))
-        if field.char == 0:
+            x = g.mul(r, gg)
+            blocks.append((i, cs.coset_of[x], n.mat(cs.fact[x][0])))
+        scale = 1
+        if self.field.char == 0:
             for _, _, b in blocks:
                 scale = lcm(scale, b.den)
+        nums = [0] * (d * d)
         for i, j, b in blocks:
             f = scale // b.den
             for a in range(dn):
@@ -80,9 +73,18 @@ def coind_obj(n, cs, validate=False):
                     v = b.nums[row + c]
                     if v:
                         nums[base + c] = v * f
-        mats[gg] = Matrix(field, d, d, nums, scale)
-    tag = f"Coind({n.tag})" if n.tag else "Coind"
-    return CoindRep(g, field, mats, n, cs, validate=validate, tag=tag)
+        return Matrix(self.field, d, d, nums, scale)
+
+
+def coind_obj(n, cs, validate=False):
+    """Coinduce an H-representation to G along the coset space.
+
+    Correct by construction; validation is optional because the generator
+    check is exercised separately on small cases.
+    """
+    if n.carrier is not cs.subgroup:
+        raise RepError("representation must live over the coset space's subgroup")
+    return CoindRep(n, cs, validate=validate, tag=f"Coind({n.tag})" if n.tag else "Coind")
 
 
 def coind_mor(f, cs, source=None, target=None):
@@ -205,8 +207,6 @@ def _pi_blockdiag(y, x, cs, invert, source=None, target=None):
     d = index * dy * dx
     blocks = [x.mat(g.inverse(r) if invert else r) for r in cs.reps]
     if field.char == 0:
-        from math import lcm
-
         den = 1
         for b in blocks:
             den = lcm(den, b.den)

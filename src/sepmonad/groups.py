@@ -319,6 +319,8 @@ def load_group_json(path):
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise GroupError("group file must hold a JSON object")
     if "permutations" in data:
         g = group_from_permutations([tuple(p) for p in data["permutations"]])
         if "labels" in data:

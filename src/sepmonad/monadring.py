@@ -128,13 +128,14 @@ def coset_permutation_rep(cs, field):
     """The permutation representation on right cosets, basis {e_c}."""
     g = cs.group
     d = cs.index
-    mats = {}
-    for gg in g.elements:
+
+    def perm(gg):
         nums = [0] * (d * d)
         for i, r in enumerate(cs.reps):
             nums[i * d + cs.coset_of[g.mul(r, gg)]] = 1
-        mats[gg] = Matrix(field, d, d, nums, 1, _normalized=True)
-    return Rep(g, field, mats, validate=False, tag="k(cosets)")
+        return Matrix(field, d, d, nums, 1, _normalized=True)
+
+    return Rep(g, field, perm, validate=False, tag="k(cosets)", dim=d)
 
 
 def standard_ring(cs, field):

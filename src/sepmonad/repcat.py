@@ -1,9 +1,23 @@
 """Finite-dimensional representations of a finite group over an exact field.
 
-A Rep assigns one invertible matrix to every element of its carrier group
-(a FiniteGroup or a Subgroup), with mat(identity) = I and
-mat(a*b) = mat(a)*mat(b).  Construction validates the homomorphism law on
-a generating set by breadth-first search, which implies it for all pairs.
+A Rep gives every element of its carrier group (a FiniteGroup or a
+Subgroup) an invertible matrix, with mat(identity) = I and
+mat(a*b) = mat(a)*mat(b).  The matrices live in one memo dict, ``mats``,
+which ``Rep.mat`` fills from an element function on first read.
+
+Two kinds of Rep share that storage:
+
+* complete reps are built from a dict and start with the full memo.
+  ``random_rep``, the image of a split idempotent and a caller-supplied
+  dict are complete and validated.  Validation checks the
+  homomorphism law on a generating set by breadth-first search, which
+  implies it for all pairs; the search reads every element anyway, and
+  these reps are small.
+* derived reps start empty and compute an element only when it is read.
+  A tensor product, a restriction, a coinduced rep and the coset
+  permutation rep are fixed by their factors, so building one dense
+  matrix per element would be wasted work: the checks read a few of them.
+  Validating a derived rep fills its memo first.
 
 The tensor product uses the fixed Kronecker convention of ``exactlin``,
 which makes the monoidal structure strict: associators and unitors are
@@ -47,17 +61,32 @@ def _bfs_pairs(carrier):
 
 
 class Rep:
-    """A representation: dimension plus one matrix per carrier element."""
+    """A representation: dimension plus a memo of action matrices.
 
-    def __init__(self, carrier, field, mats, validate=True, tag=""):
+    ``mats`` is either a complete dict element -> matrix, which becomes the
+    memo, or a function of the element, which needs ``dim`` and fills the
+    memo on demand.
+    """
+
+    def __init__(self, carrier, field, mats, validate=True, tag="", dim=None):
         self.carrier = carrier
         self.field = field
-        self.mats = dict(mats)
         self.tag = tag
-        if set(self.mats) != set(carrier.elements):
-            raise RepError("need exactly one matrix per carrier element")
-        self.dim = self.mats[0].rows
+        if callable(mats):
+            if dim is None:
+                raise RepError("an element function needs the dimension")
+            self.mats = {}
+            self._action = mats
+            self.dim = dim
+        else:
+            self.mats = dict(mats)
+            if set(self.mats) != set(carrier.elements):
+                raise RepError("need exactly one matrix per carrier element")
+            self._action = self.mats.__getitem__
+            self.dim = self.mats[0].rows
         if validate:
+            for i in carrier.elements:
+                self.mat(i)
             self._validate()
 
     def _validate(self):
@@ -71,7 +100,10 @@ class Rep:
                 raise RepError(f"homomorphism law fails at pair ({x}, {g})")
 
     def mat(self, i):
-        return self.mats[i]
+        m = self.mats.get(i)
+        if m is None:
+            m = self.mats[i] = self._action(i)
+        return m
 
     def __repr__(self):
         kind = "G" if not hasattr(self.carrier, "parent") else "H"
@@ -83,7 +115,7 @@ def rep_equal(a, b):
         a.carrier is b.carrier
         and a.field == b.field
         and a.dim == b.dim
-        and all(a.mats[i] == b.mats[i] for i in a.carrier.elements)
+        and all(a.mat(i) == b.mat(i) for i in a.carrier.elements)
     )
 
 
@@ -139,9 +171,9 @@ def tensor_obj(x, y):
         raise RepError("tensor factors live over different carriers")
     if x.field != y.field:
         raise RepError("tensor factors over different fields")
-    mats = {i: mat_kron(x.mat(i), y.mat(i)) for i in x.carrier.elements}
     tag = f"({x.tag})(x)({y.tag})" if x.tag or y.tag else ""
-    return Rep(x.carrier, x.field, mats, validate=False, tag=tag)
+    return Rep(x.carrier, x.field, lambda i: mat_kron(x.mat(i), y.mat(i)),
+               validate=False, tag=tag, dim=x.dim * y.dim)
 
 
 def tensor_mor(f, g):
@@ -171,8 +203,7 @@ def restrict(x, h):
     """View a representation of G as a representation of the subgroup h."""
     if hasattr(x.carrier, "parent"):
         raise RepError("restriction starts from a full-group representation")
-    mats = {i: x.mats[i] for i in h.elements}
-    return Rep(h, x.field, mats, validate=False, tag=f"Res({x.tag})" if x.tag else "Res")
+    return Rep(h, x.field, x.mat, validate=False, tag=f"Res({x.tag})" if x.tag else "Res", dim=x.dim)
 
 
 def restrict_mor(f, h):

@@ -243,7 +243,10 @@ class Ctx:
             if cfg.group in preset_names():
                 group, default_sub = load_preset(cfg.group)
             elif os.path.exists(cfg.group):
-                group, default_sub = load_group_json(cfg.group), None
+                try:
+                    group, default_sub = load_group_json(cfg.group), None
+                except (OSError, ValueError) as exc:
+                    raise ConfigError(f"cannot read group file {cfg.group!r}: {exc}") from exc
             else:
                 raise ConfigError(
                     f"group {cfg.group!r} is neither a preset ({', '.join(preset_names())}) "

@@ -1,5 +1,7 @@
 """Coinduction, its adjunction structure maps, and the projection map."""
 
+import pytest
+
 from sepmonad.exactlin import Field, GF, Matrix, mat_kron, mat_mul
 from sepmonad.adjunction import (
     coind_mor,
@@ -17,9 +19,11 @@ from sepmonad.adjunction import (
     unit_eta,
 )
 from sepmonad.groups import right_cosets, subgroup_generated
+from sepmonad.monadring import coset_permutation_rep
 from sepmonad.presets import load_preset
 from sepmonad.repcat import (
     Morphism,
+    Rep,
     random_hom,
     random_rep,
     restrict,
@@ -193,3 +197,29 @@ def test_trivial_subgroup_coind_has_full_index():
     a = coind_obj(n, cs, validate=True)
     assert a.dim == 4
     assert a.mat(0).is_identity()
+
+
+@pytest.mark.parametrize("field", [Q, GF(2)], ids=["q", "fp2"])
+@pytest.mark.parametrize("name", ["s3", "s4"])
+def test_derived_reps_are_lazy_and_correct(name, field):
+    group, default = load_preset(name)
+    h = subgroup_generated(group, default)
+    cs = right_cosets(group, h)
+    m = random_rep(group, field, seed=4, budget=2)
+    ux = coind_obj(random_rep(h, field, seed=5, budget=3), cs)
+    uy = coind_obj(random_rep(h, field, seed=6, budget=1), cs)
+    derived = [ux, uy, tensor_obj(ux, uy), restrict(m, h), coset_permutation_rep(cs, field)]
+    for rep in derived:
+        assert len(rep.mats) == 0
+        g = rep.carrier.elements[-1]
+        rep.mat(g)
+        rep.mat(g)
+        assert len(rep.mats) == 1
+    for rep in derived:
+        full = {g: rep.mat(g) for g in rep.carrier.elements}
+        Rep(rep.carrier, field, full, validate=True)
+    checked = coind_obj(ux.source, cs, validate=True)
+    assert len(checked.mats) == group.order
+    eta = unit_eta(m, cs)
+    for g in group.elements:
+        assert mat_mul(eta.matrix, m.mat(g)) == mat_mul(eta.target.mat(g), eta.matrix)

@@ -181,3 +181,16 @@ def test_cli_file_group(tmp_path, capsys):
                     checks=("group_axioms",))
     ).to_dict()["env"]
     assert env["index"] == 2
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "5", "[[1, 0]]"])
+def test_cli_unreadable_group_file_exit_code(tmp_path, capsys, content):
+    path = tmp_path / "g.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    code = main(["--group", str(path), "--family-size", "2", "--checks", "group_axioms"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "configuration error" in err and str(path) in err
