@@ -1,57 +1,59 @@
 """Pure Python arithmetic kernels.
 
-Matrices are row-major flat lists of Python ints.  These functions are the
-reference implementations; ``sepmonad._speed`` provides drop-in compiled
-versions for machine-word sized inputs.  Everything here is exact.
+Matrices are row-major flat lists of Python ints, stored dense.  These
+functions are the reference implementations; ``sepmonad._speed`` provides
+drop-in compiled versions for machine-word sized inputs.  Everything here
+is exact.
+
+The structure maps of the adjunction are block selections and block
+permutations, so almost every operand entry is zero.  The kernels find
+nonzero entries and all-zero row tails with C-level scans (``compress``,
+``any``, slices) and do interpreted work only per nonzero entry or per
+live row, never per zero.
 """
 
+from itertools import compress
 from math import gcd
+
+
+def _row_nonzeros(m, rows, cols):
+    """Per row of m, the (column, value) pairs of its nonzero entries."""
+    out = [[] for _ in range(rows)]
+    for idx in compress(range(len(m)), m):
+        i, j = divmod(idx, cols)
+        out[i].append((j, m[idx]))
+    return out
 
 
 def mul_int(a, am, an, b, bn):
     """Integer matrix product of a (am x an) and b (an x bn)."""
-    # Precompute the nonzero entries of each row of b once; the matrices in
-    # this package are mostly block permutations, so skipping zeros wins big.
-    bnz = []
-    for k in range(an):
-        base = k * bn
-        bnz.append([(j, b[base + j]) for j in range(bn) if b[base + j]])
+    brows = _row_nonzeros(b, an, bn)
     out = [0] * (am * bn)
-    for i in range(am):
-        abase = i * an
-        cbase = i * bn
-        for k in range(an):
-            v = a[abase + k]
-            if v == 0:
-                continue
-            if v == 1:
-                for j, w in bnz[k]:
-                    out[cbase + j] += w
-            else:
-                for j, w in bnz[k]:
-                    out[cbase + j] += v * w
+    for idx in compress(range(len(a)), a):
+        i, k = divmod(idx, an)
+        v = a[idx]
+        base = i * bn
+        for j, w in brows[k]:
+            out[base + j] += v * w
     return out
 
 
 def mul_mod(a, am, an, b, bn, p):
     """Matrix product mod p; inputs are assumed reduced to 0..p-1."""
-    bnz = []
-    for k in range(an):
-        base = k * bn
-        bnz.append([(j, b[base + j]) for j in range(bn) if b[base + j]])
+    brows = _row_nonzeros(b, an, bn)
     out = [0] * (am * bn)
-    for i in range(am):
-        abase = i * an
-        cbase = i * bn
-        for k in range(an):
-            v = a[abase + k]
-            if v == 0:
-                continue
-            for j, w in bnz[k]:
-                out[cbase + j] += v * w
-    for idx in range(am * bn):
-        out[idx] %= p
+    for idx in compress(range(len(a)), a):
+        i, k = divmod(idx, an)
+        v = a[idx]
+        base = i * bn
+        for j, w in brows[k]:
+            out[base + j] = (out[base + j] + v * w) % p
     return out
+
+
+def _pivot_row(a, r, rows, cols, c):
+    """The first row at or below r with a nonzero in column c, or -1."""
+    return next(compress(range(r, rows), a[r * cols + c :: cols]), -1)
 
 
 def rrefj_int(m, rows, cols):
@@ -66,6 +68,11 @@ def rrefj_int(m, rows, cols):
     dividing, shrinking rows by their content to keep entries near the
     minor scale; the final per-row scale factors cancel when each row is
     normalized by its own pivot and brought to the common denominator.
+
+    Rows at or below the current one are zero left of the current column,
+    so every update works on the row tail from that column.  A tail that
+    is all zero stays zero, and with f = 0 and piv = prev the update is
+    the identity, so both are skipped.
     """
     a = list(m)
     pivots = []
@@ -74,24 +81,24 @@ def rrefj_int(m, rows, cols):
     for c in range(cols):
         if r == rows:
             break
-        pr = -1
-        for i in range(r, rows):
-            if a[i * cols + c]:
-                pr = i
-                break
+        pr = _pivot_row(a, r, rows, cols, c)
         if pr < 0:
             continue
-        if pr != r:
-            rb, pb = r * cols, pr * cols
-            for j in range(cols):
-                a[rb + j], a[pb + j] = a[pb + j], a[rb + j]
         rbase = r * cols
-        piv = a[rbase + c]
-        for i in range(r + 1, rows):
-            base = i * cols
+        if pr != r:
+            pb = pr * cols
+            a[rbase : rbase + cols], a[pb : pb + cols] = a[pb : pb + cols], a[rbase : rbase + cols]
+        ptail = a[rbase + c : rbase + cols]
+        piv = ptail[0]
+        for base in range((r + 1) * cols, rows * cols, cols):
             f = a[base + c]
-            for j in range(c, cols):
-                a[base + j] = (piv * a[base + j] - f * a[rbase + j]) // prev
+            if f == 0 and piv == prev:
+                continue
+            s, e = base + c, base + cols
+            tail = a[s:e]
+            if not any(tail):
+                continue
+            a[s:e] = [(piv * x - f * y) // prev for x, y in zip(tail, ptail)]
         prev = piv
         pivots.append(c)
         r += 1
@@ -99,88 +106,74 @@ def rrefj_int(m, rows, cols):
     for t in range(k - 1, 0, -1):
         c = pivots[t]
         tbase = t * cols
-        piv = a[tbase + c]
-        for i in range(t):
+        ttail = a[tbase + c : tbase + cols]
+        piv = ttail[0]
+        for i in compress(range(t), a[c : tbase : cols]):
             base = i * cols
             f = a[base + c]
-            if f == 0:
-                continue
             start = pivots[i]
-            for j in range(start, cols):
-                a[base + j] = piv * a[base + j] - f * a[tbase + j]
-            g = 0
-            for j in range(start, cols):
-                v = a[base + j]
-                if v:
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
+            # row t is zero left of c, so only c onward meets f
+            row = [piv * x for x in a[base + start : base + c]]
+            row += [piv * x - f * y for x, y in zip(a[base + c : base + cols], ttail)]
+            g = gcd(*row)
             if g > 1:
-                for j in range(start, cols):
-                    a[base + j] //= g
+                row = [v // g for v in row]
+            a[base + start : base + cols] = row
     den = 1
     scaled = []
     for t in range(k):
-        base = t * cols
-        d = a[base + pivots[t]]
-        g = 0
-        for j in range(pivots[t], cols):
-            v = a[base + j]
-            if v:
-                g = gcd(g, v)
-                if g == 1:
-                    break
+        s, e = t * cols + pivots[t], (t + 1) * cols
+        row = a[s:e]
+        d = row[0]
+        g = gcd(*row)
         if g > 1:
-            for j in range(pivots[t], cols):
-                a[base + j] //= g
+            row = [v // g for v in row]
             d //= g
         if d < 0:
-            for j in range(pivots[t], cols):
-                a[base + j] = -a[base + j]
+            row = [-v for v in row]
             d = -d
+        a[s:e] = row
         scaled.append(d)
         den = den // gcd(den, d) * d
     for t in range(k):
         f = den // scaled[t]
         if f != 1:
-            base = t * cols
-            for j in range(pivots[t], cols):
-                a[base + j] *= f
+            s, e = t * cols + pivots[t], (t + 1) * cols
+            a[s:e] = [v * f for v in a[s:e]]
     return den, pivots, a
 
 
 def rref_mod(m, rows, cols, p):
-    """Reduced row echelon form over GF(p).  Returns (pivots, reduced)."""
+    """Reduced row echelon form over GF(p).  Returns (pivots, reduced).
+
+    Rows at or below the current one are zero left of the current column,
+    and so is the pivot row, so normalization and elimination run from
+    the pivot column onward, on the rows with a nonzero in it.
+    """
     a = [v % p for v in m]
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        pr = -1
-        for i in range(r, rows):
-            if a[i * cols + c]:
-                pr = i
-                break
+        pr = _pivot_row(a, r, rows, cols, c)
         if pr < 0:
             continue
-        if pr != r:
-            rb, pb = r * cols, pr * cols
-            for j in range(cols):
-                a[rb + j], a[pb + j] = a[pb + j], a[rb + j]
         rbase = r * cols
-        inv = pow(a[rbase + c], p - 2, p)
+        if pr != r:
+            pb = pr * cols
+            a[rbase : rbase + cols], a[pb : pb + cols] = a[pb : pb + cols], a[rbase : rbase + cols]
+        ptail = a[rbase + c : rbase + cols]
+        inv = pow(ptail[0], p - 2, p)
         if inv != 1:
-            for j in range(cols):
-                a[rbase + j] = a[rbase + j] * inv % p
-        for i in range(rows):
+            ptail = [x * inv % p for x in ptail]
+            a[rbase + c : rbase + cols] = ptail
+        for i in compress(range(rows), a[c::cols]):
             if i == r:
                 continue
-            base = i * cols
-            f = a[base + c]
-            if f:
-                for j in range(cols):
-                    a[base + j] = (a[base + j] - f * a[rbase + j]) % p
+            s, e = i * cols + c, (i + 1) * cols
+            f = a[s]
+            a[s:e] = [(x - f * y) % p for x, y in zip(a[s:e], ptail)]
         pivots.append(c)
         r += 1
     return pivots, a

@@ -59,21 +59,15 @@ class CoindRep(Rep):
         for i, r in enumerate(cs.reps):
             x = g.mul(r, gg)
             blocks.append((i, cs.coset_of[x], n.mat(cs.fact[x][0])))
-        scale = 1
-        if self.field.char == 0:
-            for _, _, b in blocks:
-                scale = lcm(scale, b.den)
+        # over F_p every block is reduced with den 1, so the result is too
+        scale = lcm(*(b.den for _, _, b in blocks))
         nums = [0] * (d * d)
         for i, j, b in blocks:
             f = scale // b.den
-            for a in range(dn):
-                base = (i * dn + a) * d + j * dn
-                row = a * dn
-                for c in range(dn):
-                    v = b.nums[row + c]
-                    if v:
-                        nums[base + c] = v * f
-        return Matrix(self.field, d, d, nums, scale)
+            base = i * dn * d + j * dn
+            for off, v in b.nonzero_offsets(d):
+                nums[base + off] = v * f
+        return Matrix(self.field, d, d, nums, scale, _normalized=self.field.char != 0)
 
 
 def coind_obj(n, cs, validate=False):
@@ -206,25 +200,18 @@ def _pi_blockdiag(y, x, cs, invert, source=None, target=None):
     field = x.field
     d = index * dy * dx
     blocks = [x.mat(g.inverse(r) if invert else r) for r in cs.reps]
-    if field.char == 0:
-        den = 1
-        for b in blocks:
-            den = lcm(den, b.den)
-    else:
-        den = 1
+    # over F_p every block is reduced with den 1, so the result is too
+    den = lcm(*(b.den for b in blocks))
     nums = [0] * (d * d)
     for r, b in enumerate(blocks):
         f = den // b.den
+        placed = [(o, v * f) for o, v in b.nonzero_offsets(d)]
         for i in range(dy):
             off = r * dy * dx + i * dx
-            for a in range(dx):
-                base = (off + a) * d + off
-                row = a * dx
-                for c in range(dx):
-                    v = b.nums[row + c]
-                    if v:
-                        nums[base + c] = v * f
-    mat = Matrix(field, d, d, nums, den)
+            base = off * d + off
+            for o, v in placed:
+                nums[base + o] = v
+    mat = Matrix(field, d, d, nums, den, _normalized=field.char != 0)
     if invert:
         src = source if source is not None else coind_obj(tensor_obj(y, restrict(x, cs.subgroup)), cs)
         tgt = target if target is not None else tensor_obj(coind_obj(y, cs), x)

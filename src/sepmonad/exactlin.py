@@ -3,26 +3,35 @@
 Scalars are either arbitrary-precision rationals (stored in lowest terms
 with positive denominator, surfaced as ``fractions.Fraction``) or residues
 modulo a prime p (ints in 0..p-1).  A Matrix stores its entries row-major
-as a flat tuple of integers together with a single positive denominator,
-so matrix products reduce to integer kernel calls.
+and dense, as a flat tuple of integers together with a single positive
+denominator, so matrix products reduce to integer kernel calls.
 
 Rational elimination is fraction-free (one-step Bareiss), which bounds
 intermediate growth at desk scale; prime fields use plain Gauss-Jordan.
 No floating point appears anywhere.
+
+The structure maps are mostly zero, and storage stays dense, so the
+kernels, ``is_identity``, ``mat_kron`` and ``assemble`` find nonzero
+entries with C-level scans and do interpreted work only per nonzero.
 """
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 from . import backend
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the prime bases up to 41 is a proof of primality below
+# _MR_BOUND (Sorenson and Webster 2015); Field rejects characteristics at or
+# above it rather than trust a probable prime.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(n):
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -49,6 +58,11 @@ class Field:
     __slots__ = ("char",)
 
     def __init__(self, char=0):
+        if char >= _MR_BOUND:
+            raise ValueError(
+                f"field characteristic {char} is not below {_MR_BOUND}, "
+                "where primality is proven by Miller-Rabin with bases up to 41"
+            )
         if char != 0 and not _is_prime(char):
             raise ValueError(f"field characteristic must be 0 or prime, got {char}")
         self.char = char
@@ -176,14 +190,21 @@ class Matrix:
         return not any(self.nums)
 
     def is_identity(self):
-        if self.rows != self.cols or self.den != 1:
-            return False
         n = self.rows
-        for i in range(n):
-            for j in range(n):
-                if self.nums[i * n + j] != (1 if i == j else 0):
-                    return False
-        return True
+        if n != self.cols or self.den != 1:
+            return False
+        # n diagonal ones, and n*n - n zeros, which then all lie off it
+        return self.nums[:: n + 1].count(1) == n and self.nums.count(0) == n * n - n
+
+    def nonzero_offsets(self, width):
+        """Each nonzero entry (i, j) as (i * width + j, value).
+
+        The offset is where the entry lands, relative to this matrix's top
+        left corner, when it is placed into a row-major flat list whose
+        rows have ``width`` entries.
+        """
+        c, nums = self.cols, self.nums
+        return [(k // c * width + k % c, nums[k]) for k in compress(range(len(nums)), nums)]
 
     def __eq__(self, other):
         return (
@@ -251,23 +272,21 @@ def mat_kron(a, b):
     """Kronecker product; entry (i*b.rows+k, j*b.cols+l) is a[i,j]*b[k,l]."""
     _check_same_field(a, b)
     R, C = a.rows * b.rows, a.cols * b.cols
+    p = a.field.char
     nums = [0] * (R * C)
-    bnz = [
-        (k, l, b.nums[k * b.cols + l])
-        for k in range(b.rows)
-        for l in range(b.cols)
-        if b.nums[k * b.cols + l]
-    ]
-    for i in range(a.rows):
-        abase = i * a.cols
-        for j in range(a.cols):
-            v = a.nums[abase + j]
-            if not v:
-                continue
-            rb = i * b.rows
-            cb = j * b.cols
-            for k, l, w in bnz:
-                nums[(rb + k) * C + (cb + l)] = v * w
+    bnz = b.nonzero_offsets(C)
+    for idx in compress(range(len(a.nums)), a.nums):
+        i, j = divmod(idx, a.cols)
+        v = a.nums[idx]
+        base = i * b.rows * C + j * b.cols
+        if p:
+            for off, w in bnz:
+                nums[base + off] = v * w % p
+        else:
+            for off, w in bnz:
+                nums[base + off] = v * w
+    if p:
+        return Matrix(a.field, R, C, nums, 1, _normalized=True)
     return Matrix(a.field, R, C, nums, a.den * b.den)
 
 
@@ -342,14 +361,9 @@ def assemble(field, rows, cols, blocks):
         if r0 + m.rows > rows or c0 + m.cols > cols:
             raise ValueError("block exceeds target shape")
         f = den // m.den
-        src = m.nums
-        for i in range(m.rows):
-            sbase = i * m.cols
-            dbase = (r0 + i) * cols + c0
-            for j in range(m.cols):
-                v = src[sbase + j]
-                if v:
-                    nums[dbase + j] = f * v
+        base = r0 * cols + c0
+        for off, v in m.nonzero_offsets(cols):
+            nums[base + off] = f * v
     return Matrix(field, rows, cols, nums, den)
 
 

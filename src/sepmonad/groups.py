@@ -321,13 +321,27 @@ def load_group_json(path):
         data = json.load(fh)
     if not isinstance(data, dict):
         raise GroupError("group file must hold a JSON object")
+    labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise GroupError("'labels' must be a list")
     if "permutations" in data:
-        g = group_from_permutations([tuple(p) for p in data["permutations"]])
-        if "labels" in data:
-            if len(data["labels"]) != g.order:
-                raise GroupError("label count does not match group order")
-            g.labels = [str(s) for s in data["labels"]]
-        return g
-    if "cayley" in data:
-        return group_from_cayley_table(data["cayley"], data.get("labels"))
-    raise GroupError("group file needs a 'permutations' or 'cayley' key")
+        g = group_from_permutations([tuple(p) for p in _int_rows(data, "permutations")])
+    elif "cayley" in data:
+        g = group_from_cayley_table(_int_rows(data, "cayley"))
+    else:
+        raise GroupError("group file needs a 'permutations' or 'cayley' key")
+    if labels is not None:
+        if len(labels) != g.order:
+            raise GroupError("label count does not match group order")
+        g.labels = [str(s) for s in labels]
+    return g
+
+
+def _int_rows(data, key):
+    """data[key], checked to be a list of lists of integers."""
+    rows = data[key]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(type(v) is int for v in row) for row in rows
+    ):
+        raise GroupError(f"'{key}' must be a list of lists of integers")
+    return rows

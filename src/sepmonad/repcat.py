@@ -374,13 +374,9 @@ def random_rep(carrier, field, seed, budget):
         nums = [0] * (total * total)
         off = 0
         for d, bm in blocks:
-            src = bm[g].nums
-            for i in range(d):
-                base = (off + i) * total + off
-                sbase = i * d
-                for j in range(d):
-                    if src[sbase + j]:
-                        nums[base + j] = src[sbase + j]
+            base = off * total + off
+            for o, v in bm[g].nonzero_offsets(total):
+                nums[base + o] = v
             off += d
         mats[g] = Matrix(field, total, total, nums, 1, _normalized=True)
     # Conjugate by a product of integer shears (determinant 1, so the

@@ -1,8 +1,6 @@
 """Pure and compiled kernels must agree bit for bit, with overflow fallback."""
 
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -75,26 +73,3 @@ def test_mod_kernels_agree():
         b = [rng.randrange(p) for _ in range(16)]
         assert speed.mul_mod(list(a), 4, 4, list(b), 4, p) == _pure.mul_mod(list(a), 4, 4, list(b), 4, p)
         assert speed.rref_mod(list(a), 4, 4, p) == _pure.rref_mod(list(a), 4, 4, p)
-
-
-def test_backend_env_selects_pure():
-    code = "import sepmonad.backend as b; print(b.backend_name())"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PATH": "/usr/bin:/bin", "SEPMONAD_BACKEND": "pure"},
-    )
-    assert out.stdout.strip() == "pure"
-
-
-def test_backend_env_rejects_unknown():
-    code = "import sepmonad.backend"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PATH": "/usr/bin:/bin", "SEPMONAD_BACKEND": "gpu"},
-    )
-    assert out.returncode != 0
-    assert "SEPMONAD_BACKEND" in out.stderr

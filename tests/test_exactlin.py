@@ -1,15 +1,18 @@
 """Exact linear algebra against hand-computed and Fraction-based oracles."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepmonad import _pure
 from sepmonad.exactlin import (
     Field,
     GF,
     Matrix,
+    assemble,
     hstack,
     mat_add,
     mat_inverse,
@@ -178,3 +181,197 @@ def test_inverse_roundtrip(n, data):
     else:
         assert mat_mul(a, inv).is_identity()
         assert mat_mul(inv, a).is_identity()
+
+
+# -- sparse oracles for the kernels that visit nonzeros only -------------
+
+
+dims = st.integers(0, 8)
+nonzero_entries = st.integers(-9, 9).filter(bool)
+
+
+@st.composite
+def sparse_rows(draw, rows, cols):
+    """A rows x cols list of lists, about 80% zeros, with forced zero row tails."""
+    m = []
+    for _ in range(rows):
+        row = [draw(nonzero_entries) if draw(st.integers(0, 4)) == 0 else 0 for _ in range(cols)]
+        if draw(st.booleans()):  # a zero tail, up to the whole row
+            cut = draw(st.integers(0, cols))
+            row[cut:] = [0] * (cols - cut)
+        m.append(row)
+    return m
+
+
+def _flat(m):
+    return [v for row in m for v in row]
+
+
+def _gauss_jordan(m, cols, p=0):
+    """(pivots, rref) by textbook Gauss-Jordan over Fractions or GF(p)."""
+    a = [[Fraction(v) if p == 0 else v % p for v in row] for row in m]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = 1 / a[r][c] if p == 0 else pow(a[r][c], p - 2, p)
+        a[r] = [v * inv if p == 0 else v * inv % p for v in a[r]]
+        for i in range(len(a)):
+            f = a[i][c]
+            if i != r and f:
+                a[i] = [x - f * y if p == 0 else (x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, a
+
+
+def _triple_loop(a, b, inner, p=0):
+    out = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(len(b[0]) if b else 0)]
+           for i in range(len(a))]
+    return [[v % p for v in row] for row in out] if p else out
+
+
+def _from_entries(field, rows, cols, flat):
+    """The Matrix with these Fraction (or GF(p) residue) entries, row-major."""
+    if field.char:
+        return Matrix.from_flat(field, rows, cols, flat)
+    den = lcm(1, *(Fraction(v).denominator for v in flat))
+    return Matrix.from_flat(field, rows, cols, [int(v * den) for v in flat], den)
+
+
+def _matrix(field, m, cols, den=1):
+    return Matrix.from_flat(field, len(m), cols, _flat(m), den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_rrefj_int_matches_fraction_gauss_jordan(data):
+    rows, cols = data.draw(dims), data.draw(dims)
+    m = data.draw(sparse_rows(rows, cols))
+    den, pivots, red = _pure.rrefj_int(_flat(m), rows, cols)
+    want_pivots, want = _gauss_jordan(m, cols)
+    assert pivots == want_pivots
+    assert den > 0
+    assert all(red[t * cols + c] == den for t, c in enumerate(pivots))
+    assert [Fraction(v, den) for v in red] == _flat(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5]))
+def test_sparse_rref_mod_matches_gauss_jordan(data, p):
+    rows, cols = data.draw(dims), data.draw(dims)
+    m = data.draw(sparse_rows(rows, cols))
+    pivots, red = _pure.rref_mod(_flat(m), rows, cols, p)
+    want_pivots, want = _gauss_jordan(m, cols, p)
+    assert pivots == want_pivots
+    assert red == _flat(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([0, 2, 3, 5]))
+def test_sparse_products_match_triple_loop(data, p):
+    am, an, bn = (data.draw(dims) for _ in range(3))
+    a = data.draw(sparse_rows(am, an))
+    b = data.draw(sparse_rows(an, bn))
+    if p:
+        a = [[v % p for v in row] for row in a]
+        b = [[v % p for v in row] for row in b]
+        got = _pure.mul_mod(_flat(a), am, an, _flat(b), bn, p)
+    else:
+        got = _pure.mul_int(_flat(a), am, an, _flat(b), bn)
+    want = _triple_loop(a, b, an, p) if an else [[0] * bn for _ in range(am)]
+    assert got == _flat(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([0, 2, 3, 5]))
+def test_sparse_kron_matches_entry_definition(data, p):
+    field = Field(p)
+    shape = [data.draw(st.integers(0, 4)) for _ in range(4)]
+    a = _matrix(field, data.draw(sparse_rows(shape[0], shape[1])), shape[1],
+                1 if p else data.draw(st.integers(1, 6)))
+    b = _matrix(field, data.draw(sparse_rows(shape[2], shape[3])), shape[3],
+                1 if p else data.draw(st.integers(1, 6)))
+    R, C = a.rows * b.rows, a.cols * b.cols
+    want = [0] * (R * C)
+    for i in range(a.rows):
+        for j in range(a.cols):
+            for k in range(b.rows):
+                for l in range(b.cols):
+                    v = a.entry(i, j) * b.entry(k, l)
+                    want[(i * b.rows + k) * C + j * b.cols + l] = v % p if p else v
+    assert mat_kron(a, b) == _from_entries(field, R, C, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([0, 2, 3, 5]))
+def test_sparse_assemble_matches_entry_definition(data, p):
+    field = Field(p)
+    blocks = []
+    rows = cols = 0
+    for _ in range(data.draw(st.integers(0, 3))):  # stacked down, free column offsets
+        br, bc, c0 = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)), data.draw(dims)
+        den = 1 if p else data.draw(st.sampled_from([1, 2, 3, 4, 6]))
+        blocks.append((rows, c0, _matrix(field, data.draw(sparse_rows(br, bc)), bc, den)))
+        rows += br + data.draw(st.integers(0, 1))
+        cols = max(cols, c0 + bc)
+    cols += data.draw(st.integers(0, 1))
+    want = [0] * (rows * cols)
+    for r0, c0, m in blocks:
+        for i in range(m.rows):
+            for j in range(m.cols):
+                want[(r0 + i) * cols + c0 + j] = m.entry(i, j)
+    assert assemble(field, rows, cols, blocks) == _from_entries(field, rows, cols, want)
+
+
+def test_assemble_brings_blocks_to_a_common_denominator():
+    a = Matrix.from_flat(Q, 1, 2, [1, 0], den=2)
+    b = Matrix.from_flat(Q, 1, 1, [1], den=3)
+    got = assemble(Q, 2, 3, [(0, 0, a), (1, 2, b)])
+    assert got == M(Q, [[Fraction(1, 2), 0, 0], [0, 0, Fraction(1, 3)]])
+
+
+def _is_identity_loops(m):
+    """The entry-by-entry definition that is_identity must agree with."""
+    if m.rows != m.cols or m.den != 1:
+        return False
+    n = m.rows
+    return all(m.nums[i * n + j] == (1 if i == j else 0) for i in range(n) for j in range(n))
+
+
+def _identity_cases():
+    cases = [Matrix.identity(Q, 0), Matrix.identity(Q, 1), M(Q, [[0]]), M(Q, [[2]]),
+             M(F2, [[1]]), Matrix.zeros(Q, 2, 3), M(Q, [[1, 0, 0], [0, 1, 0]]),
+             M(Q, [[1, 0], [0, 1], [0, 0]]), Matrix.zeros(Q, 0, 2)]
+    for n in (2, 3, 4):
+        eye = list(Matrix.identity(Q, n).nums)
+        # den 2: one half on the diagonal
+        cases.append(Matrix(Q, n, n, eye, 2))
+        for idx in range(n * n):
+            flipped = list(eye)
+            flipped[idx] = 1 - flipped[idx]
+            cases.append(Matrix.from_flat(Q, n, n, flipped))
+            cases.append(Matrix.from_flat(GF(3), n, n, flipped))
+        swapped = list(eye)
+        swapped[0], swapped[1] = 0, 1  # a permutation: as many ones and zeros as I
+        swapped[n], swapped[n + 1] = 1, 0
+        cases.append(Matrix.from_flat(Q, n, n, swapped))
+    return cases
+
+
+def test_is_identity_matches_entry_definition():
+    for m in _identity_cases():
+        assert m.is_identity() == _is_identity_loops(m), m
+
+
+def test_field_rejects_characteristic_beyond_proven_bound():
+    # strong pseudoprime to every prime base up to 37 (Sorenson and Webster)
+    with pytest.raises(ValueError):
+        Field(318_665_857_834_031_151_167_461)
+    # 2**89 - 1 is prime, but above the bound where the test is a proof
+    with pytest.raises(ValueError, match="not below"):
+        parse_field(f"fp:{2**89 - 1}")
+    assert Field(2**61 - 1).char == 2**61 - 1

@@ -183,7 +183,10 @@ def test_cli_file_group(tmp_path, capsys):
     assert env["index"] == 2
 
 
-@pytest.mark.parametrize("content", [None, "{not json", "5", "[[1, 0]]"])
+@pytest.mark.parametrize("content", [
+    None, "{not json", "5", "[[1, 0]]",
+    '{"permutations": 5}', '{"cayley": 7}', '{"permutations": [[1, 0]], "labels": 3}',
+])
 def test_cli_unreadable_group_file_exit_code(tmp_path, capsys, content):
     path = tmp_path / "g.json"
     if content is None:
@@ -194,3 +197,11 @@ def test_cli_unreadable_group_file_exit_code(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert code == 2
     assert "configuration error" in err and str(path) in err
+
+
+def test_cli_field_beyond_proven_primality_exit_code(capsys):
+    code = main(["--group", "s3", "--field", f"fp:{2**89 - 1}", "--family-size", "2",
+                 "--checks", "ring_axioms"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "configuration error" in err and "not below" in err
