@@ -1,54 +1,18 @@
-"""Pure Python arithmetic kernels.
+"""Pure Python elimination kernels.
 
-Matrices are row-major flat lists of Python ints, stored dense.  These
-functions are the reference implementations; ``sepmonad._speed`` provides
-drop-in compiled versions for machine-word sized inputs.  Everything here
-is exact.
+A matrix here is a row-major flat list of Python ints, the dense view
+``Matrix.nums``.  These functions are the reference implementations;
+``sepmonad._speed`` provides drop-in compiled versions for machine-word
+sized inputs.  Everything here is exact.
 
 The structure maps of the adjunction are block selections and block
-permutations, so almost every operand entry is zero.  The kernels find
-nonzero entries and all-zero row tails with C-level scans (``compress``,
-``any``, slices) and do interpreted work only per nonzero entry or per
-live row, never per zero.
+permutations, so most entries are zero.  The kernels find pivots and
+all-zero row tails with C-level scans (``compress``, ``any``, slices)
+and do interpreted work only per live row, never per zero.
 """
 
 from itertools import compress
 from math import gcd
-
-
-def _row_nonzeros(m, rows, cols):
-    """Per row of m, the (column, value) pairs of its nonzero entries."""
-    out = [[] for _ in range(rows)]
-    for idx in compress(range(len(m)), m):
-        i, j = divmod(idx, cols)
-        out[i].append((j, m[idx]))
-    return out
-
-
-def mul_int(a, am, an, b, bn):
-    """Integer matrix product of a (am x an) and b (an x bn)."""
-    brows = _row_nonzeros(b, an, bn)
-    out = [0] * (am * bn)
-    for idx in compress(range(len(a)), a):
-        i, k = divmod(idx, an)
-        v = a[idx]
-        base = i * bn
-        for j, w in brows[k]:
-            out[base + j] += v * w
-    return out
-
-
-def mul_mod(a, am, an, b, bn, p):
-    """Matrix product mod p; inputs are assumed reduced to 0..p-1."""
-    brows = _row_nonzeros(b, an, bn)
-    out = [0] * (am * bn)
-    for idx in compress(range(len(a)), a):
-        i, k = divmod(idx, an)
-        v = a[idx]
-        base = i * bn
-        for j, w in brows[k]:
-            out[base + j] = (out[base + j] + v * w) % p
-    return out
 
 
 def _pivot_row(a, r, rows, cols, c):

@@ -20,9 +20,7 @@ Every closed form is cross-checkable against its abstract composite
 definition; the check functions live in the verification suite and tests.
 """
 
-from math import lcm
-
-from .exactlin import Matrix, hstack, mat_kron, mat_mul, vstack
+from .exactlin import Matrix, assemble, hstack, mat_kron, mat_mul, vstack
 from .repcat import (
     Morphism,
     Rep,
@@ -54,20 +52,11 @@ class CoindRep(Rep):
         cs, n = self.cs, self.source
         g = cs.group
         dn = n.dim
-        d = self.dim
         blocks = []
         for i, r in enumerate(cs.reps):
             x = g.mul(r, gg)
-            blocks.append((i, cs.coset_of[x], n.mat(cs.fact[x][0])))
-        # over F_p every block is reduced with den 1, so the result is too
-        scale = lcm(*(b.den for _, _, b in blocks))
-        nums = [0] * (d * d)
-        for i, j, b in blocks:
-            f = scale // b.den
-            base = i * dn * d + j * dn
-            for off, v in b.nonzero_offsets(d):
-                nums[base + off] = v * f
-        return Matrix(self.field, d, d, nums, scale, _normalized=self.field.char != 0)
+            blocks.append((i * dn, cs.coset_of[x] * dn, n.mat(cs.fact[x][0])))
+        return assemble(self.field, self.dim, self.dim, blocks)
 
 
 def coind_obj(n, cs, validate=False):
@@ -108,11 +97,8 @@ def counit_eps(n, cs, coind=None):
     """
     src = restrict(coind if coind is not None else coind_obj(n, cs), cs.subgroup)
     dn = n.dim
-    d = cs.index * dn
-    nums = [0] * (dn * d)
-    for a in range(dn):
-        nums[a * d + a] = 1
-    mat = Matrix(n.field, dn, d, nums, 1, _normalized=True)
+    rows = [{a: 1} for a in range(dn)]
+    mat = Matrix(n.field, dn, cs.index * dn, _normalized=True, nzrows=rows)
     return Morphism(src, n, mat, validate=False, tag="eps")
 
 
@@ -125,10 +111,8 @@ def section_xi(n, cs, coind=None):
     tgt = restrict(coind if coind is not None else coind_obj(n, cs), cs.subgroup)
     dn = n.dim
     d = cs.index * dn
-    nums = [0] * (d * dn)
-    for a in range(dn):
-        nums[a * dn + a] = 1
-    mat = Matrix(n.field, d, dn, nums, 1, _normalized=True)
+    rows = [{a: 1} for a in range(dn)] + [{} for _ in range(d - dn)]
+    mat = Matrix(n.field, d, dn, _normalized=True, nzrows=rows)
     return Morphism(n, tgt, mat, validate=False, tag="xi")
 
 
@@ -136,21 +120,15 @@ def lax_iota(cs, field, target=None):
     """The lax unit 1_G -> Coind(1_H): the all-ones column."""
     one_g = unit_rep(cs.group, field)
     tgt = target if target is not None else coind_obj(unit_rep(cs.subgroup, field), cs)
-    mat = Matrix(field, cs.index, 1, [1] * cs.index, 1, _normalized=True)
+    mat = Matrix(field, cs.index, 1, _normalized=True, nzrows=[{0: 1} for _ in range(cs.index)])
     return Morphism(one_g, tgt, mat, validate=False, tag="iota")
 
 
 def _lambda_matrix(field, index, dx, dy):
-    rows = index * dx * dy
-    cols = index * dx * index * dy
-    nums = [0] * (rows * cols)
-    for r in range(index):
-        for a in range(dx):
-            row = r * dx * dy + a * dy
-            col = (r * dx + a) * index * dy + r * dy
-            for b in range(dy):
-                nums[(row + b) * cols + (col + b)] = 1
-    return Matrix(field, rows, cols, nums, 1, _normalized=True)
+    """Row (r, a, b) selects column ((r, a), (r, b)) of Coind(x) (x) Coind(y)."""
+    rows = [{(r * dx + a) * index * dy + r * dy + b: 1}
+            for r in range(index) for a in range(dx) for b in range(dy)]
+    return Matrix(field, index * dx * dy, index * dx * index * dy, _normalized=True, nzrows=rows)
 
 
 def lax_lambda(x, y, cs, source=None, target=None):
@@ -195,23 +173,13 @@ def projection_pi_inverse(y, x, cs, source=None, target=None):
 
 def _pi_blockdiag(y, x, cs, invert, source=None, target=None):
     g = cs.group
-    index = cs.index
     dx, dy = x.dim, y.dim
-    field = x.field
-    d = index * dy * dx
-    blocks = [x.mat(g.inverse(r) if invert else r) for r in cs.reps]
-    # over F_p every block is reduced with den 1, so the result is too
-    den = lcm(*(b.den for b in blocks))
-    nums = [0] * (d * d)
-    for r, b in enumerate(blocks):
-        f = den // b.den
-        placed = [(o, v * f) for o, v in b.nonzero_offsets(d)]
-        for i in range(dy):
-            off = r * dy * dx + i * dx
-            base = off * d + off
-            for o, v in placed:
-                nums[base + o] = v
-    mat = Matrix(field, d, d, nums, den, _normalized=field.char != 0)
+    w = dy * dx
+    diag = []
+    for k, r in enumerate(cs.reps):
+        b = x.mat(g.inverse(r) if invert else r)
+        diag += ((off, off, b) for off in range(k * w, (k + 1) * w, dx))
+    mat = assemble(x.field, cs.index * w, cs.index * w, diag)
     if invert:
         src = source if source is not None else coind_obj(tensor_obj(y, restrict(x, cs.subgroup)), cs)
         tgt = target if target is not None else tensor_obj(coind_obj(y, cs), x)

@@ -1,4 +1,4 @@
-"""Kernel dispatch: compiled extension when available, pure Python otherwise.
+"""Elimination kernel dispatch: compiled extension when built, pure Python otherwise.
 
 The environment variable SEPMONAD_BACKEND selects the implementation:
 
@@ -35,24 +35,6 @@ def backend_name():
 
 def has_speed():
     return _speed is not None
-
-
-def mul_int(a, am, an, b, bn):
-    if _ACTIVE is _pure:
-        return _pure.mul_int(a, am, an, b, bn)
-    try:
-        return _ACTIVE.mul_int(a, am, an, b, bn)
-    except OverflowError:
-        return _pure.mul_int(a, am, an, b, bn)
-
-
-def mul_mod(a, am, an, b, bn, p):
-    if _ACTIVE is _pure:
-        return _pure.mul_mod(a, am, an, b, bn, p)
-    try:
-        return _ACTIVE.mul_mod(a, am, an, b, bn, p)
-    except OverflowError:
-        return _pure.mul_mod(a, am, an, b, bn, p)
 
 
 def rrefj_int(m, rows, cols):

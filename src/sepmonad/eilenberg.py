@@ -168,15 +168,12 @@ def em_comparison(n, cs, ring, tag=""):
     index = cs.index
     dn = n.dim
     d = index * dn
-    nums = [0] * (d * index * d)
-    cols = index * d
-    for c in range(index):
-        for b in range(dn):
-            nums[(c * dn + b) * cols + (c * d + c * dn + b)] = 1
+    # row (c, b) picks column (e_c, (c, b))
+    rows = [{c * d + c * dn + b: 1} for c in range(index) for b in range(dn)]
     action = Morphism(
         tensor_obj(ring.carrier, carrier),
         carrier,
-        Matrix(n.field, d, cols, nums, 1, _normalized=True),
+        Matrix(n.field, d, index * d, _normalized=True, nzrows=rows),
         validate=False,
     )
     return AModule(ring, carrier, action, validate=True, tag=tag or f"E({n.tag})")
@@ -352,27 +349,29 @@ def module_hom_space(m1, m2):
         den, f1, f2 = 1, 1, 1
     nums = [0] * (rows * cols)
     w1 = da * d1
+    n1, n2 = rho1.nums, rho2.nums
     for p in range(d2):
         for q in range(d1):
             col = p * d1 + q
             base = p * w1
             r1row = q * w1
             for c in range(w1):
-                v = rho1.nums[r1row + c]
+                v = n1[r1row + c]
                 if v:
                     nums[(base + c) * cols + col] = f1 * v
             for i in range(d2):
                 r2row = i * (da * d2)
                 for gamma in range(da):
-                    v = rho2.nums[r2row + gamma * d2 + p]
+                    v = n2[r2row + gamma * d2 + p]
                     if v:
                         row = i * w1 + gamma * d1 + q
                         nums[row * cols + col] -= f2 * v
     blocks.append(Matrix(field, rows, cols, nums, den))
     sol = nullspace_basis(vstack(blocks))
     basis = []
+    flat = sol.nums
     for k in range(sol.cols):
-        vals = [sol.nums[v * sol.cols + k] for v in range(d2 * d1)]
+        vals = flat[k :: sol.cols]
         basis.append(AModMorphism(m1, m2, Matrix(field, d2, d1, vals, sol.den), validate=True))
     return basis
 
@@ -438,8 +437,7 @@ def _minimal_polynomial(b):
         nums = [0] * (d * d * k)
         for j, p in enumerate(powers):
             f = den // p.den
-            for i in range(d * d):
-                v = p.nums[i]
+            for i, v in enumerate(p.nums):
                 if v:
                     nums[i * k + j] = f * v
         cols = Matrix(field, d * d, k, nums, den)

@@ -2,21 +2,23 @@
 
 Scalars are either arbitrary-precision rationals (stored in lowest terms
 with positive denominator, surfaced as ``fractions.Fraction``) or residues
-modulo a prime p (ints in 0..p-1).  A Matrix stores its entries row-major
-and dense, as a flat tuple of integers together with a single positive
-denominator, so matrix products reduce to integer kernel calls.
+modulo a prime p (ints in 0..p-1).  A Matrix stores, per row, a dict of its
+nonzero integer entries, over a single positive denominator.
 
-Rational elimination is fraction-free (one-step Bareiss), which bounds
-intermediate growth at desk scale; prime fields use plain Gauss-Jordan.
-No floating point appears anywhere.
+The structure maps of the adjunction are block selections and block
+permutations, so almost every entry is zero.  They are built as rows of
+nonzeros, and products (Gustavson's row-by-row sparse product), Kronecker
+products, block assembly, identity tests and comparisons work on those
+rows, so they cost time per nonzero, not per entry.
 
-The structure maps are mostly zero, and storage stays dense, so the
-kernels, ``is_identity``, ``mat_kron`` and ``assemble`` find nonzero
-entries with C-level scans and do interpreted work only per nonzero.
+Rank, solve, inverse and nullspace read the dense view ``Matrix.nums``
+and eliminate in the kernels of ``backend``: fraction-free (one-step
+Bareiss) over Q, which bounds intermediate growth at desk scale, and
+plain Gauss-Jordan over GF(p).  No floating point appears anywhere.
 """
 
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm
 
 from . import backend
@@ -102,20 +104,41 @@ def parse_field(spec):
 
 
 class Matrix:
-    """Dense exact matrix: flat integer entries over a common denominator."""
+    """Exact matrix: rows of nonzero entries over a common denominator.
 
-    __slots__ = ("field", "rows", "cols", "nums", "den")
+    ``nzrows`` holds one dict {column: value} per row with only the
+    nonzero entries.  The values are integers over the positive
+    denominator ``den``: residues 1..p-1 with den 1 over GF(p), and over Q
+    integers whose common content is coprime to den.  So the row form is
+    canonical, and two matrices are equal exactly when their rows are.  A
+    row dict is never changed once its matrix is built, so matrices share
+    rows freely.
 
-    def __init__(self, field, rows, cols, nums, den=1, _normalized=False):
-        if len(nums) != rows * cols:
-            raise ValueError("entry count does not match shape")
+    A matrix is built from rows (``nzrows=``) or from the dense row-major
+    entry sequence ``nums``.  The other form is built on first read and
+    kept: ``nums`` is the flat tuple of all entries, which the
+    eliminations, ``hash`` and witnesses read.  Given rows are brought to
+    the canonical form, unless ``_normalized`` says they already are.
+    """
+
+    __slots__ = ("field", "rows", "cols", "den", "_nums", "_nzrows")
+
+    def __init__(self, field, rows, cols, nums=None, den=1, _normalized=False, nzrows=None):
         self.field = field
         self.rows = rows
         self.cols = cols
-        if _normalized:
-            self.nums = tuple(nums)
+        if nzrows is not None:
+            if len(nzrows) != rows:
+                raise ValueError("row count does not match shape")
+            if not _normalized:
+                nzrows, den = _normalize_rows(field, nzrows, den)
+            self._nzrows = nzrows
+            self._nums = None
             self.den = den
             return
+        if len(nums) != rows * cols:
+            raise ValueError("entry count does not match shape")
+        self._nzrows = None
         if field.char == 0:
             if den == 0:
                 raise ZeroDivisionError("zero denominator")
@@ -131,7 +154,7 @@ class Matrix:
             if g > 1:
                 nums = [v // g for v in nums]
                 den //= g
-            self.nums = tuple(nums)
+            self._nums = tuple(nums)
             self.den = den
         else:
             p = field.char
@@ -142,8 +165,34 @@ class Matrix:
                 nums = [v * inv % p for v in nums]
             else:
                 nums = [v % p for v in nums]
-            self.nums = tuple(nums)
+            self._nums = tuple(nums)
             self.den = 1
+
+    @property
+    def nums(self):
+        """All entries as one flat row-major tuple, built on first read."""
+        if self._nums is None:
+            c = self.cols
+            flat = [0] * (self.rows * c)
+            for base, row in zip(range(0, len(flat), c or 1), self._nzrows):
+                for j, v in row.items():
+                    flat[base + j] = v
+            self._nums = tuple(flat)
+        return self._nums
+
+    @property
+    def nzrows(self):
+        """Per row, the dict {column: value} of its nonzeros, built on first read."""
+        if self._nzrows is None:
+            c, nums = self.cols, self._nums
+            if c:
+                self._nzrows = [
+                    dict(zip(compress(range(c), row), compress(row, row)))
+                    for row in (nums[b : b + c] for b in range(0, len(nums), c))
+                ]
+            else:
+                self._nzrows = [{} for _ in range(self.rows)]
+        return self._nzrows
 
     # -- constructors -------------------------------------------------
 
@@ -169,52 +218,44 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        return cls(field, rows, cols, [0] * (rows * cols), 1, _normalized=True)
+        return cls(field, rows, cols, _normalized=True, nzrows=[{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, field, n):
-        nums = [0] * (n * n)
-        for i in range(n):
-            nums[i * n + i] = 1
-        return cls(field, n, n, nums, 1, _normalized=True)
+        return cls(field, n, n, _normalized=True, nzrows=[{i: 1} for i in range(n)])
 
     # -- scalar access -------------------------------------------------
 
     def entry(self, i, j):
-        v = self.nums[i * self.cols + j]
+        if self._nzrows is None:
+            v = self._nums[i * self.cols + j]
+        else:
+            v = self._nzrows[i].get(j, 0)
         if self.field.char == 0:
             return Fraction(v, self.den)
         return v
 
     def is_zero(self):
-        return not any(self.nums)
+        return not any(self.nzrows)
 
     def is_identity(self):
         n = self.rows
         if n != self.cols or self.den != 1:
             return False
-        # n diagonal ones, and n*n - n zeros, which then all lie off it
-        return self.nums[:: n + 1].count(1) == n and self.nums.count(0) == n * n - n
-
-    def nonzero_offsets(self, width):
-        """Each nonzero entry (i, j) as (i * width + j, value).
-
-        The offset is where the entry lands, relative to this matrix's top
-        left corner, when it is placed into a row-major flat list whose
-        rows have ``width`` entries.
-        """
-        c, nums = self.cols, self.nums
-        return [(k // c * width + k % c, nums[k]) for k in compress(range(len(nums)), nums)]
+        return all(len(row) == 1 and row.get(i) == 1 for i, row in enumerate(self.nzrows))
 
     def __eq__(self, other):
-        return (
+        if not (
             isinstance(other, Matrix)
             and self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
             and self.den == other.den
-            and self.nums == other.nums
-        )
+        ):
+            return False
+        if self._nzrows is None and other._nzrows is None:
+            return self._nums == other._nums
+        return self.nzrows == other.nzrows
 
     def __hash__(self):
         return hash((self.field, self.rows, self.cols, self.den, self.nums))
@@ -229,26 +270,42 @@ class Matrix:
         return f"<Matrix {self.rows}x{self.cols} [{body}]>"
 
     def transpose(self):
-        nums = [0] * (self.rows * self.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(self.cols):
-                nums[j * self.rows + i] = self.nums[base + j]
-        return Matrix(self.field, self.cols, self.rows, nums, self.den, _normalized=True)
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.nzrows):
+            for j, v in row.items():
+                out[j][i] = v
+        return Matrix(self.field, self.cols, self.rows, den=self.den, _normalized=True, nzrows=out)
 
     def submatrix_cols(self, col_idx):
-        nums = []
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in col_idx:
-                nums.append(self.nums[base + j])
-        return Matrix(self.field, self.rows, len(col_idx), nums, self.den)
+        rows = self.nzrows
+        out = [{t: row[j] for t, j in enumerate(col_idx) if j in row} for row in rows]
+        return Matrix(self.field, self.rows, len(col_idx), den=self.den, nzrows=out)
 
     def trace(self):
-        t = sum(self.nums[i * self.cols + i] for i in range(min(self.rows, self.cols)))
+        t = sum(row.get(i, 0) for i, row in enumerate(self.nzrows[: self.cols]))
         if self.field.char == 0:
             return Fraction(t, self.den)
         return t % self.field.char
+
+
+def _normalize_rows(field, rows, den):
+    """Rows and den in the canonical form of ``Matrix``: reduced, no zeros."""
+    p = field.char
+    if p:
+        if den % p == 0:
+            raise ZeroDivisionError("denominator vanishes in the field")
+        inv = pow(den % p, p - 2, p)
+        return [{j: r for j, v in row.items() if (r := v * inv % p)} for row in rows], 1
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    sign = -1 if den < 0 else 1
+    rows = [{j: sign * v for j, v in row.items() if v} for row in rows]
+    den *= sign
+    g = gcd(den, *chain.from_iterable(row.values() for row in rows))
+    if g > 1:
+        rows = [{j: v // g for j, v in row.items()} for row in rows]
+        den //= g
+    return rows, den
 
 
 def _check_same_field(a, b):
@@ -257,50 +314,77 @@ def _check_same_field(a, b):
 
 
 def mat_mul(a, b):
-    """Exact matrix product."""
+    """Exact matrix product, row by row (Gustavson 1978).
+
+    Row i of the product is the sum of the rows k of b weighted by the
+    nonzeros a[i, k], accumulated in one dict; entries that cancel are
+    dropped.  A row of a that selects one row of b reuses that row.
+    """
     _check_same_field(a, b)
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    if a.field.char == 0:
-        nums = backend.mul_int(a.nums, a.rows, a.cols, b.nums, b.cols)
-        return Matrix(a.field, a.rows, b.cols, nums, a.den * b.den)
-    nums = backend.mul_mod(a.nums, a.rows, a.cols, b.nums, b.cols, a.field.char)
-    return Matrix(a.field, a.rows, b.cols, nums, 1, _normalized=True)
+    p = a.field.char
+    brows = b.nzrows
+    out = []
+    for arow in a.nzrows:
+        if len(arow) == 1:
+            ((k, v),) = arow.items()
+            if v == 1:
+                row = brows[k]
+            elif p:
+                row = {j: v * w % p for j, w in brows[k].items()}
+            else:
+                row = {j: v * w for j, w in brows[k].items()}
+        else:
+            acc = {}
+            for k, v in arow.items():
+                for j, w in brows[k].items():
+                    acc[j] = acc.get(j, 0) + v * w
+            if p:
+                row = {j: r for j, x in acc.items() if (r := x % p)}
+            else:
+                row = {j: x for j, x in acc.items() if x}
+        out.append(row)
+    den = a.den * b.den
+    return Matrix(a.field, a.rows, b.cols, den=den, _normalized=den == 1, nzrows=out)
 
 
 def mat_kron(a, b):
     """Kronecker product; entry (i*b.rows+k, j*b.cols+l) is a[i,j]*b[k,l]."""
     _check_same_field(a, b)
-    R, C = a.rows * b.rows, a.cols * b.cols
     p = a.field.char
-    nums = [0] * (R * C)
-    bnz = b.nonzero_offsets(C)
-    for idx in compress(range(len(a.nums)), a.nums):
-        i, j = divmod(idx, a.cols)
-        v = a.nums[idx]
-        base = i * b.rows * C + j * b.cols
-        if p:
-            for off, w in bnz:
-                nums[base + off] = v * w % p
+    bc = b.cols
+    brows = b.nzrows
+    out = []
+    for arow in a.nzrows:
+        terms = [(j * bc, v) for j, v in arow.items()]
+        if len(terms) == 1 and terms[0][1] == 1:  # a selection, as in kron(I, f)
+            off = terms[0][0]
+            out.extend({off + l: w for l, w in brow.items()} for brow in brows)
+        elif p:
+            out.extend({o + l: v * w % p for o, v in terms for l, w in brow.items()}
+                       for brow in brows)
         else:
-            for off, w in bnz:
-                nums[base + off] = v * w
-    if p:
-        return Matrix(a.field, R, C, nums, 1, _normalized=True)
-    return Matrix(a.field, R, C, nums, a.den * b.den)
+            out.extend({o + l: v * w for o, v in terms for l, w in brow.items()}
+                       for brow in brows)
+    den = a.den * b.den
+    return Matrix(a.field, a.rows * b.rows, a.cols * bc, den=den, _normalized=den == 1,
+                  nzrows=out)
 
 
 def mat_add(a, b):
     _check_same_field(a, b)
     if a.rows != b.rows or a.cols != b.cols:
         raise ValueError("shape mismatch in addition")
-    if a.field.char == 0:
-        L = lcm(a.den, b.den)
-        fa, fb = L // a.den, L // b.den
-        nums = [fa * x + fb * y for x, y in zip(a.nums, b.nums)]
-        return Matrix(a.field, a.rows, a.cols, nums, L)
-    nums = [x + y for x, y in zip(a.nums, b.nums)]
-    return Matrix(a.field, a.rows, a.cols, nums, 1)
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    out = []
+    for ra, rb in zip(a.nzrows, b.nzrows):
+        row = {j: fa * v for j, v in ra.items()}
+        for j, w in rb.items():
+            row[j] = row.get(j, 0) + fb * w
+        out.append(row)
+    return Matrix(a.field, a.rows, a.cols, den=den, nzrows=out)
 
 
 def mat_sub(a, b):
@@ -308,14 +392,15 @@ def mat_sub(a, b):
 
 
 def mat_neg(a):
-    return Matrix(a.field, a.rows, a.cols, [-v for v in a.nums], a.den)
+    return mat_scale(a, -1)
 
 
 def mat_scale(a, num, den=1):
     """Multiply by the exact scalar num/den."""
     if isinstance(num, Fraction):
         num, den = num.numerator, den * num.denominator
-    return Matrix(a.field, a.rows, a.cols, [num * v for v in a.nums], a.den * den)
+    out = [{j: num * v for j, v in row.items()} for row in a.nzrows]
+    return Matrix(a.field, a.rows, a.cols, den=a.den * den, nzrows=out)
 
 
 def hstack(mats):
@@ -349,22 +434,31 @@ def vstack(mats):
 def assemble(field, rows, cols, blocks):
     """Build a rows x cols matrix from (row_offset, col_offset, block) triples.
 
-    Unlisted regions are zero; blocks must not overlap.
+    Unlisted regions are zero; blocks must not overlap.  A block row that
+    lands alone in its row at column 0 with the same denominator is
+    reused as it is.
     """
     den = 1
     for _, _, m in blocks:
         if m.field != field:
             raise ValueError("field mismatch in assemble")
         den = lcm(den, m.den)
-    nums = [0] * (rows * cols)
+    out = [None] * rows
     for r0, c0, m in blocks:
         if r0 + m.rows > rows or c0 + m.cols > cols:
             raise ValueError("block exceeds target shape")
         f = den // m.den
-        base = r0 * cols + c0
-        for off, v in m.nonzero_offsets(cols):
-            nums[base + off] = f * v
-    return Matrix(field, rows, cols, nums, den)
+        for i, row in enumerate(m.nzrows, r0):
+            if not row:
+                continue
+            if c0 or f != 1:
+                row = {c0 + j: f * v for j, v in row.items()}
+            prev = out[i]
+            out[i] = row if prev is None else prev | row
+    # the scaled blocks stay canonical: for each prime q of den, the block
+    # with the most factors q has an entry prime to q and is not scaled by q
+    return Matrix(field, rows, cols, den=den, _normalized=True,
+                  nzrows=[{} if row is None else row for row in out])
 
 
 def _rref(nums, rows, cols, field):
@@ -407,18 +501,19 @@ def solve_linear(a, b):
     if a.rows != b.rows:
         raise ValueError("dimension mismatch in solve_linear")
     n = a.cols
+    anums, bnums = a.nums, b.nums
     if a.field.char == 0:
         L = lcm(a.den, b.den)
         fa, fb = L // a.den, L // b.den
         aug = []
         for i in range(a.rows):
-            aug.extend(fa * v for v in a.nums[i * n : (i + 1) * n])
-            aug.extend(fb * v for v in b.nums[i * b.cols : (i + 1) * b.cols])
+            aug.extend(fa * v for v in anums[i * n : (i + 1) * n])
+            aug.extend(fb * v for v in bnums[i * b.cols : (i + 1) * b.cols])
     else:
         aug = []
         for i in range(a.rows):
-            aug.extend(a.nums[i * n : (i + 1) * n])
-            aug.extend(b.nums[i * b.cols : (i + 1) * b.cols])
+            aug.extend(anums[i * n : (i + 1) * n])
+            aug.extend(bnums[i * b.cols : (i + 1) * b.cols])
     width = n + b.cols
     pivots, red, den = _rref(aug, a.rows, width, a.field)
     if any(pc >= n for pc in pivots):
@@ -436,9 +531,10 @@ def mat_inverse(a):
     if a.rows != a.cols:
         raise ValueError("inverse of a non-square matrix")
     n = a.rows
+    nums = a.nums
     aug = []
     for i in range(n):
-        aug.extend(a.nums[i * n : (i + 1) * n])
+        aug.extend(nums[i * n : (i + 1) * n])
         aug.extend(a.den if j == i else 0 for j in range(n))
     pivots, red, den = _rref(aug, n, 2 * n, a.field)
     if len(pivots) < n or any(pc >= n for pc in pivots):

@@ -149,13 +149,20 @@ def group_from_permutations(generators, size_cap=1024):
     return FiniteGroup(table, inv, labels, gen_idx, perms=tuple(elems))
 
 
-def _closure(table, seed):
+def subgroup_closure(mul, seed):
+    """The subgroup generated by ``seed`` and the identity, as a set.
+
+    ``mul`` is the product of the ambient group, for example a group's or
+    a subgroup's ``mul``.  Each element found is multiplied on both sides
+    by every element found so far until nothing new appears; in a finite
+    group that is the generated subgroup.
+    """
     have = set(seed) | {0}
     queue = deque(have)
     while queue:
         x = queue.popleft()
         for y in tuple(have):
-            for z in (table[x][y], table[y][x]):
+            for z in (mul(x, y), mul(y, x)):
                 if z not in have:
                     have.add(z)
                     queue.append(z)
@@ -169,7 +176,7 @@ def _greedy_generators(table):
     for x in range(1, n):
         if x not in have:
             gens.append(x)
-            have = _closure(table, have | {x})
+            have = subgroup_closure(lambda a, b: table[a][b], have | {x})
     return tuple(gens)
 
 
@@ -249,7 +256,7 @@ def subgroup_generated(g, gens):
     for x in gens:
         if not 0 <= x < g.order:
             raise GroupError(f"generator index {x} out of range")
-    return Subgroup(g, _closure(g.table, set(gens) | {0}), gens)
+    return Subgroup(g, subgroup_closure(g.mul, gens), gens)
 
 
 class CosetSpace:

@@ -130,10 +130,8 @@ def coset_permutation_rep(cs, field):
     d = cs.index
 
     def perm(gg):
-        nums = [0] * (d * d)
-        for i, r in enumerate(cs.reps):
-            nums[i * d + cs.coset_of[g.mul(r, gg)]] = 1
-        return Matrix(field, d, d, nums, 1, _normalized=True)
+        rows = [{cs.coset_of[g.mul(r, gg)]: 1} for r in cs.reps]
+        return Matrix(field, d, d, _normalized=True, nzrows=rows)
 
     return Rep(g, field, perm, validate=False, tag="k(cosets)", dim=d)
 
@@ -146,21 +144,20 @@ def standard_ring(cs, field):
     """
     a = coset_permutation_rep(cs, field)
     d = cs.index
-    mul_nums = [0] * (d * d * d)
-    sec_nums = [0] * (d * d * d)
-    for c in range(d):
-        mul_nums[c * d * d + (c * d + c)] = 1
-        sec_nums[(c * d + c) * d + c] = 1
+    mul_rows = [{c * d + c: 1} for c in range(d)]
+    # row (c, c') of the section is e_c when c = c', else zero
+    sec_rows = [{i // d: 1} if i // d == i % d else {} for i in range(d * d)]
     aa = tensor_obj(a, a)
-    mul = Morphism(aa, a, Matrix(field, d, d * d, mul_nums, 1, _normalized=True), validate=False)
+    mul = Morphism(aa, a, Matrix(field, d, d * d, _normalized=True, nzrows=mul_rows),
+                   validate=False)
     unit = Morphism(
         unit_rep(cs.group, field),
         a,
-        Matrix(field, d, 1, [1] * d, 1, _normalized=True),
+        Matrix(field, d, 1, _normalized=True, nzrows=[{0: 1} for _ in range(d)]),
         validate=False,
     )
     section = Morphism(
-        a, aa, Matrix(field, d * d, d, sec_nums, 1, _normalized=True), validate=False
+        a, aa, Matrix(field, d * d, d, _normalized=True, nzrows=sec_rows), validate=False
     )
     return RingObject(a, mul, unit, section, validate=True)
 

@@ -28,6 +28,7 @@ import random
 
 from .exactlin import (
     Matrix,
+    assemble,
     mat_add,
     mat_inverse,
     mat_kron,
@@ -37,6 +38,7 @@ from .exactlin import (
     nullspace_basis,
     vstack,
 )
+from .groups import subgroup_closure
 
 
 class RepError(ValueError):
@@ -189,13 +191,9 @@ def tensor_mor(f, g):
 def symmetry(x, y):
     """The swap isomorphism x (x) y -> y (x) x permuting Kronecker factors."""
     dx, dy = x.dim, y.dim
-    field = x.field
-    nums = [0] * (dx * dy * dx * dy)
-    cols = dx * dy
-    for i in range(dx):
-        for j in range(dy):
-            nums[(j * dx + i) * cols + (i * dy + j)] = 1
-    mat = Matrix(field, dx * dy, dx * dy, nums, 1, _normalized=True)
+    # row (j, i) picks column (i, j)
+    rows = [{i * dy + j: 1} for j in range(dy) for i in range(dx)]
+    mat = Matrix(x.field, dx * dy, dx * dy, _normalized=True, nzrows=rows)
     return Morphism(tensor_obj(x, y), tensor_obj(y, x), mat, validate=False, tag="swap")
 
 
@@ -232,8 +230,9 @@ def hom_space_basis(x, y):
         ]
         cols = nullspace_basis(vstack(blocks))
     basis = []
+    flat = cols.nums
     for k in range(cols.cols):
-        nums = [cols.nums[v * cols.cols + k] for v in range(dy * dx)]
+        nums = flat[k :: cols.cols]
         mat = Matrix(field, dy, dx, nums, cols.den)
         basis.append(Morphism(x, y, mat, validate=True))
     return basis
@@ -305,19 +304,6 @@ def find_iso(x, y, seed=0, attempts=32):
     return None
 
 
-def _closure_in(carrier, seed_elems):
-    have = set(seed_elems) | {0}
-    queue = list(have)
-    while queue:
-        x = queue.pop()
-        for y in tuple(have):
-            for z in (carrier.mul(x, y), carrier.mul(y, x)):
-                if z not in have:
-                    have.add(z)
-                    queue.append(z)
-    return sorted(have)
-
-
 def _perm_action_on_cosets(carrier, k_elems, field):
     """Matrices of the left action g . e_C = e_{C g^{-1}} on cosets of K."""
     elems = carrier.elements
@@ -335,10 +321,10 @@ def _perm_action_on_cosets(carrier, k_elems, field):
     mats = {}
     for g in elems:
         ginv = carrier.inverse(g)
-        nums = [0] * (d * d)
+        rows = [None] * d
         for c in range(d):
-            nums[coset_of[carrier.mul(reps[c], ginv)] * d + c] = 1
-        mats[g] = Matrix(field, d, d, nums, 1, _normalized=True)
+            rows[coset_of[carrier.mul(reps[c], ginv)]] = {c: 1}
+        mats[g] = Matrix(field, d, d, _normalized=True, nzrows=rows)
     return d, mats
 
 
@@ -360,25 +346,19 @@ def random_rep(carrier, field, seed, budget):
         chosen = None
         for _ in range(4):
             k = rng.randint(0, min(2, len(elems) - 1))
-            k_elems = _closure_in(carrier, rng.sample(elems, k) if k else [])
+            k_elems = sorted(subgroup_closure(carrier.mul, rng.sample(elems, k) if k else []))
             if carrier.order // len(k_elems) <= remaining:
                 chosen = k_elems
                 break
         if chosen is None:
             chosen = elems
         d, mats = _perm_action_on_cosets(carrier, chosen, field)
-        blocks.append((d, mats))
+        blocks.append((total, d, mats))
         total += d
-    mats = {}
-    for g in carrier.elements:
-        nums = [0] * (total * total)
-        off = 0
-        for d, bm in blocks:
-            base = off * total + off
-            for o, v in bm[g].nonzero_offsets(total):
-                nums[base + o] = v
-            off += d
-        mats[g] = Matrix(field, total, total, nums, 1, _normalized=True)
+    mats = {
+        g: assemble(field, total, total, [(off, off, bm[g]) for off, _, bm in blocks])
+        for g in carrier.elements
+    }
     # Conjugate by a product of integer shears (determinant 1, so the
     # conjugator stays invertible over every field).
     u = [[1 if i == j else 0 for j in range(total)] for i in range(total)]
@@ -392,5 +372,5 @@ def random_rep(carrier, field, seed, budget):
     umat = Matrix.from_rows(field, u)
     uinv = mat_inverse(umat)
     conj = {g: mat_mul(umat, mat_mul(m, uinv)) for g, m in mats.items()}
-    dims = "+".join(str(d) for d, _ in blocks)
+    dims = "+".join(str(d) for _, d, _ in blocks)
     return Rep(carrier, field, conj, validate=True, tag=f"rand[{dims}|seed={seed}]")

@@ -1,7 +1,7 @@
 """Exact linear algebra against hand-computed and Fraction-based oracles."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -273,17 +273,14 @@ def test_sparse_rref_mod_matches_gauss_jordan(data, p):
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.sampled_from([0, 2, 3, 5]))
 def test_sparse_products_match_triple_loop(data, p):
+    field = Field(p)
     am, an, bn = (data.draw(dims) for _ in range(3))
     a = data.draw(sparse_rows(am, an))
     b = data.draw(sparse_rows(an, bn))
-    if p:
-        a = [[v % p for v in row] for row in a]
-        b = [[v % p for v in row] for row in b]
-        got = _pure.mul_mod(_flat(a), am, an, _flat(b), bn, p)
-    else:
-        got = _pure.mul_int(_flat(a), am, an, _flat(b), bn)
+    got = mat_mul(_matrix(field, a, an), _matrix(field, b, bn))
     want = _triple_loop(a, b, an, p) if an else [[0] * bn for _ in range(am)]
-    assert got == _flat(want)
+    assert got == _matrix(field, want, bn)
+    assert list(got.nums) == _flat(want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -375,3 +372,159 @@ def test_field_rejects_characteristic_beyond_proven_bound():
     with pytest.raises(ValueError, match="not below"):
         parse_field(f"fp:{2**89 - 1}")
     assert Field(2**61 - 1).char == 2**61 - 1
+
+
+# -- row form: every matrix built from rows and from dense entries -------
+
+
+def _row_dicts(m):
+    return [{j: v for j, v in enumerate(row) if v} for row in m]
+
+
+def _twins(field, m, cols, den=1):
+    """The same matrix built from unnormalized rows and from dense entries."""
+    rowwise = Matrix(field, len(m), cols, den=den, nzrows=_row_dicts(m))
+    return rowwise, _matrix(field, m, cols, den)
+
+
+def _assert_same(r, d):
+    assert r == d and d == r
+    assert hash(r) == hash(d)
+    assert r.nums == d.nums
+    assert r.nzrows == d.nzrows
+    assert r.den == d.den
+    assert r.is_identity() == d.is_identity()
+    assert r.is_zero() == d.is_zero()
+
+
+def _assert_canonical(m):
+    p = m.field.char
+    assert len(m.nzrows) == m.rows
+    for row in m.nzrows:
+        assert all(0 <= j < m.cols for j in row)
+        assert all(v != 0 and (not p or 0 < v < p) for v in row.values())
+    if p:
+        assert m.den == 1
+    else:
+        assert m.den > 0
+        assert gcd(m.den, *(v for row in m.nzrows for v in row.values())) == 1
+
+
+fields = st.sampled_from([0, 2, 3, 5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), fields)
+def test_row_built_equals_dense_built(data, p):
+    field = Field(p)
+    rows, cols = data.draw(dims), data.draw(dims)
+    m = data.draw(sparse_rows(rows, cols))
+    den = data.draw(st.sampled_from([1, 2, 4, 6, -3])) if p != 2 else 1
+    if p and den % p == 0:
+        den = 1
+    r, d = _twins(field, m, cols, den)
+    _assert_canonical(r)
+    _assert_same(r, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(2, 12), st.integers(1, 5))
+def test_row_built_divides_content_against_den(data, k, den):
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    m = [[k * v for v in row] for row in data.draw(sparse_rows(rows, cols))]
+    r, d = _twins(Q, m, cols, k * den)
+    _assert_canonical(r)
+    _assert_same(r, d)
+    want = [Fraction(v, k * den) for v in _flat(m)]
+    assert [r.entry(i, j) for i in range(rows) for j in range(cols)] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5]))
+def test_row_built_reduces_mod_p(data, p):
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    m = [[v * p + data.draw(st.integers(-40, 40)) if v else 0 for v in row]
+         for row in data.draw(sparse_rows(rows, cols))]
+    den = data.draw(st.integers(1, 30).filter(lambda v: v % p))
+    r, d = _twins(GF(p), m, cols, den)
+    _assert_canonical(r)
+    _assert_same(r, d)
+    inv = pow(den, p - 2, p)
+    assert list(r.nums) == [v * inv % p for v in _flat(m)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), fields, st.booleans(), st.booleans())
+def test_row_and_dense_operands_agree(data, p, a_rows, b_rows):
+    field = Field(p)
+    am, an, bm, bn = (data.draw(st.integers(0, 5)) for _ in range(4))
+    dens = st.sampled_from([1]) if p else st.sampled_from([1, 2, 3, 6])
+    a = data.draw(sparse_rows(am, an))
+    b = data.draw(sparse_rows(an, bn))
+    c = data.draw(sparse_rows(bm, bn))
+    da, db, dc = (data.draw(dens) for _ in range(3))
+    ra, xa = _twins(field, a, an, da)
+    rb, xb = _twins(field, b, bn, db)
+    rc, xc = _twins(field, c, bn, dc)
+    left, right = (ra if a_rows else xa), (rb if b_rows else xb)
+    prod = mat_mul(left, right)
+    _assert_canonical(prod)
+    _assert_same(prod, mat_mul(xa, xb))
+    want = _triple_loop(a, b, an, p) if an else [[0] * bn for _ in range(am)]
+    _assert_same(prod, _from_entries(field, am, bn, [
+        v % p if p else Fraction(v, da * db) for v in _flat(want)]))
+    kron = mat_kron(left, rc if b_rows else xc)
+    _assert_canonical(kron)
+    _assert_same(kron, mat_kron(xa, xc))
+    blocks = [(0, 0, left), (am, an, rc if b_rows else xc)]
+    stacked = assemble(field, am + bm, an + bn, blocks)
+    _assert_canonical(stacked)
+    _assert_same(stacked, assemble(field, am + bm, an + bn, [(0, 0, xa), (am, an, xc)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), fields)
+def test_products_drop_entries_that_cancel(data, p):
+    field = Field(p)
+    am, an, bn = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a = data.draw(sparse_rows(am, an))
+    b = data.draw(sparse_rows(an, bn))
+    # [a a] [b; -b] = 0, entry by entry
+    wide, _ = _twins(field, [row + row for row in a], 2 * an)
+    tall, _ = _twins(field, b + [[-v for v in row] for row in b], bn)
+    prod = mat_mul(wide, tall)
+    assert prod.nzrows == [{} for _ in range(am)]
+    _assert_same(prod, Matrix.zeros(field, am, bn))
+    # and (a + (-a)) cancels in the sum as well
+    ra, _ = _twins(field, a, an)
+    _assert_same(mat_sub(ra, ra), Matrix.zeros(field, am, an))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.permutations(range(6)), fields)
+def test_row_permutations(perm, p):
+    field = Field(p)
+    n = len(perm)
+    pm = Matrix(field, n, n, _normalized=True, nzrows=[{j: 1} for j in perm])
+    dense = [[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    _assert_same(pm, _matrix(field, dense, n))
+    assert pm.is_identity() == (list(perm) == list(range(n)))
+    m = M(field, [[i * n + j + 1 for j in range(n)] for i in range(n)])
+    assert mat_mul(pm, m) == M(field, [[perm[i] * n + j + 1 for j in range(n)] for i in range(n)])
+    assert mat_mul(pm, pm.transpose()).is_identity()
+
+
+def test_empty_shapes_in_row_form():
+    for p in (0, 3):
+        field = Field(p)
+        for rows, cols in ((0, 3), (3, 0), (0, 0)):
+            r = Matrix(field, rows, cols, nzrows=[{} for _ in range(rows)])
+            _assert_same(r, Matrix.zeros(field, rows, cols))
+            _assert_same(r, Matrix.from_flat(field, rows, cols, []))
+            assert r.transpose() == Matrix.zeros(field, cols, rows)
+        z03, z30 = Matrix.zeros(field, 0, 3), Matrix.zeros(field, 3, 0)
+        assert mat_mul(z03, Matrix.identity(field, 3)) == z03
+        assert mat_mul(z30, Matrix.zeros(field, 0, 2)) == Matrix.zeros(field, 3, 2)
+        assert mat_kron(z30, Matrix.identity(field, 2)) == Matrix.zeros(field, 6, 0)
+        assert assemble(field, 3, 3, [(0, 0, z30), (0, 0, z03)]) == Matrix.zeros(field, 3, 3)
+        assert vstack([z03, Matrix.identity(field, 3)]) == Matrix.identity(field, 3)

@@ -4,12 +4,16 @@ import json
 
 import pytest
 
+from sepmonad import adjunction
 from sepmonad.cli import main
+from sepmonad.exactlin import GF, QQ, Matrix
+from sepmonad.repcat import Morphism
 from sepmonad.suite import (
     CHECK_IDS,
     CORRUPTIONS,
     ConfigError,
     SuiteConfig,
+    _mat_payload,
     mutation_smoke,
     run_matrix,
     run_suite,
@@ -205,3 +209,64 @@ def test_cli_field_beyond_proven_primality_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "configuration error" in err and "not below" in err
+
+
+# -- targeted corruptions of row-built structure maps --------------------
+# Test-only: the CLI's CORRUPTIONS stay as they are.
+
+
+@pytest.mark.parametrize("field", ["q", "fp:2"])
+def test_moved_lambda_entry_is_caught_by_lambda_laws(monkeypatch, field):
+    real = adjunction._lambda_matrix
+    made = []
+
+    def moved(fld, index, dx, dy):
+        m = real(fld, index, dx, dy)
+        rows = list(m.nzrows)
+        ((j, v),) = rows[0].items()
+        rows[0] = {(j + 1) % m.cols: v}
+        bad = Matrix(fld, m.rows, m.cols, nzrows=rows)
+        nums = list(m.nums)
+        nums[j], nums[(j + 1) % m.cols] = 0, v
+        made.append((bad, Matrix.from_flat(fld, m.rows, m.cols, nums)))
+        return bad
+
+    monkeypatch.setattr(adjunction, "_lambda_matrix", moved)
+    [check] = run_suite(small_cfg(field=field, checks=("lambda_laws",))).checks
+    assert check.status == "fail"
+    assert check.witness["kind"] == "lambda_closed_form"
+    # the witness serializes the row-built matrix exactly as its dense twin
+    assert all(_mat_payload(bad) == _mat_payload(dense) for bad, dense in made)
+    assert check.witness["lhs"] in [_mat_payload(dense) for _, dense in made]
+
+
+@pytest.mark.parametrize("field", ["q", "fp:3"])
+def test_changed_pi_block_entry_is_caught_by_projection_formula(monkeypatch, field):
+    real = adjunction._pi_blockdiag
+
+    def changed(y, x, cs, invert, source=None, target=None):
+        mor = real(y, x, cs, invert, source=source, target=target)
+        if invert:
+            return mor
+        m = mor.matrix
+        rows = list(m.nzrows)
+        rows[0] = dict(rows[0])
+        rows[0][0] = rows[0].get(0, 0) + m.den  # entry (0, 0) of the first block
+        bad = Matrix(m.field, m.rows, m.cols, den=m.den, nzrows=rows)
+        return Morphism(mor.source, mor.target, bad, validate=False, tag=mor.tag)
+
+    monkeypatch.setattr(adjunction, "_pi_blockdiag", changed)
+    [check] = run_suite(small_cfg(field=field, checks=("projection_formula",))).checks
+    assert check.status == "fail"
+    assert check.witness["kind"] == "projection_invertible"
+
+
+def test_row_built_witness_payload_matches_dense_twin():
+    for field in (QQ, GF(5)):
+        nums = [0, 3, 0, 0, 0, 0, 4, 0]
+        dense = Matrix.from_flat(field, 2, 4, nums, 2 if field is QQ else 1)
+        rows = Matrix(field, 2, 4, den=dense.den, nzrows=[{1: 3}, {2: 4}])
+        assert _mat_payload(rows) == _mat_payload(dense)
+        big = Matrix.identity(field, 80)  # above the entry cap: a digest
+        assert _mat_payload(big) == _mat_payload(Matrix.from_flat(field, 80, 80, big.nums))
+        assert "sha256" in _mat_payload(big)
