@@ -12,7 +12,6 @@ adjunction's structure maps; nothing is certified by a search when a
 closed form exists.
 """
 
-import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -20,11 +19,9 @@ from math import lcm
 from .exactlin import (
     Matrix,
     mat_add,
-    mat_inverse,
     mat_kron,
     mat_mul,
     mat_scale,
-    mat_sub,
     nullspace_basis,
     rank_and_column_basis,
     solve_linear,
@@ -33,6 +30,10 @@ from .exactlin import (
 from .repcat import (
     Morphism,
     Rep,
+    _column_matrices,
+    _combination,
+    _equivariance_blocks,
+    _invertible_combination,
     compose,
     random_rep,
     restrict,
@@ -48,7 +49,7 @@ from .adjunction import (
     section_xi,
     unit_eta,
 )
-from .monadring import RingAxiomError, ring_axiom_failures
+from .monadring import RingAxiomError, _need, ring_axiom_failures
 
 
 class ModuleAxiomError(ValueError):
@@ -99,20 +100,15 @@ def module_axiom_failures(mod):
     eye_a = Matrix.identity(field, da)
     eye_x = Matrix.identity(field, dx)
     out = []
-
-    def need(name, lhs, rhs):
-        if lhs != rhs:
-            out.append((name, lhs, rhs))
-
-    need(
-        "action_associativity",
+    _need(
+        out, "action_associativity",
         mat_mul(rho, mat_kron(mod.ring.mul.matrix, eye_x)),
         mat_mul(rho, mat_kron(eye_a, rho)),
     )
-    need("action_unitality", mat_mul(rho, mat_kron(mod.ring.unit.matrix, eye_x)), eye_x)
+    _need(out, "action_unitality", mat_mul(rho, mat_kron(mod.ring.unit.matrix, eye_x)), eye_x)
     for g in x.carrier.gens:
-        need(
-            f"action_equivariance@{g}",
+        _need(
+            out, f"action_equivariance@{g}",
             mat_mul(rho, mat_kron(a.mat(g), x.mat(g))),
             mat_mul(x.mat(g), rho),
         )
@@ -332,13 +328,7 @@ def module_hom_space(m1, m2):
     d1, d2 = x1.dim, x2.dim
     da = m1.ring.dim
     field = x1.field
-    blocks = []
-    eye1 = Matrix.identity(field, d1)
-    eye2 = Matrix.identity(field, d2)
-    for g in x1.carrier.gens:
-        blocks.append(
-            mat_sub(mat_kron(eye2, x1.mat(g).transpose()), mat_kron(x2.mat(g), eye1))
-        )
+    blocks = _equivariance_blocks(x1, x2)
     rho1, rho2 = m1.action.matrix, m2.action.matrix
     rows = d2 * da * d1
     cols = d2 * d1
@@ -368,54 +358,22 @@ def module_hom_space(m1, m2):
                         nums[row * cols + col] -= f2 * v
     blocks.append(Matrix(field, rows, cols, nums, den))
     sol = nullspace_basis(vstack(blocks))
-    basis = []
-    flat = sol.nums
-    for k in range(sol.cols):
-        vals = flat[k :: sol.cols]
-        basis.append(AModMorphism(m1, m2, Matrix(field, d2, d1, vals, sol.den), validate=True))
-    return basis
+    return [AModMorphism(m1, m2, mat, validate=True) for mat in _column_matrices(sol, d2, d1)]
 
 
 def find_module_iso(m1, m2, seed=0, attempts=32):
     """An invertible A-linear map m1 -> m2, or None if the search fails.
 
-    Same strategy as the plain representation search: random combinations
-    of the hom basis, exhaustive over small prime fields.
+    The same search as ``repcat.find_iso``, over the module hom basis.
     """
     if m1.dim != m2.dim:
         return None
     basis = module_hom_space(m1, m2)
     if not basis:
         return None
-    field = m1.carrier.field
-    p = field.char
-
-    def build(coeffs):
-        total = Matrix.zeros(field, m2.dim, m1.dim)
-        for c, b in zip(coeffs, basis):
-            if c:
-                total = mat_add(total, mat_scale(b.matrix, c))
-        return total
-
     rng = random.Random(f"sepmonad|modiso|{seed}")
-    for trial in range(attempts):
-        if trial == 0:
-            coeffs = [1] * len(basis)
-        elif p == 0:
-            coeffs = [rng.randint(-4, 4) for _ in basis]
-        else:
-            coeffs = [rng.randrange(p) for _ in basis]
-        mat = build(coeffs)
-        if mat_inverse(mat) is not None:
-            return AModMorphism(m1, m2, mat, validate=False)
-    if p and p ** len(basis) <= 4096:
-        for coeffs in itertools.product(range(p), repeat=len(basis)):
-            if not any(coeffs):
-                continue
-            mat = build(list(coeffs))
-            if mat_inverse(mat) is not None:
-                return AModMorphism(m1, m2, mat, validate=False)
-    return None
+    mat = _invertible_combination([b.matrix for b in basis], rng, attempts)
+    return None if mat is None else AModMorphism(m1, m2, mat, validate=False)
 
 
 def _minimal_polynomial(b):
@@ -513,7 +471,7 @@ def find_idempotent_summand(ring, cs, seed=0, tries=6):
         basis = module_hom_space(free, free)
         if len(basis) < 2:
             continue
-        e_mat = _idempotent_from_basis(basis, free.dim, field, seed * 17 + t)
+        e_mat = _idempotent_from_basis(basis, field, seed * 17 + t)
         if e_mat is None:
             continue
         e = Morphism(free.carrier, free.carrier, e_mat, validate=False, tag="summand")
@@ -529,7 +487,7 @@ def find_idempotent_summand(ring, cs, seed=0, tries=6):
     return None
 
 
-def _idempotent_from_basis(basis, dim, field, seed):
+def _idempotent_from_basis(basis, field, seed):
     for b in basis:
         mat = b.matrix
         if mat.is_zero() or mat.is_identity():
@@ -550,10 +508,7 @@ def _idempotent_from_basis(basis, dim, field, seed):
             coeffs = [rng.randrange(p) for _ in basis]
         if not any(coeffs):
             continue
-        bmat = Matrix.zeros(field, dim, dim)
-        for c, b in zip(coeffs, basis):
-            if c:
-                bmat = mat_add(bmat, mat_scale(b.matrix, c))
+        bmat = _combination(coeffs, [b.matrix for b in basis])
         try:
             minpoly = _minimal_polynomial(bmat)
         except ArithmeticError:

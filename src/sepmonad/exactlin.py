@@ -99,6 +99,8 @@ def parse_field(spec):
             p = int(s[3:])
         except ValueError:
             raise ValueError(f"bad field spec {spec!r}") from None
+        if p < 2:
+            raise ValueError(f"bad field spec {spec!r}: fp:P needs a prime P, got {p}")
         return Field(p)
     raise ValueError(f"bad field spec {spec!r} (expected 'q' or 'fp:P')")
 

@@ -187,6 +187,8 @@ def group_from_cayley_table(table, labels=None):
     collected into the raised GroupError.
     """
     n = len(table)
+    if n == 0:
+        raise GroupError("table is empty; a group has at least its identity")
     violations = []
     for i, row in enumerate(table):
         if len(row) != n:

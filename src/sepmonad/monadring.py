@@ -80,6 +80,12 @@ class RingObject:
         return f"<RingObject dim {self.dim} over {self.field}, {sec}>"
 
 
+def _need(out, name, lhs, rhs):
+    """Record the identity ``name`` in ``out`` as (name, lhs, rhs) when lhs != rhs."""
+    if lhs != rhs:
+        out.append((name, lhs, rhs))
+
+
 def ring_axiom_failures(ring):
     """Every violated ring identity as (name, lhs, rhs) triples.
 
@@ -94,33 +100,28 @@ def ring_axiom_failures(ring):
     m = ring.mul.matrix
     u = ring.unit.matrix
     out = []
-
-    def need(name, lhs, rhs):
-        if lhs != rhs:
-            out.append((name, lhs, rhs))
-
-    need("associativity", mat_mul(m, mat_kron(m, eye)), mat_mul(m, mat_kron(eye, m)))
-    need("unit_left", mat_mul(m, mat_kron(u, eye)), eye)
-    need("unit_right", mat_mul(m, mat_kron(eye, u)), eye)
+    _need(out, "associativity", mat_mul(m, mat_kron(m, eye)), mat_mul(m, mat_kron(eye, m)))
+    _need(out, "unit_left", mat_mul(m, mat_kron(u, eye)), eye)
+    _need(out, "unit_right", mat_mul(m, mat_kron(eye, u)), eye)
     tau = symmetry(a, a).matrix
-    need("commutativity", mat_mul(m, tau), m)
+    _need(out, "commutativity", mat_mul(m, tau), m)
     for g in a.carrier.gens:
         act = a.mat(g)
         act2 = mat_kron(act, act)
-        need(f"mul_equivariance@{g}", mat_mul(m, act2), mat_mul(act, m))
-        need(f"unit_equivariance@{g}", mat_mul(act, u), u)
+        _need(out, f"mul_equivariance@{g}", mat_mul(m, act2), mat_mul(act, m))
+        _need(out, f"unit_equivariance@{g}", mat_mul(act, u), u)
         if ring.section is not None:
-            need(
-                f"section_equivariance@{g}",
+            _need(
+                out, f"section_equivariance@{g}",
                 mat_mul(ring.section.matrix, act),
                 mat_mul(act2, ring.section.matrix),
             )
     if ring.section is not None:
         s = ring.section.matrix
         sm = mat_mul(s, m)
-        need("separability_retract", mat_mul(m, s), eye)
-        need("separability_left", mat_mul(mat_kron(m, eye), mat_kron(eye, s)), sm)
-        need("separability_right", mat_mul(mat_kron(eye, m), mat_kron(s, eye)), sm)
+        _need(out, "separability_retract", mat_mul(m, s), eye)
+        _need(out, "separability_left", mat_mul(mat_kron(m, eye), mat_kron(eye, s)), sm)
+        _need(out, "separability_right", mat_mul(mat_kron(eye, m), mat_kron(s, eye)), sm)
     return out
 
 
@@ -298,18 +299,13 @@ def monad_law_failures(monad, x):
     eta_x = monad.eta_at(x)
     eye = Matrix.identity(x.field, ax.dim)
     out = []
-
-    def need(name, lhs, rhs):
-        if lhs != rhs:
-            out.append((name, lhs, rhs))
-
-    need(
-        "mu_associativity",
+    _need(
+        out, "mu_associativity",
         mat_mul(mu_x.matrix, monad.on_mor(mu_x).matrix),
         mat_mul(mu_x.matrix, monad.mu_at(ax).matrix),
     )
-    need("mu_unit_left", mat_mul(mu_x.matrix, monad.on_mor(eta_x).matrix), eye)
-    need("mu_unit_right", mat_mul(mu_x.matrix, monad.eta_at(ax).matrix), eye)
+    _need(out, "mu_unit_left", mat_mul(mu_x.matrix, monad.on_mor(eta_x).matrix), eye)
+    _need(out, "mu_unit_right", mat_mul(mu_x.matrix, monad.eta_at(ax).matrix), eye)
     return out
 
 
@@ -327,15 +323,11 @@ def monad_separability_failures(cs, monad, x):
     eye = Matrix.identity(x.field, ax.dim)
     smu = mat_mul(s_x.matrix, mu_x.matrix)
     out = []
-
-    def need(name, lhs, rhs):
-        if lhs != rhs:
-            out.append((name, lhs, rhs))
-
-    need("section_retract", mat_mul(mu_x.matrix, s_x.matrix), eye)
-    need("section_left_linear", mat_mul(monad.mu_at(ax).matrix, monad.on_mor(s_x).matrix), smu)
-    need(
-        "section_right_linear",
+    _need(out, "section_retract", mat_mul(mu_x.matrix, s_x.matrix), eye)
+    _need(out, "section_left_linear",
+          mat_mul(monad.mu_at(ax).matrix, monad.on_mor(s_x).matrix), smu)
+    _need(
+        out, "section_right_linear",
         mat_mul(monad.on_mor(mu_x).matrix, monad_section_at(cs, ax).matrix),
         smu,
     )
@@ -405,20 +397,15 @@ def monad_morphism_failures(mm, x):
     da = theta_x.source.dim // x.dim
     eye_a = Matrix.identity(x.field, da)
     out = []
-
-    def need(name, lhs, rhs):
-        if lhs != rhs:
-            out.append((name, lhs, rhs))
-
-    need(
-        "unit_triangle",
+    _need(
+        out, "unit_triangle",
         mat_mul(theta_x.matrix, src.eta_at(x).matrix),
         tgt.eta_at(x).matrix,
     )
     theta_ax = mm.at(ax)
     theta2 = mat_mul(theta_ax.matrix, mat_kron(eye_a, theta_x.matrix))
-    need(
-        "multiplication_square",
+    _need(
+        out, "multiplication_square",
         mat_mul(theta_x.matrix, src.mu_at(x).matrix),
         mat_mul(tgt.mu_at(x).matrix, theta2),
     )
@@ -427,6 +414,6 @@ def monad_morphism_failures(mm, x):
         out.append(("component_invertible", theta_x.matrix, theta_x.matrix))
     else:
         eye = Matrix.identity(x.field, theta_x.matrix.rows)
-        need("component_left_inverse", mat_mul(inv, theta_x.matrix), eye)
-        need("component_right_inverse", mat_mul(theta_x.matrix, inv), eye)
+        _need(out, "component_left_inverse", mat_mul(inv, theta_x.matrix), eye)
+        _need(out, "component_right_inverse", mat_mul(theta_x.matrix, inv), eye)
     return out

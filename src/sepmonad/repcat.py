@@ -24,6 +24,7 @@ which makes the monoidal structure strict: associators and unitors are
 identity matrices, and (x (x) y) (x) z equals x (x) (y (x) z) entrywise.
 """
 
+import itertools
 import random
 
 from .exactlin import (
@@ -208,6 +209,64 @@ def restrict_mor(f, h):
     return Morphism(restrict(f.source, h), restrict(f.target, h), f.matrix, validate=False)
 
 
+def _equivariance_blocks(x, y):
+    """The constraints T * x.mat(g) = y.mat(g) * T on a y.dim x x.dim matrix T.
+
+    One block kron(I_y, x(g)^T) - kron(y(g), I_x) per generator of the
+    carrier, in generator order, acting on T flattened row-major.
+    """
+    eye_x = Matrix.identity(x.field, x.dim)
+    eye_y = Matrix.identity(x.field, y.dim)
+    return [
+        mat_sub(mat_kron(eye_y, x.mat(g).transpose()), mat_kron(y.mat(g), eye_x))
+        for g in x.carrier.gens
+    ]
+
+
+def _column_matrices(sol, rows, cols):
+    """Each column of ``sol``, read back row-major as a rows x cols matrix."""
+    flat = sol.nums
+    return [Matrix(sol.field, rows, cols, flat[k :: sol.cols], sol.den)
+            for k in range(sol.cols)]
+
+
+def _combination(coeffs, mats):
+    """The sum of c * m over the nonzero coefficients, from the zero matrix."""
+    m0 = mats[0]
+    total = Matrix.zeros(m0.field, m0.rows, m0.cols)
+    for c, m in zip(coeffs, mats):
+        if c:
+            total = mat_add(total, mat_scale(m, c))
+    return total
+
+
+def _invertible_combination(mats, rng, attempts):
+    """An invertible linear combination of square ``mats``, or None.
+
+    Tries all coefficients 1 first, then seeded random ones from ``rng``;
+    over a prime field with at most 4096 coefficient tuples it then
+    exhausts every nonzero tuple, so None is definitive there.
+    """
+    p = mats[0].field.char
+    for trial in range(attempts):
+        if trial == 0:
+            coeffs = [1] * len(mats)
+        elif p == 0:
+            coeffs = [rng.randint(-4, 4) for _ in mats]
+        else:
+            coeffs = [rng.randrange(p) for _ in mats]
+        mat = _combination(coeffs, mats)
+        if mat_inverse(mat) is not None:
+            return mat
+    if p and p ** len(mats) <= 4096:
+        for coeffs in itertools.product(range(p), repeat=len(mats)):
+            if any(coeffs):
+                mat = _combination(coeffs, mats)
+                if mat_inverse(mat) is not None:
+                    return mat
+    return None
+
+
 def hom_space_basis(x, y):
     """A deterministic basis of the space of equivariant maps x -> y.
 
@@ -216,26 +275,11 @@ def hom_space_basis(x, y):
     """
     if x.carrier is not y.carrier or x.field != y.field:
         raise RepError("hom space needs a common carrier and field")
-    dx, dy = x.dim, y.dim
-    field = x.field
-    gens = x.carrier.gens
-    if not gens:
-        cols = Matrix.identity(field, dy * dx)
+    if x.carrier.gens:
+        cols = nullspace_basis(vstack(_equivariance_blocks(x, y)))
     else:
-        eye_x = Matrix.identity(field, dx)
-        eye_y = Matrix.identity(field, dy)
-        blocks = [
-            mat_sub(mat_kron(eye_y, x.mat(g).transpose()), mat_kron(y.mat(g), eye_x))
-            for g in gens
-        ]
-        cols = nullspace_basis(vstack(blocks))
-    basis = []
-    flat = cols.nums
-    for k in range(cols.cols):
-        nums = flat[k :: cols.cols]
-        mat = Matrix(field, dy, dx, nums, cols.den)
-        basis.append(Morphism(x, y, mat, validate=True))
-    return basis
+        cols = Matrix.identity(x.field, y.dim * x.dim)
+    return [Morphism(x, y, mat, validate=True) for mat in _column_matrices(cols, y.dim, x.dim)]
 
 
 def random_hom(x, y, seed):
@@ -252,11 +296,7 @@ def random_hom(x, y, seed):
             coeffs = [rng.randrange(p) for _ in basis]
         if any(coeffs):
             break
-    total = Matrix.zeros(x.field, y.dim, x.dim)
-    for c, b in zip(coeffs, basis):
-        if c:
-            total = mat_add(total, mat_scale(b.matrix, c))
-    return Morphism(x, y, total, validate=False)
+    return Morphism(x, y, _combination(coeffs, [b.matrix for b in basis]), validate=False)
 
 
 def find_iso(x, y, seed=0, attempts=32):
@@ -271,37 +311,9 @@ def find_iso(x, y, seed=0, attempts=32):
     basis = hom_space_basis(x, y)
     if not basis:
         return None
-    field = x.field
-    p = field.char
-
-    def build(coeffs):
-        total = Matrix.zeros(field, y.dim, x.dim)
-        for c, b in zip(coeffs, basis):
-            if c:
-                total = mat_add(total, mat_scale(b.matrix, c))
-        return total
-
     rng = random.Random(f"sepmonad|iso|{seed}")
-    for trial in range(attempts):
-        if trial == 0:
-            coeffs = [1] * len(basis)
-        elif p == 0:
-            coeffs = [rng.randint(-4, 4) for _ in basis]
-        else:
-            coeffs = [rng.randrange(p) for _ in basis]
-        mat = build(coeffs)
-        if mat_inverse(mat) is not None:
-            return Morphism(x, y, mat, validate=False)
-    if p and p ** len(basis) <= 4096:
-        import itertools
-
-        for coeffs in itertools.product(range(p), repeat=len(basis)):
-            if not any(coeffs):
-                continue
-            mat = build(list(coeffs))
-            if mat_inverse(mat) is not None:
-                return Morphism(x, y, mat, validate=False)
-    return None
+    mat = _invertible_combination([b.matrix for b in basis], rng, attempts)
+    return None if mat is None else Morphism(x, y, mat, validate=False)
 
 
 def _perm_action_on_cosets(carrier, k_elems, field):

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from sepmonad import adjunction
+from sepmonad import adjunction, suite
 from sepmonad.cli import main
 from sepmonad.exactlin import GF, QQ, Matrix
+from sepmonad.eilenberg import AModMorphism
 from sepmonad.repcat import Morphism
 from sepmonad.suite import (
     CHECK_IDS,
@@ -70,7 +71,7 @@ def test_env_block_describes_run():
     assert env["index"] == 3
     assert env["group_order"] == 6
     assert env["subgroup_order"] == 2
-    assert env["backend"] in ("pure", "speed")
+    assert env["backend"] == "pure"
 
 
 def test_json_schema_fields():
@@ -103,9 +104,10 @@ def test_unknown_check_is_config_error():
         run_suite(small_cfg(checks=("not_a_check",)))
 
 
-def test_bad_field_is_config_error():
+@pytest.mark.parametrize("field", ["fp:9", "fp:0"])
+def test_bad_field_is_config_error(field):
     with pytest.raises(ConfigError):
-        run_suite(small_cfg(field="fp:9"))
+        run_suite(small_cfg(field=field))
 
 
 def test_bad_family_size_is_config_error():
@@ -190,6 +192,7 @@ def test_cli_file_group(tmp_path, capsys):
 @pytest.mark.parametrize("content", [
     None, "{not json", "5", "[[1, 0]]",
     '{"permutations": 5}', '{"cayley": 7}', '{"permutations": [[1, 0]], "labels": 3}',
+    '{"cayley": []}',
 ])
 def test_cli_unreadable_group_file_exit_code(tmp_path, capsys, content):
     path = tmp_path / "g.json"
@@ -240,6 +243,14 @@ def test_moved_lambda_entry_is_caught_by_lambda_laws(monkeypatch, field):
     assert check.witness["lhs"] in [_mat_payload(dense) for _, dense in made]
 
 
+def _changed_first_entry(m):
+    """m with 1 added to its entry (0, 0)."""
+    rows = list(m.nzrows)
+    rows[0] = dict(rows[0])
+    rows[0][0] = rows[0].get(0, 0) + m.den
+    return Matrix(m.field, m.rows, m.cols, den=m.den, nzrows=rows)
+
+
 @pytest.mark.parametrize("field", ["q", "fp:3"])
 def test_changed_pi_block_entry_is_caught_by_projection_formula(monkeypatch, field):
     real = adjunction._pi_blockdiag
@@ -248,17 +259,51 @@ def test_changed_pi_block_entry_is_caught_by_projection_formula(monkeypatch, fie
         mor = real(y, x, cs, invert, source=source, target=target)
         if invert:
             return mor
-        m = mor.matrix
-        rows = list(m.nzrows)
-        rows[0] = dict(rows[0])
-        rows[0][0] = rows[0].get(0, 0) + m.den  # entry (0, 0) of the first block
-        bad = Matrix(m.field, m.rows, m.cols, den=m.den, nzrows=rows)
+        bad = _changed_first_entry(mor.matrix)  # entry (0, 0) of the first block
         return Morphism(mor.source, mor.target, bad, validate=False, tag=mor.tag)
 
     monkeypatch.setattr(adjunction, "_pi_blockdiag", changed)
     [check] = run_suite(small_cfg(field=field, checks=("projection_formula",))).checks
     assert check.status == "fail"
     assert check.witness["kind"] == "projection_invertible"
+
+
+@pytest.mark.parametrize("field", ["q", "fp:2"])
+def test_changed_pi_component_is_caught_by_monad_morphism(monkeypatch, field):
+    real = suite.pi_as_monad_morphism
+
+    def changed(*args, **kwargs):
+        mm = real(*args, **kwargs)
+        at = mm.at
+
+        def bad_at(x):
+            mor = at(x)
+            bad = _changed_first_entry(mor.matrix)
+            return Morphism(mor.source, mor.target, bad, validate=False, tag=mor.tag)
+
+        mm.at = bad_at
+        return mm
+
+    monkeypatch.setattr(suite, "pi_as_monad_morphism", changed)
+    [check] = run_suite(small_cfg(field=field, checks=("monad_morphism",))).checks
+    assert check.status == "fail"
+    assert check.witness["kind"] == "monad_morphism"
+    assert check.witness["context"].endswith((": unit_triangle", ": multiplication_square"))
+
+
+@pytest.mark.parametrize("field", ["q", "fp:2"])
+def test_changed_phi_entry_is_caught_by_em_counit_roundtrip(monkeypatch, field):
+    real = suite.em_counit_iso
+
+    def changed(mod, cs):
+        phi, psi = real(mod, cs)
+        bad = _changed_first_entry(phi.matrix)
+        return AModMorphism(phi.source, phi.target, bad, validate=False), psi
+
+    monkeypatch.setattr(suite, "em_counit_iso", changed)
+    [check] = run_suite(small_cfg(field=field, checks=("em_counit_roundtrip",))).checks
+    assert check.status == "fail"
+    assert check.witness["kind"] == "em_counit_roundtrip"
 
 
 def test_row_built_witness_payload_matches_dense_twin():
