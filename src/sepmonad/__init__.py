@@ -102,10 +102,9 @@ from .eilenberg import (
     em_unit_iso,
     extension_of_scalars_iso,
     find_idempotent_summand,
-    find_module_iso,
+    free_hom_basis,
     free_module,
     module_axiom_failures,
-    module_hom_space,
     split_idempotent,
 )
 from .presets import load_preset, preset_names

@@ -7,6 +7,12 @@ the coinduced representation with the coordinatewise truncation action
 the idempotent given by acting with the identity-coset idempotent, viewed
 H-equivariantly.
 
+The free module A (x) y has the universal property of the free half of the
+Eilenberg-Moore adjunction: A-linear maps A (x) y -> M correspond one to one
+with G-maps y -> M, by f |-> action_M . (1_A (x) f) (Eilenberg and Moore
+1965).  ``free_hom_basis`` builds module maps out of a free module this way
+from ``repcat.hom_space_basis``; no second linear system solves for them.
+
 All round trips ship explicit invertible witnesses built from the
 adjunction's structure maps; nothing is certified by a search when a
 closed form exists.
@@ -14,27 +20,23 @@ closed form exists.
 
 import random
 from fractions import Fraction
-from math import lcm
 
 from .exactlin import (
     Matrix,
+    hstack,
     mat_add,
     mat_kron,
     mat_mul,
     mat_scale,
-    nullspace_basis,
     rank_and_column_basis,
     solve_linear,
-    vstack,
 )
 from .repcat import (
     Morphism,
     Rep,
-    _column_matrices,
     _combination,
-    _equivariance_blocks,
-    _invertible_combination,
     compose,
+    hom_space_basis,
     random_rep,
     restrict,
     tensor_obj,
@@ -316,93 +318,25 @@ def extension_of_scalars_iso(y, cs, ring):
     return phi, psi
 
 
-def module_hom_space(m1, m2):
-    """A deterministic basis of the A-linear equivariant maps m1 -> m2.
-
-    Intersects the equivariance constraints with the linearized
-    action-compatibility constraints and reads the nullspace.
-    """
-    if m1.ring is not m2.ring:
-        raise EMError("modules live over different rings")
-    x1, x2 = m1.carrier, m2.carrier
-    d1, d2 = x1.dim, x2.dim
-    da = m1.ring.dim
-    field = x1.field
-    blocks = _equivariance_blocks(x1, x2)
-    rho1, rho2 = m1.action.matrix, m2.action.matrix
-    rows = d2 * da * d1
-    cols = d2 * d1
-    if field.char == 0:
-        den = lcm(rho1.den, rho2.den)
-        f1, f2 = den // rho1.den, den // rho2.den
-    else:
-        den, f1, f2 = 1, 1, 1
-    nums = [0] * (rows * cols)
-    w1 = da * d1
-    n1, n2 = rho1.nums, rho2.nums
-    for p in range(d2):
-        for q in range(d1):
-            col = p * d1 + q
-            base = p * w1
-            r1row = q * w1
-            for c in range(w1):
-                v = n1[r1row + c]
-                if v:
-                    nums[(base + c) * cols + col] = f1 * v
-            for i in range(d2):
-                r2row = i * (da * d2)
-                for gamma in range(da):
-                    v = n2[r2row + gamma * d2 + p]
-                    if v:
-                        row = i * w1 + gamma * d1 + q
-                        nums[row * cols + col] -= f2 * v
-    blocks.append(Matrix(field, rows, cols, nums, den))
-    sol = nullspace_basis(vstack(blocks))
-    return [AModMorphism(m1, m2, mat, validate=True) for mat in _column_matrices(sol, d2, d1)]
-
-
-def find_module_iso(m1, m2, seed=0, attempts=32):
-    """An invertible A-linear map m1 -> m2, or None if the search fails.
-
-    The same search as ``repcat.find_iso``, over the module hom basis.
-    """
-    if m1.dim != m2.dim:
-        return None
-    basis = module_hom_space(m1, m2)
-    if not basis:
-        return None
-    rng = random.Random(f"sepmonad|modiso|{seed}")
-    mat = _invertible_combination([b.matrix for b in basis], rng, attempts)
-    return None if mat is None else AModMorphism(m1, m2, mat, validate=False)
-
-
 def _minimal_polynomial(b):
     """Monic minimal polynomial coefficients [c_0, ..., c_{t-1}, 1] of b.
 
     Found as the first power of b that is a combination of the lower
-    powers, flattened to one linear solve per degree.
+    powers: one linear solve per degree, each power read row-major as one
+    column.
     """
     d = b.rows
     field = b.field
+
+    def column(m):
+        return Matrix(field, d * d, 1, m.nums, m.den)
+
     powers = [Matrix.identity(field, d)]
     while True:
         nxt = mat_mul(powers[-1], b)
-        den = 1
-        if field.char == 0:
-            for p in powers:
-                den = lcm(den, p.den)
-        k = len(powers)
-        nums = [0] * (d * d * k)
-        for j, p in enumerate(powers):
-            f = den // p.den
-            for i, v in enumerate(p.nums):
-                if v:
-                    nums[i * k + j] = f * v
-        cols = Matrix(field, d * d, k, nums, den)
-        rhs = Matrix(field, d * d, 1, list(nxt.nums), nxt.den)
-        x = solve_linear(cols, rhs)
+        x = solve_linear(hstack(column(p) for p in powers), column(nxt))
         if x is not None:
-            coeffs = [-x.entry(i, 0) for i in range(k)]
+            coeffs = [-x.entry(i, 0) for i in range(len(powers))]
             if field.char:
                 coeffs = [v % field.char for v in coeffs]
             return coeffs + [Fraction(1) if field.char == 0 else 1]
@@ -454,21 +388,36 @@ def _poly_eval_matrix(coeffs, b):
     return acc
 
 
+def free_hom_basis(free, y, target):
+    """A basis of the A-linear maps free -> target, for free = free_module(ring, y).
+
+    The free module's universal property: f |-> action . (1_A (x) f) is a
+    bijection from the G-maps y -> target onto the A-linear maps
+    A (x) y -> target, so the basis is the image of ``hom_space_basis``.
+    Each image is checked to be equivariant and A-linear.
+    """
+    eye_a = Matrix.identity(y.field, free.ring.dim)
+    rho = target.action.matrix
+    return [AModMorphism(free, target, mat_mul(rho, mat_kron(eye_a, f.matrix)), validate=True)
+            for f in hom_space_basis(y, target.carrier)]
+
+
 def find_idempotent_summand(ring, cs, seed=0, tries=6):
     """A module summand of a free module split off a nontrivial idempotent.
 
-    Searches the A-linear endomorphism algebra of seeded free modules: a
-    basis element that is already idempotent, else an eigen-idempotent
-    q(B)/q(c) at a simple root c of a random endomorphism's minimal
-    polynomial.  Returns None when the budget is exhausted; absence is a
-    search verdict, not a nonexistence proof.
+    Searches End_A(A (x) y) of seeded free modules, read off the G-maps
+    y -> A (x) y by the universal property (``free_hom_basis``): a basis
+    element that is already idempotent, else an eigen-idempotent q(B)/q(c)
+    at a simple root c of a random endomorphism's minimal polynomial.
+    Returns None when the budget is exhausted; absence is a search
+    verdict, not a nonexistence proof.
     """
     field = ring.field
     g = cs.group
     for t in range(tries):
         y = random_rep(g, field, seed * 131 + t, 2 + (t % 2))
         free = free_module(ring, y)
-        basis = module_hom_space(free, free)
+        basis = free_hom_basis(free, y, free)
         if len(basis) < 2:
             continue
         e_mat = _idempotent_from_basis(basis, field, seed * 17 + t)

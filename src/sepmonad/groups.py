@@ -323,8 +323,8 @@ def load_group_json(path):
     """Load a group from a JSON file.
 
     The file holds either {"permutations": [[...], ...]} with 0-based image
-    rows, or {"cayley": [[...], ...]}; an optional "labels" list names the
-    elements.
+    rows, or {"cayley": [[...], ...]}, not both; an optional "labels" list
+    names the elements.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -333,6 +333,8 @@ def load_group_json(path):
     labels = data.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise GroupError("'labels' must be a list")
+    if "permutations" in data and "cayley" in data:
+        raise GroupError("group file must give 'permutations' or 'cayley', not both")
     if "permutations" in data:
         g = group_from_permutations([tuple(p) for p in _int_rows(data, "permutations")])
     elif "cayley" in data:

@@ -209,27 +209,6 @@ def restrict_mor(f, h):
     return Morphism(restrict(f.source, h), restrict(f.target, h), f.matrix, validate=False)
 
 
-def _equivariance_blocks(x, y):
-    """The constraints T * x.mat(g) = y.mat(g) * T on a y.dim x x.dim matrix T.
-
-    One block kron(I_y, x(g)^T) - kron(y(g), I_x) per generator of the
-    carrier, in generator order, acting on T flattened row-major.
-    """
-    eye_x = Matrix.identity(x.field, x.dim)
-    eye_y = Matrix.identity(x.field, y.dim)
-    return [
-        mat_sub(mat_kron(eye_y, x.mat(g).transpose()), mat_kron(y.mat(g), eye_x))
-        for g in x.carrier.gens
-    ]
-
-
-def _column_matrices(sol, rows, cols):
-    """Each column of ``sol``, read back row-major as a rows x cols matrix."""
-    flat = sol.nums
-    return [Matrix(sol.field, rows, cols, flat[k :: sol.cols], sol.den)
-            for k in range(sol.cols)]
-
-
 def _combination(coeffs, mats):
     """The sum of c * m over the nonzero coefficients, from the zero matrix."""
     m0 = mats[0]
@@ -240,46 +219,30 @@ def _combination(coeffs, mats):
     return total
 
 
-def _invertible_combination(mats, rng, attempts):
-    """An invertible linear combination of square ``mats``, or None.
-
-    Tries all coefficients 1 first, then seeded random ones from ``rng``;
-    over a prime field with at most 4096 coefficient tuples it then
-    exhausts every nonzero tuple, so None is definitive there.
-    """
-    p = mats[0].field.char
-    for trial in range(attempts):
-        if trial == 0:
-            coeffs = [1] * len(mats)
-        elif p == 0:
-            coeffs = [rng.randint(-4, 4) for _ in mats]
-        else:
-            coeffs = [rng.randrange(p) for _ in mats]
-        mat = _combination(coeffs, mats)
-        if mat_inverse(mat) is not None:
-            return mat
-    if p and p ** len(mats) <= 4096:
-        for coeffs in itertools.product(range(p), repeat=len(mats)):
-            if any(coeffs):
-                mat = _combination(coeffs, mats)
-                if mat_inverse(mat) is not None:
-                    return mat
-    return None
-
-
 def hom_space_basis(x, y):
     """A deterministic basis of the space of equivariant maps x -> y.
 
     Solved as the nullspace of the stacked constraints
-    T * x.mat(g) - y.mat(g) * T = 0 over the carrier's generators.
+    T * x.mat(g) - y.mat(g) * T = 0 over the carrier's generators: one
+    block kron(I_y, x(g)^T) - kron(y(g), I_x) per generator, acting on T
+    flattened row-major.  Each nullspace column is read back row-major.
     """
     if x.carrier is not y.carrier or x.field != y.field:
         raise RepError("hom space needs a common carrier and field")
+    field = x.field
     if x.carrier.gens:
-        cols = nullspace_basis(vstack(_equivariance_blocks(x, y)))
+        eye_x = Matrix.identity(field, x.dim)
+        eye_y = Matrix.identity(field, y.dim)
+        cols = nullspace_basis(vstack(
+            mat_sub(mat_kron(eye_y, x.mat(g).transpose()), mat_kron(y.mat(g), eye_x))
+            for g in x.carrier.gens
+        ))
     else:
-        cols = Matrix.identity(x.field, y.dim * x.dim)
-    return [Morphism(x, y, mat, validate=True) for mat in _column_matrices(cols, y.dim, x.dim)]
+        cols = Matrix.identity(field, y.dim * x.dim)
+    flat = cols.nums
+    return [Morphism(x, y, Matrix(field, y.dim, x.dim, flat[k :: cols.cols], cols.den),
+                     validate=True)
+            for k in range(cols.cols)]
 
 
 def random_hom(x, y, seed):
@@ -311,9 +274,26 @@ def find_iso(x, y, seed=0, attempts=32):
     basis = hom_space_basis(x, y)
     if not basis:
         return None
+    mats = [b.matrix for b in basis]
+    p = x.field.char
     rng = random.Random(f"sepmonad|iso|{seed}")
-    mat = _invertible_combination([b.matrix for b in basis], rng, attempts)
-    return None if mat is None else Morphism(x, y, mat, validate=False)
+    for trial in range(attempts):
+        if trial == 0:
+            coeffs = [1] * len(mats)
+        elif p == 0:
+            coeffs = [rng.randint(-4, 4) for _ in mats]
+        else:
+            coeffs = [rng.randrange(p) for _ in mats]
+        mat = _combination(coeffs, mats)
+        if mat_inverse(mat) is not None:
+            return Morphism(x, y, mat, validate=False)
+    if p and p ** len(mats) <= 4096:
+        for coeffs in itertools.product(range(p), repeat=len(mats)):
+            if any(coeffs):
+                mat = _combination(coeffs, mats)
+                if mat_inverse(mat) is not None:
+                    return Morphism(x, y, mat, validate=False)
+    return None
 
 
 def _perm_action_on_cosets(carrier, k_elems, field):

@@ -77,7 +77,6 @@ from .eilenberg import (
     em_counit_iso,
     em_inverse_split,
     em_mor,
-    em_unit_iso,
     extension_of_scalars_iso,
     find_idempotent_summand,
     free_module,
@@ -734,10 +733,8 @@ def _check_em_unit_roundtrip(ctx):
     cs = ctx.cs
     eye = Matrix.identity(ctx.field, cs.index)
     data = []
-    for i, n in enumerate(ctx.hreps):
+    for n in ctx.hreps:
         try:
-            if i < 3:
-                em_unit_iso(n, cs, ctx.ring)
             mod = em_comparison(n, cs, ctx.ring)
             img, p, m, _ = em_inverse_split(mod, cs)
             w1 = compose(p, section_xi(n, cs, coind=mod.carrier))

@@ -3,7 +3,6 @@
 import pytest
 
 from sepmonad.eilenberg import (
-    AModMorphism,
     AModule,
     EMError,
     em_comparison,
@@ -14,16 +13,27 @@ from sepmonad.eilenberg import (
     em_unit_iso,
     extension_of_scalars_iso,
     find_idempotent_summand,
-    find_module_iso,
+    free_hom_basis,
     free_module,
     module_axiom_failures,
-    module_hom_space,
     split_idempotent,
 )
-from sepmonad.exactlin import Field, GF, Matrix, mat_mul
+from sepmonad import eilenberg
+from sepmonad.exactlin import (
+    Field,
+    GF,
+    Matrix,
+    hstack,
+    mat_kron,
+    mat_mul,
+    mat_sub,
+    nullspace_basis,
+    rank_and_column_basis,
+    vstack,
+)
 from sepmonad.groups import right_cosets, subgroup_generated
 from sepmonad.monadring import standard_ring
-from sepmonad.presets import load_preset
+from sepmonad.presets import load_preset, preset_names
 from sepmonad.repcat import (
     Morphism,
     identity_mor,
@@ -171,46 +181,72 @@ def test_em_mor_functoriality():
     assert mat_mul(eg.matrix, ef.matrix) == comp.matrix
 
 
-def test_module_hom_space_adjunction_dimension():
-    """Hom_A(A (x) y, m) and Hom_G(y, U m) have equal dimension (adjunction)."""
-    from sepmonad.repcat import hom_space_basis
-
-    cs, ring = _setup("s3")
-    for seed in range(2):
-        y = random_rep(cs.group, Q, seed=seed, budget=2)
-        n = random_rep(cs.subgroup, Q, seed=seed + 3, budget=2)
-        mod = em_comparison(n, cs, ring)
-        free = free_module(ring, y)
-        left = module_hom_space(free, mod)
-        right = hom_space_basis(y, mod.carrier)
-        assert len(left) == len(right)
+def _flat_column(m):
+    """m read row-major as one column."""
+    return Matrix(m.field, m.rows * m.cols, 1, m.nums, m.den)
 
 
-def test_module_hom_space_entries_are_module_maps():
-    cs, ring = _setup("s3")
-    n = random_rep(cs.subgroup, Q, seed=12, budget=2)
-    mod = em_comparison(n, cs, ring)
-    for b in module_hom_space(mod, mod):
-        AModMorphism(mod, mod, b.matrix, validate=True)
+def _module_map_oracle(m1, m2):
+    """Basis columns (T flattened row-major) of the A-linear G-maps m1 -> m2.
+
+    Built independently of the hom-space solvers: the constraint matrix is
+    the image of T |-> (T rho1 - rho2 (I_A (x) T), T x1(g) - x2(g) T) on each
+    elementary matrix T, one column per T.
+    """
+    field = m1.carrier.field
+    d1, d2 = m1.dim, m2.dim
+    eye_a = Matrix.identity(field, m1.ring.dim)
+    rho1, rho2 = m1.action.matrix, m2.action.matrix
+    gens = m1.carrier.carrier.gens
+    cols = []
+    for i in range(d2):
+        for j in range(d1):
+            t = Matrix.from_flat(field, d2, d1, [int(k == i * d1 + j) for k in range(d2 * d1)])
+            parts = [mat_sub(mat_mul(t, rho1), mat_mul(rho2, mat_kron(eye_a, t)))]
+            parts += [mat_sub(mat_mul(t, m1.carrier.mat(g)), mat_mul(m2.carrier.mat(g), t))
+                      for g in gens]
+            cols.append(vstack(_flat_column(m) for m in parts))
+    return nullspace_basis(hstack(cols))
 
 
-def test_find_module_iso_between_equal_modules():
-    cs, ring = _setup("s3")
-    n = random_rep(cs.subgroup, Q, seed=13, budget=2)
-    mod = em_comparison(n, cs, ring)
-    iso = find_module_iso(mod, mod, seed=0)
-    assert iso is not None
-    from sepmonad.exactlin import mat_inverse
-
-    assert mat_inverse(iso.matrix) is not None
-    AModMorphism(mod, mod, iso.matrix, validate=True)
+def _rank(m):
+    return rank_and_column_basis(m)[0]
 
 
-def test_find_idempotent_summand_is_valid_or_none():
-    for name in ("s3", "c4", "a4"):
-        cs, ring = _setup(name)
-        found = find_idempotent_summand(ring, cs, seed=0)
-        if found is None:
-            continue
-        assert module_axiom_failures(found) == []
-        assert found.dim > 0
+@pytest.mark.parametrize("field", [Q, GF(2)], ids=["q", "fp2"])
+@pytest.mark.parametrize("name", ["s3", "c4", "a4"])
+def test_free_hom_basis_matches_module_map_oracle(name, field):
+    """Hom_A(A (x) y, M) from the universal property spans all module maps."""
+    cs, ring = _setup(name, field)
+    y = random_rep(cs.group, field, seed=0, budget=2)
+    free = free_module(ring, y)
+    comparison = em_comparison(random_rep(cs.subgroup, field, seed=3, budget=2), cs, ring)
+    for target in (free, comparison):
+        basis = free_hom_basis(free, y, target)
+        oracle = _module_map_oracle(free, target)
+        assert len(basis) == oracle.cols > 0
+        ours = hstack(_flat_column(b.matrix) for b in basis)
+        assert _rank(ours) == len(basis)
+        assert _rank(hstack([ours, oracle])) == len(basis)
+
+
+def test_find_idempotent_summand_is_valid_or_none(monkeypatch):
+    """Every preset over Q and GF(2) splits a proper nonzero summand.
+
+    None is a search verdict the suite tolerates by building one module
+    fewer; at seed 0 no preset needs it, so a None here is a regression.
+    """
+    searched = []
+
+    def spy(free, y, target):
+        searched.append(free)
+        return free_hom_basis(free, y, target)
+
+    monkeypatch.setattr(eilenberg, "free_hom_basis", spy)
+    for name in preset_names():
+        for field in (Q, GF(2)):
+            cs, ring = _setup(name, field)
+            found = find_idempotent_summand(ring, cs, seed=0)
+            assert found is not None, (name, field)
+            assert 0 < found.dim < searched[-1].dim
+            assert module_axiom_failures(found) == []

@@ -14,6 +14,8 @@ import os
 import subprocess
 import sys
 
+import sepmonad
+
 _PROBE = """
 import json, sys
 import sepmonad
@@ -24,9 +26,9 @@ print(json.dumps([b.backend_name(), b.has_speed(), b._speed is None,
 
 
 def test_backend_module_is_what_perfbench_reads():
-    env = {"PATH": "/usr/bin:/bin"}
-    if "PYTHONPATH" in os.environ:
-        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
+    # the directory the tests imported sepmonad from
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sepmonad.__file__)))
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True, text=True,
                          env=env, check=True)
     name, speed, speed_none, rrefj_mod, rref_mod = json.loads(out.stdout)

@@ -192,7 +192,7 @@ def test_cli_file_group(tmp_path, capsys):
 @pytest.mark.parametrize("content", [
     None, "{not json", "5", "[[1, 0]]",
     '{"permutations": 5}', '{"cayley": 7}', '{"permutations": [[1, 0]], "labels": 3}',
-    '{"cayley": []}',
+    '{"cayley": []}', '{"permutations": [[1, 0]], "cayley": [[0, 1], [1, 0]]}',
 ])
 def test_cli_unreadable_group_file_exit_code(tmp_path, capsys, content):
     path = tmp_path / "g.json"
