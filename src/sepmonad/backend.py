@@ -1,17 +1,24 @@
-"""The exact elimination kernels: pure Python big-integer row reduction.
+"""The exact elimination kernels: Gauss-Jordan on sparse rows.
 
-A matrix here is a row-major flat list of Python ints, the dense view
-``Matrix.nums``.  Everything here is exact, and this is the only
-implementation: there is no compiled variant and no option to select one.
+A matrix here is a list of rows, each a dict {column: value} of its
+nonzero entries, as ``Matrix.nzrows`` stores them.  Everything here is
+exact, and this is the only implementation, with no option to select
+another.
 
-The structure maps of the adjunction are block selections and block
-permutations, so most entries are zero.  The kernels find pivots and
-all-zero row tails with C-level scans (``compress``, ``any``, slices)
-and do interpreted work only per live row, never per zero.
+The systems solved here are stacks of Kronecker blocks, so most entries
+are zero.  Columns are cleared left to right.  Of the rows whose first
+nonzero is in the current column, the one with the fewest nonzeros
+becomes the pivot, Markowitz's rule restricted to rows (Markowitz 1957),
+and only the others, which hold that column, are reduced against it; the
+pivot rows are then cleared against one another from the last one up.
+Each update walks the nonzeros of the pivot row, never a zero.
+
+The kernels never change an input row dict, because matrices share their
+rows; a returned row may be one of them, so callers must not change it
+either.
 """
 
-from itertools import compress
-from math import gcd
+from math import gcd, lcm
 
 # perfbench reads these three: backend_name() names the report's
 # env.backend and its work-count ledgers, and its tracer counts overflow
@@ -27,129 +34,114 @@ def has_speed():
     return False
 
 
-def _pivot_row(a, r, rows, cols, c):
-    """The first row at or below r with a nonzero in column c, or -1."""
-    return next(compress(range(r, rows), a[r * cols + c :: cols]), -1)
+def _gauss_jordan(lead, reduce):
+    """Reduce rows grouped by leading column; returns (pivots, reduced).
+
+    ``lead`` maps a column to the rows whose first nonzero is there, and
+    ``reduce(row, piv, c)`` returns row with column c cleared by the pivot
+    row piv.  After the pass down the columns every pivot row is zero left
+    of its pivot, and the pass up clears each pivot column from the rows
+    above it, using pivot rows that are already fully reduced.
+    """
+    pivots = []
+    red = []
+    while lead:
+        c = min(lead)
+        group = lead.pop(c)
+        if len(group) > 1:
+            group.sort(key=len)
+            for row in group[1:]:
+                row = reduce(row, group[0], c)
+                if row:
+                    lead.setdefault(min(row), []).append(row)
+        pivots.append(c)
+        red.append(group[0])
+    for t in range(len(pivots) - 1, 0, -1):
+        piv, c = red[t], pivots[t]
+        for i in range(t):
+            if c in red[i]:
+                red[i] = reduce(red[i], piv, c)
+    return pivots, red
+
+
+def _reduce_int(row, piv, c):
+    """a*row - b*piv, a > 0, with column c cancelled, divided by its content."""
+    g = gcd(piv[c], row[c])
+    if piv[c] < 0:
+        g = -g
+    a, b = piv[c] // g, row[c] // g
+    new = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    for j, w in piv.items():
+        x = new.get(j, 0) - b * w
+        if x:
+            new[j] = x
+        else:
+            del new[j]
+    if new:
+        g = gcd(*new.values())
+        if g > 1:
+            new = {j: v // g for j, v in new.items()}
+    return new
 
 
 def rrefj_int(m, rows, cols):
-    """Reduced row echelon form over the integers, fraction-free.
+    """Reduced row echelon form over Q of the integer rows m, fraction-free.
 
-    Returns (den, pivots, reduced) where reduced/den is the RREF of m, so
-    every pivot entry of ``reduced`` equals ``den`` and den > 0.
+    ``rows`` x ``cols`` is the shape of m; the elimination reads only m,
+    and perfbench counts the shape per call.  Returns (den, pivots, reduced)
+    where reduced[t] is the dict of nonzeros of the row with pivot column
+    pivots[t], and reduced[t]/den is that row of the RREF: every pivot
+    entry of ``reduced`` equals den > 0, and den is the lcm of the pivot
+    entries of the primitive rows.  Zero rows of the RREF are left out.
 
-    Phase one is Bareiss elimination: the division by the previous pivot
-    is exact by Sylvester's determinant identity, for any row swaps and
-    skipped (free) columns.  Phase two clears above the pivots without
-    dividing, shrinking rows by their content to keep entries near the
-    minor scale; the final per-row scale factors cancel when each row is
-    normalized by its own pivot and brought to the common denominator.
-
-    Rows at or below the current one are zero left of the current column,
-    so every update works on the row tail from that column.  A tail that
-    is all zero stays zero, and with f = 0 and piv = prev the update is
-    the identity, so both are skipped.
+    Every row is kept primitive by dividing out its content after each
+    update, which bounds the entries by the minors of m as Bareiss's
+    exact division does (Bareiss 1968) without touching the rows that do
+    not hold the pivot column.
     """
-    a = list(m)
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pr = _pivot_row(a, r, rows, cols, c)
-        if pr < 0:
-            continue
-        rbase = r * cols
-        if pr != r:
-            pb = pr * cols
-            a[rbase : rbase + cols], a[pb : pb + cols] = a[pb : pb + cols], a[rbase : rbase + cols]
-        ptail = a[rbase + c : rbase + cols]
-        piv = ptail[0]
-        for base in range((r + 1) * cols, rows * cols, cols):
-            f = a[base + c]
-            if f == 0 and piv == prev:
-                continue
-            s, e = base + c, base + cols
-            tail = a[s:e]
-            if not any(tail):
-                continue
-            a[s:e] = [(piv * x - f * y) // prev for x, y in zip(tail, ptail)]
-        prev = piv
-        pivots.append(c)
-        r += 1
-    k = len(pivots)
-    for t in range(k - 1, 0, -1):
-        c = pivots[t]
-        tbase = t * cols
-        ttail = a[tbase + c : tbase + cols]
-        piv = ttail[0]
-        for i in compress(range(t), a[c : tbase : cols]):
-            base = i * cols
-            f = a[base + c]
-            start = pivots[i]
-            # row t is zero left of c, so only c onward meets f
-            row = [piv * x for x in a[base + start : base + c]]
-            row += [piv * x - f * y for x, y in zip(a[base + c : base + cols], ttail)]
-            g = gcd(*row)
+    lead = {}
+    for row in m:
+        if row:
+            g = gcd(*row.values())
             if g > 1:
-                row = [v // g for v in row]
-            a[base + start : base + cols] = row
-    den = 1
-    scaled = []
-    for t in range(k):
-        s, e = t * cols + pivots[t], (t + 1) * cols
-        row = a[s:e]
-        d = row[0]
-        g = gcd(*row)
-        if g > 1:
-            row = [v // g for v in row]
-            d //= g
-        if d < 0:
-            row = [-v for v in row]
-            d = -d
-        a[s:e] = row
-        scaled.append(d)
-        den = den // gcd(den, d) * d
-    for t in range(k):
-        f = den // scaled[t]
+                row = {j: v // g for j, v in row.items()}
+            lead.setdefault(min(row), []).append(row)
+    pivots, red = _gauss_jordan(lead, _reduce_int)
+    den = lcm(*(abs(row[c]) for row, c in zip(red, pivots)))
+    for t, c in enumerate(pivots):
+        f = den // red[t][c]  # exact, and negative with the pivot
         if f != 1:
-            s, e = t * cols + pivots[t], (t + 1) * cols
-            a[s:e] = [v * f for v in a[s:e]]
-    return den, pivots, a
+            red[t] = {j: f * v for j, v in red[t].items()}
+    return den, pivots, red
 
 
 def rref_mod(m, rows, cols, p):
-    """Reduced row echelon form over GF(p).  Returns (pivots, reduced).
+    """Reduced row echelon form over GF(p) of the rows m, in the same form.
 
-    Rows at or below the current one are zero left of the current column,
-    and so is the pivot row, so normalization and elimination run from
-    the pivot column onward, on the rows with a nonzero in it.
+    Returns (pivots, reduced) where reduced[t] is the dict of nonzero
+    residues of the RREF row with pivot column pivots[t]; its pivot entry
+    is 1.  The rows are reduced modulo p into new dicts, which the
+    elimination then updates in place.
     """
-    a = [v % p for v in m]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pr = _pivot_row(a, r, rows, cols, c)
-        if pr < 0:
-            continue
-        rbase = r * cols
-        if pr != r:
-            pb = pr * cols
-            a[rbase : rbase + cols], a[pb : pb + cols] = a[pb : pb + cols], a[rbase : rbase + cols]
-        ptail = a[rbase + c : rbase + cols]
-        inv = pow(ptail[0], p - 2, p)
+
+    def reduce(row, piv, c):
+        f = row[c] * pow(piv[c], p - 2, p) % p
+        for j, w in piv.items():
+            x = (row.get(j, 0) - f * w) % p
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+        return row
+
+    lead = {}
+    for row in m:
+        row = {j: r for j, v in row.items() if (r := v % p)}
+        if row:
+            lead.setdefault(min(row), []).append(row)
+    pivots, red = _gauss_jordan(lead, reduce)
+    for t, c in enumerate(pivots):
+        inv = pow(red[t][c], p - 2, p)
         if inv != 1:
-            ptail = [x * inv % p for x in ptail]
-            a[rbase + c : rbase + cols] = ptail
-        for i in compress(range(rows), a[c::cols]):
-            if i == r:
-                continue
-            s, e = i * cols + c, (i + 1) * cols
-            f = a[s]
-            a[s:e] = [(x - f * y) % p for x, y in zip(a[s:e], ptail)]
-        pivots.append(c)
-        r += 1
-    return pivots, a
+            red[t] = {j: v * inv % p for j, v in red[t].items()}
+    return pivots, red

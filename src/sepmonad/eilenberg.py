@@ -251,6 +251,12 @@ def em_inverse(mod, cs):
     return em_inverse_split(mod, cs)[0]
 
 
+def _need_identity(message, composite):
+    """Raise EMError with (composite, I) unless the composite is the identity."""
+    if not composite.is_identity():
+        raise EMError(message, (composite, Matrix.identity(composite.field, composite.rows)))
+
+
 def em_unit_iso(n, cs, ring):
     """Mutually inverse H-morphisms between n and the round trip through E.
 
@@ -263,10 +269,8 @@ def em_unit_iso(n, cs, ring):
     eps_n = counit_eps(n, cs, coind=mod.carrier)
     w1 = compose(p, xi_n)
     w2 = compose(eps_n, m)
-    if not mat_mul(w2.matrix, w1.matrix).is_identity():
-        raise EMError("unit round trip fails on n", (w1.matrix, w2.matrix))
-    if not mat_mul(w1.matrix, w2.matrix).is_identity():
-        raise EMError("unit round trip fails on the image", (w1.matrix, w2.matrix))
+    _need_identity("unit round trip fails on n", mat_mul(w2.matrix, w1.matrix))
+    _need_identity("unit round trip fails on the image", mat_mul(w1.matrix, w2.matrix))
     return w1, w2
 
 
@@ -291,10 +295,8 @@ def em_counit_iso(mod, cs):
     eta = unit_eta(x, cs, target=cx)
     cp = coind_mor(p, cs, source=cx, target=en.carrier)
     psi_mat = mat_mul(cp.matrix, eta.matrix)
-    if not mat_mul(phi_mat, psi_mat).is_identity():
-        raise EMError("counit round trip fails on the module", (phi_mat, psi_mat))
-    if not mat_mul(psi_mat, phi_mat).is_identity():
-        raise EMError("counit round trip fails on the comparison", (phi_mat, psi_mat))
+    _need_identity("counit round trip fails on the module", mat_mul(phi_mat, psi_mat))
+    _need_identity("counit round trip fails on the comparison", mat_mul(psi_mat, phi_mat))
     phi = AModMorphism(en, mod, phi_mat, validate=True)
     psi = AModMorphism(mod, en, psi_mat, validate=True)
     return phi, psi
@@ -309,10 +311,8 @@ def extension_of_scalars_iso(y, cs, ring):
     en = em_comparison(restrict(y, h), cs, ring)
     pi = projection_pi(one_h, y, cs, source=free.carrier, target=en.carrier)
     pinv = projection_pi_inverse(one_h, y, cs, source=en.carrier, target=free.carrier)
-    if not mat_mul(pi.matrix, pinv.matrix).is_identity():
-        raise EMError("projection inverse fails", (pi.matrix, pinv.matrix))
-    if not mat_mul(pinv.matrix, pi.matrix).is_identity():
-        raise EMError("projection inverse fails", (pi.matrix, pinv.matrix))
+    _need_identity("pi . pi-inverse is not the identity", mat_mul(pi.matrix, pinv.matrix))
+    _need_identity("pi-inverse . pi is not the identity", mat_mul(pinv.matrix, pi.matrix))
     phi = AModMorphism(free, en, pi.matrix, validate=True)
     psi = AModMorphism(en, free, pinv.matrix, validate=True)
     return phi, psi
@@ -329,7 +329,11 @@ def _minimal_polynomial(b):
     field = b.field
 
     def column(m):
-        return Matrix(field, d * d, 1, m.nums, m.den)
+        rows = [{} for _ in range(d * d)]
+        for i, row in enumerate(m.nzrows):
+            for j, v in row.items():
+                rows[i * d + j] = {0: v}
+        return Matrix(field, d * d, 1, den=m.den, _normalized=True, nzrows=rows)
 
     powers = [Matrix.identity(field, d)]
     while True:

@@ -11,10 +11,10 @@ nonzeros, and products (Gustavson's row-by-row sparse product), Kronecker
 products, block assembly, identity tests and comparisons work on those
 rows, so they cost time per nonzero, not per entry.
 
-Rank, solve, inverse and nullspace read the dense view ``Matrix.nums``
-and eliminate in the kernels of ``backend``: fraction-free (one-step
-Bareiss) over Q, which bounds intermediate growth at desk scale, and
-plain Gauss-Jordan over GF(p).  No floating point appears anywhere.
+Rank, solve, inverse and nullspace pass those rows to the kernels of
+``backend``, which eliminate on them and return the reduced rows:
+fraction-free over Q, with every row kept primitive, and plain
+Gauss-Jordan over GF(p).  No floating point appears anywhere.
 """
 
 from fractions import Fraction
@@ -118,9 +118,9 @@ class Matrix:
 
     A matrix is built from rows (``nzrows=``) or from the dense row-major
     entry sequence ``nums``.  The other form is built on first read and
-    kept: ``nums`` is the flat tuple of all entries, which the
-    eliminations, ``hash`` and witnesses read.  Given rows are brought to
-    the canonical form, unless ``_normalized`` says they already are.
+    kept: ``nums`` is the flat tuple of all entries, which ``hash`` and
+    witnesses read.  Given rows are brought to the canonical form, unless
+    ``_normalized`` says they already are.
     """
 
     __slots__ = ("field", "rows", "cols", "den", "_nums", "_nzrows")
@@ -463,15 +463,15 @@ def assemble(field, rows, cols, blocks):
                   nzrows=[{} if row is None else row for row in out])
 
 
-def _rref(nums, rows, cols, field):
-    """Shared elimination entry point.  Returns (pivots, reduced, den)."""
+def _rref(rows_list, rows, cols, field):
+    """Shared elimination entry point.  Returns (pivots, reduced, den).
+
+    ``reduced`` holds the nonzero rows of the RREF times den, as dicts.
+    """
     if field.char == 0:
-        den, pivots, red = backend.rrefj_int(list(nums), rows, cols)
-        if den < 0:
-            den = -den
-            red = [-v for v in red]
+        den, pivots, red = backend.rrefj_int(rows_list, rows, cols)
         return pivots, red, den
-    pivots, red = backend.rref_mod(list(nums), rows, cols, field.char)
+    pivots, red = backend.rref_mod(rows_list, rows, cols, field.char)
     return pivots, red, 1
 
 
@@ -481,7 +481,7 @@ def rank_and_column_basis(a):
     Returns (rank, basis, witness) where basis is rows x rank built from
     columns of a, and witness is rank x rows with witness * basis = I.
     """
-    pivots, _, _ = _rref(a.nums, a.rows, a.cols, a.field)
+    pivots, _, _ = _rref(a.nzrows, a.rows, a.cols, a.field)
     basis = a.submatrix_cols(pivots)
     r = len(pivots)
     if r == 0:
@@ -491,6 +491,14 @@ def rank_and_column_basis(a):
     if x is None:
         raise ArithmeticError("column basis unexpectedly dependent")
     return r, basis, x.transpose()
+
+
+def _right_block(red, pivots, n):
+    """The columns from n on of the RREF rows, as n rows placed by pivot."""
+    out = [{} for _ in range(n)]
+    for pc, row in zip(pivots, red):
+        out[pc] = {j - n: v for j, v in row.items() if j >= n}
+    return out
 
 
 def solve_linear(a, b):
@@ -503,29 +511,18 @@ def solve_linear(a, b):
     if a.rows != b.rows:
         raise ValueError("dimension mismatch in solve_linear")
     n = a.cols
-    anums, bnums = a.nums, b.nums
-    if a.field.char == 0:
-        L = lcm(a.den, b.den)
-        fa, fb = L // a.den, L // b.den
-        aug = []
-        for i in range(a.rows):
-            aug.extend(fa * v for v in anums[i * n : (i + 1) * n])
-            aug.extend(fb * v for v in bnums[i * b.cols : (i + 1) * b.cols])
-    else:
-        aug = []
-        for i in range(a.rows):
-            aug.extend(anums[i * n : (i + 1) * n])
-            aug.extend(bnums[i * b.cols : (i + 1) * b.cols])
-    width = n + b.cols
-    pivots, red, den = _rref(aug, a.rows, width, a.field)
-    if any(pc >= n for pc in pivots):
+    common = lcm(a.den, b.den)
+    fa, fb = common // a.den, common // b.den
+    aug = []
+    for ra, rb in zip(a.nzrows, b.nzrows):
+        row = ra if fa == 1 else {j: fa * v for j, v in ra.items()}
+        if rb:
+            row = row | {n + j: fb * v for j, v in rb.items()}
+        aug.append(row)
+    pivots, red, den = _rref(aug, a.rows, n + b.cols, a.field)
+    if pivots and pivots[-1] >= n:
         return None
-    nums = [0] * (n * b.cols)
-    for t, pc in enumerate(pivots):
-        base = t * width + n
-        for j in range(b.cols):
-            nums[pc * b.cols + j] = red[base + j]
-    return Matrix(a.field, n, b.cols, nums, den)
+    return Matrix(a.field, n, b.cols, den=den, nzrows=_right_block(red, pivots, n))
 
 
 def mat_inverse(a):
@@ -533,18 +530,11 @@ def mat_inverse(a):
     if a.rows != a.cols:
         raise ValueError("inverse of a non-square matrix")
     n = a.rows
-    nums = a.nums
-    aug = []
-    for i in range(n):
-        aug.extend(nums[i * n : (i + 1) * n])
-        aug.extend(a.den if j == i else 0 for j in range(n))
+    aug = [row | {n + i: a.den} for i, row in enumerate(a.nzrows)]
     pivots, red, den = _rref(aug, n, 2 * n, a.field)
-    if len(pivots) < n or any(pc >= n for pc in pivots):
+    if pivots != list(range(n)):
         return None
-    nums = []
-    for i in range(n):
-        nums.extend(red[i * 2 * n + n : (i + 1) * 2 * n])
-    return Matrix(a.field, n, n, nums, den)
+    return Matrix(a.field, n, n, den=den, nzrows=_right_block(red, pivots, n))
 
 
 def nullspace_basis(a):
@@ -554,25 +544,20 @@ def nullspace_basis(a):
     so the basis is deterministic.
     """
     n = a.cols
-    pivots, red, den = _rref(a.nums, a.rows, n, a.field)
+    p = a.field.char
+    pivots, red, den = _rref(a.nzrows, a.rows, n, a.field)
     piv_set = set(pivots)
     free = [j for j in range(n) if j not in piv_set]
-    k = len(free)
-    nums = [0] * (n * k)
+    # the basis column of free column f, as {row: value}
+    basis = {f: {f: den} for f in free}
+    for pc, row in zip(pivots, red):
+        for j, v in row.items():
+            if j != pc:
+                basis[j][pc] = -v % p if p else -v
+    out = [{} for _ in range(n)]
     for idx, f in enumerate(free):
-        col = [0] * n
-        col[f] = den
-        for t, pc in enumerate(pivots):
-            col[pc] = -red[t * n + f]
-        if a.field.char == 0:
-            g = 0
-            for v in col:
-                g = gcd(g, v)
-            if g > 1:
-                col = [v // g for v in col]
-        else:
-            p = a.field.char
-            col = [v % p for v in col]
-        for i in range(n):
-            nums[i * k + idx] = col[i]
-    return Matrix(a.field, n, k, nums, 1)
+        col = basis[f]
+        g = 1 if p else gcd(*col.values())
+        for i, v in col.items():
+            out[i][idx] = v // g
+    return Matrix(a.field, n, len(free), den=1, _normalized=True, nzrows=out)

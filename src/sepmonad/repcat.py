@@ -239,10 +239,15 @@ def hom_space_basis(x, y):
         ))
     else:
         cols = Matrix.identity(field, y.dim * x.dim)
-    flat = cols.nums
-    return [Morphism(x, y, Matrix(field, y.dim, x.dim, flat[k :: cols.cols], cols.den),
+    # entry i of column k is entry divmod(i, x.dim) of map k
+    maps = [[{} for _ in range(y.dim)] for _ in range(cols.cols)]
+    for i, row in enumerate(cols.nzrows):
+        r, s = divmod(i, x.dim)
+        for k, v in row.items():
+            maps[k][r][s] = v
+    return [Morphism(x, y, Matrix(field, y.dim, x.dim, den=cols.den, nzrows=rows),
                      validate=True)
-            for k in range(cols.cols)]
+            for rows in maps]
 
 
 def random_hom(x, y, seed):

@@ -152,6 +152,38 @@ def test_extension_of_scalars():
         assert mat_mul(psi.matrix, phi.matrix).is_identity()
 
 
+def _zeroed(fn):
+    """fn with its morphism replaced by the zero map between the same reps."""
+    def zero(*args, **kwargs):
+        f = fn(*args, **kwargs)
+        return zero_mor(f.source, f.target)
+    return zero
+
+
+@pytest.mark.parametrize("field", [Q, GF(2)], ids=["q", "fp2"])
+@pytest.mark.parametrize("iso,corrupt,message", [
+    pytest.param("em_unit_iso", "counit_eps", "unit round trip fails on n", id="unit"),
+    pytest.param("em_counit_iso", "unit_eta", "counit round trip fails on the module",
+                 id="counit"),
+    pytest.param("extension_of_scalars_iso", "projection_pi_inverse",
+                 r"pi \. pi-inverse is not the identity", id="extension"),
+])
+def test_round_trip_witness_is_the_composite_against_identity(monkeypatch, field, iso, corrupt,
+                                                              message):
+    cs, ring = _setup("s3", field)
+    args = {
+        "em_unit_iso": (random_rep(cs.subgroup, field, seed=0, budget=2), cs, ring),
+        "em_counit_iso": (free_module(ring, random_rep(cs.group, field, seed=1, budget=2)), cs),
+        "extension_of_scalars_iso": (random_rep(cs.group, field, seed=1, budget=2), cs, ring),
+    }[iso]
+    monkeypatch.setattr(eilenberg, corrupt, _zeroed(getattr(eilenberg, corrupt)))
+    with pytest.raises(EMError, match=message) as err:
+        getattr(eilenberg, iso)(*args)
+    lhs, rhs = err.value.witness
+    assert (lhs.rows, lhs.cols) == (rhs.rows, rhs.cols)
+    assert lhs.is_zero() and rhs.is_identity()
+
+
 @pytest.mark.parametrize("name,p", [("c4", 2), ("s3", 3), ("q8", 2)])
 def test_modular_em_equivalence(name, p):
     """The equivalence survives characteristic dividing the group order."""

@@ -246,17 +246,42 @@ def _matrix(field, m, cols, den=1):
     return Matrix.from_flat(field, len(m), cols, _flat(m), den)
 
 
+def _eliminate(m, cols, p=0):
+    """(den, pivots, reduced) of the row kernel for p, with den 1 over GF(p)."""
+    if p == 0:
+        return backend.rrefj_int(m, len(m), cols)
+    return (1, *backend.rref_mod(m, len(m), cols, p))
+
+
+def _assert_matches_gauss_jordan(m, cols, p=0):
+    """The row kernel on the rows of m gives the textbook RREF of m."""
+    rows = _row_dicts(m)
+    before = [dict(row) for row in rows]
+    den, pivots, red = _eliminate(rows, cols, p)
+    assert rows == before  # the input row dicts are unchanged
+    want_pivots, want = _gauss_jordan(m, cols, p)
+    assert pivots == want_pivots
+    assert len(red) == len(pivots)
+    assert den > 0
+    assert all(row[c] == den for row, c in zip(red, pivots))
+    dense = [[0] * cols for _ in pivots]
+    for out, row in zip(dense, red):
+        assert all(v != 0 and (not p or 0 < v < p) for v in row.values())
+        for j, v in row.items():
+            out[j] = v
+    assert [Fraction(v, den) for v in _flat(dense)] == _flat(want[:len(pivots)])
+    assert not any(_flat(want[len(pivots):]))
+    if p == 0:  # den is the lcm of the pivots of the primitive rows
+        assert den == lcm(1, *(den // gcd(*row.values()) for row in red))
+    return den, pivots, red
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_sparse_rrefj_int_matches_fraction_gauss_jordan(data):
     rows, cols = data.draw(dims), data.draw(dims)
     m = data.draw(sparse_rows(rows, cols))
-    den, pivots, red = backend.rrefj_int(_flat(m), rows, cols)
-    want_pivots, want = _gauss_jordan(m, cols)
-    assert pivots == want_pivots
-    assert den > 0
-    assert all(red[t * cols + c] == den for t, c in enumerate(pivots))
-    assert [Fraction(v, den) for v in red] == _flat(want)
+    _assert_matches_gauss_jordan(m, cols)
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,10 +289,54 @@ def test_sparse_rrefj_int_matches_fraction_gauss_jordan(data):
 def test_sparse_rref_mod_matches_gauss_jordan(data, p):
     rows, cols = data.draw(dims), data.draw(dims)
     m = data.draw(sparse_rows(rows, cols))
-    pivots, red = backend.rref_mod(_flat(m), rows, cols, p)
-    want_pivots, want = _gauss_jordan(m, cols, p)
-    assert pivots == want_pivots
-    assert red == _flat(want)
+    _assert_matches_gauss_jordan(m, cols, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([0, 2, 3, 5]))
+def test_row_kernels_ignore_row_order_zero_and_duplicate_rows(data, p):
+    rows, cols = data.draw(st.integers(1, 8)), data.draw(dims)
+    m = _row_dicts(data.draw(sparse_rows(rows, cols)))
+    want = _eliminate(m, cols, p)
+    # the same dict twice, an equal copy, a scaled copy and empty rows
+    k = data.draw(st.integers(0, rows - 1))
+    extra = [m[k], dict(m[k]), {j: 2 * v for j, v in m[k].items()}, {}, {}]
+    shuffled = data.draw(st.permutations(m + extra))
+    before = [dict(row) for row in shuffled]
+    assert _eliminate(shuffled, cols, p) == want
+    assert shuffled == before
+
+
+def _kron_system(gens_a, gens_b):
+    """Stacked kron(I, A^T) - kron(B, I), one block per pair (A, B).
+
+    Its nullspace is the maps T (flattened row-major) with T A = B T.
+    """
+    dx, dy = len(gens_a[0]), len(gens_b[0])
+    out = []
+    for a, b in zip(gens_a, gens_b):
+        for r in range(dy):
+            for s in range(dx):
+                row = [0] * (dy * dx)
+                for t in range(dx):
+                    row[r * dx + t] += a[t][s]
+                for t in range(dy):
+                    row[t * dx + s] -= b[r][t]
+                out.append(row)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([0, 2, 3, 5]))
+def test_row_kernels_on_tall_kron_systems(data, p):
+    dx, dy = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    gens_a = [data.draw(sparse_rows(dx, dx)) for _ in range(2)]
+    if dx == dy and data.draw(st.booleans()):  # T = I and its multiples solve it
+        gens_b = gens_a
+    else:
+        gens_b = [data.draw(sparse_rows(dy, dy)) for _ in range(2)]
+    m = _kron_system(gens_a, gens_b)
+    _assert_matches_gauss_jordan(m, dy * dx, p)
 
 
 @settings(max_examples=150, deadline=None)
@@ -528,3 +597,21 @@ def test_empty_shapes_in_row_form():
         assert mat_kron(z30, Matrix.identity(field, 2)) == Matrix.zeros(field, 6, 0)
         assert assemble(field, 3, 3, [(0, 0, z30), (0, 0, z03)]) == Matrix.zeros(field, 3, 3)
         assert vstack([z03, Matrix.identity(field, 3)]) == Matrix.identity(field, 3)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_eliminations_leave_the_dense_view_unbuilt(p):
+    field = Field(p)
+    den = 3 if p == 0 else 1
+
+    def rows(*entries):
+        return Matrix(field, len(entries), 3, den=den, nzrows=[dict(e) for e in entries])
+
+    a = rows({0: 1, 2: 2}, {1: 1}, {0: 1, 1: 1, 2: 2})
+    square = rows({0: 1, 2: 1}, {1: 1}, {2: 1})
+    b = rows({0: 1}, {2: 1}, {0: 1, 2: 1})
+    results = [nullspace_basis(a), solve_linear(a, b), mat_inverse(square),
+               *rank_and_column_basis(a)[1:]]
+    assert all(isinstance(m, Matrix) for m in results)
+    for m in (a, square, b, *results):
+        assert m._nums is None
