@@ -31,7 +31,10 @@ def _parse_subgroup(text):
 def _parse_checks(text):
     if text is None or text.strip() == "all":
         return ()
-    return tuple(t.strip() for t in text.split(",") if t.strip())
+    ids = tuple(t.strip() for t in text.split(",") if t.strip())
+    if not ids:
+        raise ConfigError(f"--checks selects no check, got {text!r}; give 'all' or check ids")
+    return ids
 
 
 def build_parser():

@@ -2,8 +2,11 @@
 
 Scalars are either arbitrary-precision rationals (stored in lowest terms
 with positive denominator, surfaced as ``fractions.Fraction``) or residues
-modulo a prime p (ints in 0..p-1).  A Matrix stores, per row, a dict of its
-nonzero integer entries, over a single positive denominator.
+modulo a prime p (ints in 0..p-1).  A Matrix stores one thing: per row, a
+dict of its nonzero integer entries, over a single positive denominator,
+in one canonical form.  Dense entry lists are accepted as input and split
+into rows at once; the dense tuple ``Matrix.nums`` is only a view, built
+when ``hash`` or a witness reads it.
 
 The structure maps of the adjunction are block selections and block
 permutations, so almost every entry is zero.  They are built as rows of
@@ -18,7 +21,7 @@ Gauss-Jordan over GF(p).  No floating point appears anywhere.
 """
 
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from math import gcd, lcm
 
 from . import backend
@@ -109,66 +112,40 @@ class Matrix:
     """Exact matrix: rows of nonzero entries over a common denominator.
 
     ``nzrows`` holds one dict {column: value} per row with only the
-    nonzero entries.  The values are integers over the positive
-    denominator ``den``: residues 1..p-1 with den 1 over GF(p), and over Q
-    integers whose common content is coprime to den.  So the row form is
-    canonical, and two matrices are equal exactly when their rows are.  A
-    row dict is never changed once its matrix is built, so matrices share
-    rows freely.
+    nonzero entries, and it is the only thing a matrix stores.  The values
+    are integers over the positive denominator ``den``: residues 1..p-1
+    with den 1 over GF(p), and over Q integers whose common content is
+    coprime to den.  So the row form is canonical, and two matrices are
+    equal exactly when their rows are.  A row dict is never changed once
+    its matrix is built, so matrices share rows freely.
 
-    A matrix is built from rows (``nzrows=``) or from the dense row-major
-    entry sequence ``nums``.  The other form is built on first read and
-    kept: ``nums`` is the flat tuple of all entries, which ``hash`` and
-    witnesses read.  Given rows are brought to the canonical form, unless
-    ``_normalized`` says they already are.
+    A matrix is built from rows (``nzrows=``), or from a dense row-major
+    entry sequence ``nums``, which is split into rows at once.  Either
+    way the rows go through ``_normalize_rows``, unless ``_normalized``
+    says given rows are already canonical.  ``nums`` is also a read-only
+    view: the flat tuple of all entries, built on first read for ``hash``
+    and witnesses.
     """
 
-    __slots__ = ("field", "rows", "cols", "den", "_nums", "_nzrows")
+    __slots__ = ("field", "rows", "cols", "den", "nzrows", "_nums")
 
     def __init__(self, field, rows, cols, nums=None, den=1, _normalized=False, nzrows=None):
         self.field = field
         self.rows = rows
         self.cols = cols
-        if nzrows is not None:
-            if len(nzrows) != rows:
-                raise ValueError("row count does not match shape")
-            if not _normalized:
-                nzrows, den = _normalize_rows(field, nzrows, den)
-            self._nzrows = nzrows
-            self._nums = None
-            self.den = den
-            return
-        if len(nums) != rows * cols:
-            raise ValueError("entry count does not match shape")
-        self._nzrows = None
-        if field.char == 0:
-            if den == 0:
-                raise ZeroDivisionError("zero denominator")
-            if den < 0:
-                den = -den
-                nums = [-v for v in nums]
-            g = den
-            for v in nums:
-                if v:
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-            if g > 1:
-                nums = [v // g for v in nums]
-                den //= g
-            self._nums = tuple(nums)
-            self.den = den
-        else:
-            p = field.char
-            if den % p == 0:
-                raise ZeroDivisionError("denominator vanishes in the field")
-            if den != 1:
-                inv = pow(den % p, p - 2, p)
-                nums = [v * inv % p for v in nums]
-            else:
-                nums = [v % p for v in nums]
-            self._nums = tuple(nums)
-            self.den = 1
+        if nzrows is None:
+            if len(nums) != rows * cols:
+                raise ValueError("entry count does not match shape")
+            nzrows = [{j: v for j, v in enumerate(nums[i * cols : (i + 1) * cols]) if v}
+                      for i in range(rows)]
+            _normalized = False
+        elif len(nzrows) != rows:
+            raise ValueError("row count does not match shape")
+        if not _normalized:
+            nzrows, den = _normalize_rows(field, nzrows, den)
+        self.nzrows = nzrows
+        self.den = den
+        self._nums = None
 
     @property
     def nums(self):
@@ -176,25 +153,11 @@ class Matrix:
         if self._nums is None:
             c = self.cols
             flat = [0] * (self.rows * c)
-            for base, row in zip(range(0, len(flat), c or 1), self._nzrows):
+            for base, row in zip(range(0, len(flat), c or 1), self.nzrows):
                 for j, v in row.items():
                     flat[base + j] = v
             self._nums = tuple(flat)
         return self._nums
-
-    @property
-    def nzrows(self):
-        """Per row, the dict {column: value} of its nonzeros, built on first read."""
-        if self._nzrows is None:
-            c, nums = self.cols, self._nums
-            if c:
-                self._nzrows = [
-                    dict(zip(compress(range(c), row), compress(row, row)))
-                    for row in (nums[b : b + c] for b in range(0, len(nums), c))
-                ]
-            else:
-                self._nzrows = [{} for _ in range(self.rows)]
-        return self._nzrows
 
     # -- constructors -------------------------------------------------
 
@@ -229,10 +192,7 @@ class Matrix:
     # -- scalar access -------------------------------------------------
 
     def entry(self, i, j):
-        if self._nzrows is None:
-            v = self._nums[i * self.cols + j]
-        else:
-            v = self._nzrows[i].get(j, 0)
+        v = self.nzrows[i].get(j, 0)
         if self.field.char == 0:
             return Fraction(v, self.den)
         return v
@@ -255,8 +215,6 @@ class Matrix:
             and self.den == other.den
         ):
             return False
-        if self._nzrows is None and other._nzrows is None:
-            return self._nums == other._nums
         return self.nzrows == other.nzrows
 
     def __hash__(self):

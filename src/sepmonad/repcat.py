@@ -330,7 +330,9 @@ def random_rep(carrier, field, seed, budget):
 
     Direct sum of permutation representations on coset spaces of randomly
     generated subgroups, conjugated by a random unimodular integer matrix.
-    Deterministic for a fixed (seed, budget, carrier, field).
+    The conjugator is built as rows, one integer shear at a time, and so
+    never as a dense table.  Deterministic for a fixed (seed, budget,
+    carrier, field).
     """
     if budget < 1:
         raise RepError("size budget must be at least 1")
@@ -357,16 +359,20 @@ def random_rep(carrier, field, seed, budget):
         for g in carrier.elements
     }
     # Conjugate by a product of integer shears (determinant 1, so the
-    # conjugator stays invertible over every field).
-    u = [[1 if i == j else 0 for j in range(total)] for i in range(total)]
+    # conjugator stays invertible over every field), built as rows: each
+    # shear adds c times row j to row i.
+    u = [{i: 1} for i in range(total)]
     for _ in range(2 * total):
         i = rng.randrange(total)
         j = rng.randrange(total)
         if i == j:
             continue
         c = rng.choice((-2, -1, 1, 2))
-        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
-    umat = Matrix.from_rows(field, u)
+        row = dict(u[i])
+        for k, v in u[j].items():
+            row[k] = row.get(k, 0) + c * v
+        u[i] = row
+    umat = Matrix(field, total, total, nzrows=u)
     uinv = mat_inverse(umat)
     conj = {g: mat_mul(umat, mat_mul(m, uinv)) for g, m in mats.items()}
     dims = "+".join(str(d) for _, d, _ in blocks)

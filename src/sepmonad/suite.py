@@ -415,27 +415,25 @@ class Ctx:
         return out
 
 
+def _with_first_entry(m, num):
+    """m with the numerator of entry (0, 0) set to num, over the same den."""
+    rows = list(m.nzrows)
+    rows[0] = {**rows[0], 0: num}
+    return Matrix(m.field, m.rows, m.cols, den=m.den, nzrows=rows)
+
+
 def _corrupt_rep(rep):
     """Flip one entry of one action matrix; rebuilt without validation."""
     mats = {g: rep.mat(g) for g in rep.carrier.elements}
     m = mats[0]
-    nums = list(m.nums)
-    nums[0] += m.den
-    mats[0] = Matrix(m.field, m.rows, m.cols, nums, m.den)
+    mats[0] = _with_first_entry(m, m.nzrows[0].get(0, 0) + m.den)
     return Rep(rep.carrier, rep.field, mats, validate=False, tag=f"{rep.tag}|corrupted")
 
 
 def _corrupt_ring(ring):
     """Zero the structure constant mu(e_0 (x) e_0); rebuilt unvalidated."""
-    m = ring.mul.matrix
-    nums = list(m.nums)
-    nums[0] = 0
-    mul = Morphism(
-        ring.mul.source,
-        ring.mul.target,
-        Matrix(m.field, m.rows, m.cols, nums, m.den),
-        validate=False,
-    )
+    mul = Morphism(ring.mul.source, ring.mul.target, _with_first_entry(ring.mul.matrix, 0),
+                   validate=False)
     return RingObject(ring.carrier, mul, ring.unit, ring.section, validate=False)
 
 
@@ -549,13 +547,7 @@ def _check_counit_section(ctx):
     for i, n in enumerate(ctx.hreps):
         xi = section_xi(n, cs)
         if ctx.corruption == "xi_block" and i == 0:
-            nums = list(xi.matrix.nums)
-            nums[0] = 0
-            xi = Morphism(
-                xi.source, xi.target,
-                Matrix(ctx.field, xi.matrix.rows, xi.matrix.cols, nums, xi.matrix.den),
-                validate=False,
-            )
+            xi = Morphism(xi.source, xi.target, _with_first_entry(xi.matrix, 0), validate=False)
         eps = counit_eps(n, cs)
         _need_identity(out, "counit_section", f"eps . xi at {n.tag}",
                        mat_mul(eps.matrix, xi.matrix))
@@ -900,7 +892,10 @@ def run_matrix(pairs=DEFAULT_PAIRS, fields=DEFAULT_FIELDS, seed=0, family_size=1
     ]
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "")
-        workers = int(raw) if raw.strip() else min(4, os.cpu_count() or 1)
+        try:
+            workers = int(raw) if raw.strip() else min(4, os.cpu_count() or 1)
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     if workers <= 1:
         return [_matrix_case(c) for c in cases]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -443,7 +443,7 @@ def test_field_rejects_characteristic_beyond_proven_bound():
     assert Field(2**61 - 1).char == 2**61 - 1
 
 
-# -- row form: every matrix built from rows and from dense entries -------
+# -- row form: rows and dense entries reach the one canonical form --------
 
 
 def _row_dicts(m):
@@ -487,10 +487,17 @@ fields = st.sampled_from([0, 2, 3, 5])
 def test_row_built_equals_dense_built(data, p):
     field = Field(p)
     rows, cols = data.draw(dims), data.draw(dims)
-    m = data.draw(sparse_rows(rows, cols))
-    den = data.draw(st.sampled_from([1, 2, 4, 6, -3])) if p != 2 else 1
-    if p and den % p == 0:
-        den = 1
+    # a content k that may share a factor with den, and dens that are
+    # negative or vanish in the field
+    k = data.draw(st.sampled_from([1, 2, 3, 6]))
+    m = [[k * v for v in row] for row in data.draw(sparse_rows(rows, cols))]
+    den = data.draw(st.sampled_from([1, 2, 4, 6, -3, -6, 0]))
+    if (den % p if p else den) == 0:
+        with pytest.raises(ZeroDivisionError):
+            Matrix(field, rows, cols, den=den, nzrows=_row_dicts(m))
+        with pytest.raises(ZeroDivisionError):
+            _matrix(field, m, cols, den)
+        return
     r, d = _twins(field, m, cols, den)
     _assert_canonical(r)
     _assert_same(r, d)

@@ -1,10 +1,12 @@
 """Representations, tensor structure, and equivariant hom spaces."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepmonad.exactlin import Field, GF, Matrix, mat_mul
+from sepmonad.exactlin import Field, GF, Matrix, mat_mul, parse_field
 from sepmonad.presets import load_preset
 from sepmonad.repcat import (
     Morphism,
@@ -138,6 +140,35 @@ def test_random_rep_deterministic_and_valid():
     Rep(s3, Q, a.mats, validate=True)
     c = random_rep(s3, Q, seed=43, budget=4)
     assert not rep_equal(a, c)
+
+
+# sha256 of every action matrix (shape, den, entries) of the seeded reps
+# at seeds 0, 1 and budgets 1, 4, 12: seeded families must not change
+# from one version to the next.
+_SEEDED_REP_DIGESTS = {
+    ("s3", "q", "G"): "85f3a6f97421147784ed50bfb4c8e683f35c56020933b0966bc1e8ec0a7a9049",
+    ("s3", "q", "H"): "6b973eb5c22fd09d5fd59740a8ab583651267b34852d3fc0c6c6a90d35804e7e",
+    ("s3", "fp:3", "G"): "8c6c19fa646b7e70333177f7134be0d956b71012968e995e019fddb0967eec01",
+    ("s3", "fp:3", "H"): "3c0080e3e2d7d27c7f84c2a41a662961bb3ade0a98fc486a02a360415f12f0b7",
+    ("a4", "q", "G"): "f8ce45bd8fa5f17c0942515856ddc7145b7088d68289eeb81e04d25226f4ad51",
+    ("a4", "q", "H"): "ef4feb6331da756deae255cc1567e7e48b7f169d83af31a2ee535a4f8d26e05a",
+    ("a4", "fp:3", "G"): "7fa5a220ef09bc57f345ce6810b058ace1dff3789bacb60fb3366f4e849b49f3",
+    ("a4", "fp:3", "H"): "bfa3cf6b6e70ca18c049acda2e8d2d7ab8fafd29dd3adfb46f3b0f0ea766f161",
+}
+
+
+@pytest.mark.parametrize("name, spec, side", sorted(_SEEDED_REP_DIGESTS))
+def test_seeded_random_reps_are_frozen(name, spec, side):
+    group, gens = load_preset(name)
+    carrier = group if side == "G" else subgroup_generated(group, gens)
+    digest = hashlib.sha256()
+    for seed in (0, 1):
+        for budget in (1, 4, 12):
+            rep = random_rep(carrier, parse_field(spec), seed, budget)
+            for g in carrier.elements:
+                m = rep.mat(g)
+                digest.update(repr((m.rows, m.cols, m.den, m.nums)).encode())
+    assert digest.hexdigest() == _SEEDED_REP_DIGESTS[name, spec, side]
 
 
 def test_random_rep_modular():

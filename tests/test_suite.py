@@ -165,6 +165,19 @@ def test_cli_bad_subgroup_text(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["", ",,"])
+def test_cli_empty_check_list_exit_code(capsys, text):
+    code = main(["--group", "c2", "--checks", text])
+    assert code == 2
+    assert "--checks selects no check" in capsys.readouterr().err
+
+
+def test_run_matrix_rejects_a_non_integer_worker_count(monkeypatch):
+    monkeypatch.setenv("SEPMONAD_WORKERS", "abc")
+    with pytest.raises(ConfigError, match="SEPMONAD_WORKERS must be an integer, got 'abc'"):
+        run_matrix([("c2", None)], ("q",), family_size=1)
+
+
 def test_cli_mutation_smoke(capsys):
     code = main(["--group", "s3", "--family-size", "2", "--mutation-smoke"])
     out = capsys.readouterr().out
