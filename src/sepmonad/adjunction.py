@@ -18,6 +18,11 @@ have closed forms:
 
 Every closed form is cross-checkable against its abstract composite
 definition; the check functions live in the verification suite and tests.
+
+Each structure map is a function of its mathematical arguments only and
+builds its own lazy source and target.  A derived rep costs nothing until
+one of its action matrices is read, so no caller shares endpoints with a
+map.
 """
 
 from .exactlin import Matrix, assemble, hstack, mat_kron, mat_mul, vstack
@@ -70,56 +75,48 @@ def coind_obj(n, cs, validate=False):
     return CoindRep(n, cs, validate=validate, tag=f"Coind({n.tag})" if n.tag else "Coind")
 
 
-def coind_mor(f, cs, source=None, target=None):
-    """Apply an H-morphism in every representative coordinate.
-
-    The matrix is kron(I_[G:H], f); the coinduced endpoints are rebuilt
-    unless provided by the caller.
-    """
-    src = source if source is not None else coind_obj(f.source, cs)
-    tgt = target if target is not None else coind_obj(f.target, cs)
+def coind_mor(f, cs):
+    """Apply an H-morphism in every representative coordinate: kron(I_[G:H], f)."""
     eye = Matrix.identity(f.matrix.field, cs.index)
-    return Morphism(src, tgt, mat_kron(eye, f.matrix), validate=False)
+    return Morphism(coind_obj(f.source, cs), coind_obj(f.target, cs), mat_kron(eye, f.matrix),
+                    validate=False)
 
 
-def unit_eta(m, cs, target=None):
+def unit_eta(m, cs):
     """The unit m -> Coind(Res m): a vector goes to the function g |-> g.v."""
-    tgt = target if target is not None else coind_obj(restrict(m, cs.subgroup), cs)
     mat = vstack([m.mat(r) for r in cs.reps])
-    return Morphism(m, tgt, mat, validate=False, tag="eta")
+    return Morphism(m, coind_obj(restrict(m, cs.subgroup), cs), mat, validate=False, tag="eta")
 
 
-def counit_eps(n, cs, coind=None):
+def counit_eps(n, cs):
     """The counit Res Coind n -> n: evaluate at the identity.
 
     Pure block projection because the trivial coset's representative is
     the identity.
     """
-    src = restrict(coind if coind is not None else coind_obj(n, cs), cs.subgroup)
     dn = n.dim
     rows = [{a: 1} for a in range(dn)]
     mat = Matrix(n.field, dn, cs.index * dn, _normalized=True, nzrows=rows)
-    return Morphism(src, n, mat, validate=False, tag="eps")
+    return Morphism(restrict(coind_obj(n, cs), cs.subgroup), n, mat, validate=False, tag="eps")
 
 
-def section_xi(n, cs, coind=None):
+def section_xi(n, cs):
     """The H-equivariant section n -> Res Coind n of the counit.
 
     Includes a vector as the function supported on the trivial coset;
     eps composed with xi is the identity on the nose.
     """
-    tgt = restrict(coind if coind is not None else coind_obj(n, cs), cs.subgroup)
     dn = n.dim
     d = cs.index * dn
     rows = [{a: 1} for a in range(dn)] + [{} for _ in range(d - dn)]
     mat = Matrix(n.field, d, dn, _normalized=True, nzrows=rows)
-    return Morphism(n, tgt, mat, validate=False, tag="xi")
+    return Morphism(n, restrict(coind_obj(n, cs), cs.subgroup), mat, validate=False, tag="xi")
 
 
-def lax_iota(cs, field, target=None):
+def lax_iota(cs, field):
     """The lax unit 1_G -> Coind(1_H): the all-ones column."""
     one_g = unit_rep(cs.group, field)
-    tgt = target if target is not None else coind_obj(unit_rep(cs.subgroup, field), cs)
+    tgt = coind_obj(unit_rep(cs.subgroup, field), cs)
     mat = Matrix(field, cs.index, 1, _normalized=True, nzrows=[{0: 1} for _ in range(cs.index)])
     return Morphism(one_g, tgt, mat, validate=False, tag="iota")
 
@@ -131,14 +128,14 @@ def _lambda_matrix(field, index, dx, dy):
     return Matrix(field, index * dx * dy, index * dx * index * dy, _normalized=True, nzrows=rows)
 
 
-def lax_lambda(x, y, cs, source=None, target=None):
+def lax_lambda(x, y, cs):
     """The lax multiplication Coind(x) (x) Coind(y) -> Coind(x (x) y).
 
     Pointwise tensor: the (r, r') input block survives only when r = r',
     landing identically in the r block of the target.
     """
-    src = source if source is not None else tensor_obj(coind_obj(x, cs), coind_obj(y, cs))
-    tgt = target if target is not None else coind_obj(tensor_obj(x, y), cs)
+    src = tensor_obj(coind_obj(x, cs), coind_obj(y, cs))
+    tgt = coind_obj(tensor_obj(x, y), cs)
     mat = _lambda_matrix(x.field, cs.index, x.dim, y.dim)
     return Morphism(src, tgt, mat, validate=False, tag="lambda")
 
@@ -148,30 +145,27 @@ def lax_lambda_composite(x, y, cs):
 
     Equal to the closed form of lax_lambda; exercised as a cross-check.
     """
-    ux = coind_obj(x, cs)
-    uy = coind_obj(y, cs)
-    z = tensor_obj(ux, uy)
-    eta = unit_eta(z, cs)
-    ee = tensor_mor(counit_eps(x, cs, coind=ux), counit_eps(y, cs, coind=uy))
-    return compose(coind_mor(ee, cs, source=eta.target), eta)
+    eta = unit_eta(tensor_obj(coind_obj(x, cs), coind_obj(y, cs)), cs)
+    ee = tensor_mor(counit_eps(x, cs), counit_eps(y, cs))
+    return compose(coind_mor(ee, cs), eta)
 
 
-def projection_pi(y, x, cs, source=None, target=None):
+def projection_pi(y, x, cs):
     """The projection Coind(y) (x) x -> Coind(y (x) Res x).
 
     On functions, (f (x) m) |-> (r |-> f_r (x) r.m).  Block diagonal with
     r-block kron(I_dy, x.mat(r)); the shared flat index (r, i, a) makes
     source and target coordinates line up entry for entry.
     """
-    return _pi_blockdiag(y, x, cs, invert=False, source=source, target=target)
+    return _pi_blockdiag(y, x, cs, invert=False)
 
 
-def projection_pi_inverse(y, x, cs, source=None, target=None):
+def projection_pi_inverse(y, x, cs):
     """The exact inverse of projection_pi: r-block kron(I_dy, x.mat(1/r))."""
-    return _pi_blockdiag(y, x, cs, invert=True, source=source, target=target)
+    return _pi_blockdiag(y, x, cs, invert=True)
 
 
-def _pi_blockdiag(y, x, cs, invert, source=None, target=None):
+def _pi_blockdiag(y, x, cs, invert):
     g = cs.group
     dx, dy = x.dim, y.dim
     w = dy * dx
@@ -180,12 +174,10 @@ def _pi_blockdiag(y, x, cs, invert, source=None, target=None):
         b = x.mat(g.inverse(r) if invert else r)
         diag += ((off, off, b) for off in range(k * w, (k + 1) * w, dx))
     mat = assemble(x.field, cs.index * w, cs.index * w, diag)
+    src = tensor_obj(coind_obj(y, cs), x)
+    tgt = coind_obj(tensor_obj(y, restrict(x, cs.subgroup)), cs)
     if invert:
-        src = source if source is not None else coind_obj(tensor_obj(y, restrict(x, cs.subgroup)), cs)
-        tgt = target if target is not None else tensor_obj(coind_obj(y, cs), x)
-    else:
-        src = source if source is not None else tensor_obj(coind_obj(y, cs), x)
-        tgt = target if target is not None else coind_obj(tensor_obj(y, restrict(x, cs.subgroup)), cs)
+        src, tgt = tgt, src
     return Morphism(src, tgt, mat, validate=False, tag="pi_inv" if invert else "pi")
 
 
@@ -211,7 +203,7 @@ def rho_product_iso(n, cs):
     return Matrix.identity(n.field, cs.index * n.dim)
 
 
-def ind_counit(x, cs, source=None):
+def ind_counit(x, cs):
     """The counit Coind(Res x) -> x of the induction-side adjunction.
 
     Sends f to the sum over representatives of r^{-1}.f(r); with xi as
@@ -219,6 +211,6 @@ def ind_counit(x, cs, source=None):
     well (induction and coinduction coincide at finite index).
     """
     g = cs.group
-    src = source if source is not None else coind_obj(restrict(x, cs.subgroup), cs)
     mat = hstack([x.mat(g.inverse(r)) for r in cs.reps])
-    return Morphism(src, x, mat, validate=False, tag="ind_counit")
+    return Morphism(coind_obj(restrict(x, cs.subgroup), cs), x, mat, validate=False,
+                    tag="ind_counit")

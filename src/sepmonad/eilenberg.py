@@ -233,10 +233,8 @@ def em_inverse_split(mod, cs):
     x = mod.carrier
     field = x.field
     rx = restrict(x, h)
-    one_h = unit_rep(h, field)
-    cx = coind_obj(rx, cs)
-    pinv = projection_pi_inverse(one_h, x, cs, source=cx, target=mod.action.source)
-    xi = section_xi(rx, cs, coind=cx)
+    pinv = projection_pi_inverse(unit_rep(h, field), x, cs)
+    xi = section_xi(rx, cs)
     e_mat = mat_mul(mod.action.matrix, mat_mul(pinv.matrix, xi.matrix))
     e = Morphism(rx, rx, e_mat, validate=True, tag="e")
     e2 = mat_mul(e_mat, e_mat)
@@ -265,10 +263,8 @@ def em_unit_iso(n, cs, ring):
     """
     mod = em_comparison(n, cs, ring)
     img, p, m, _ = em_inverse_split(mod, cs)
-    xi_n = section_xi(n, cs, coind=mod.carrier)
-    eps_n = counit_eps(n, cs, coind=mod.carrier)
-    w1 = compose(p, xi_n)
-    w2 = compose(eps_n, m)
+    w1 = compose(p, section_xi(n, cs))
+    w2 = compose(counit_eps(n, cs), m)
     _need_identity("unit round trip fails on n", mat_mul(w2.matrix, w1.matrix))
     _need_identity("unit round trip fails on the image", mat_mul(w1.matrix, w2.matrix))
     return w1, w2
@@ -282,18 +278,13 @@ def em_counit_iso(mod, cs):
     A-linear.
     """
     img, p, m, _ = em_inverse_split(mod, cs)
-    h = cs.subgroup
     x = mod.carrier
-    field = x.field
-    one_h = unit_rep(h, field)
     en = em_comparison(img, cs, mod.ring)
-    rx = restrict(x, h)
-    cx = coind_obj(rx, cs)
-    pinv = projection_pi_inverse(one_h, x, cs, source=cx, target=mod.action.source)
-    cm = coind_mor(m, cs, source=en.carrier, target=cx)
+    pinv = projection_pi_inverse(unit_rep(cs.subgroup, x.field), x, cs)
+    cm = coind_mor(m, cs)
     phi_mat = mat_mul(mod.action.matrix, mat_mul(pinv.matrix, cm.matrix))
-    eta = unit_eta(x, cs, target=cx)
-    cp = coind_mor(p, cs, source=cx, target=en.carrier)
+    eta = unit_eta(x, cs)
+    cp = coind_mor(p, cs)
     psi_mat = mat_mul(cp.matrix, eta.matrix)
     _need_identity("counit round trip fails on the module", mat_mul(phi_mat, psi_mat))
     _need_identity("counit round trip fails on the comparison", mat_mul(psi_mat, phi_mat))
@@ -305,12 +296,11 @@ def em_counit_iso(mod, cs):
 def extension_of_scalars_iso(y, cs, ring):
     """The projection as an A-linear isomorphism A (x) y -> E(Res y)."""
     h = cs.subgroup
-    field = y.field
-    one_h = unit_rep(h, field)
+    one_h = unit_rep(h, y.field)
     free = free_module(ring, y)
     en = em_comparison(restrict(y, h), cs, ring)
-    pi = projection_pi(one_h, y, cs, source=free.carrier, target=en.carrier)
-    pinv = projection_pi_inverse(one_h, y, cs, source=en.carrier, target=free.carrier)
+    pi = projection_pi(one_h, y, cs)
+    pinv = projection_pi_inverse(one_h, y, cs)
     _need_identity("pi . pi-inverse is not the identity", mat_mul(pi.matrix, pinv.matrix))
     _need_identity("pi-inverse . pi is not the identity", mat_mul(pinv.matrix, pi.matrix))
     phi = AModMorphism(free, en, pi.matrix, validate=True)

@@ -169,12 +169,9 @@ def ring_from_adjunction(cs, field):
     Carries no section of its own; separability is transported from the
     standard ring along the canonical isomorphism.
     """
-    h = cs.subgroup
-    one_h = unit_rep(h, field)
-    carrier = coind_obj(one_h, cs)
-    lam = lax_lambda(one_h, one_h, cs, source=tensor_obj(carrier, carrier), target=carrier)
-    iota = lax_iota(cs, field, target=carrier)
-    return RingObject(carrier, lam, iota, section=None, validate=True)
+    one_h = unit_rep(cs.subgroup, field)
+    return RingObject(coind_obj(one_h, cs), lax_lambda(one_h, one_h, cs), lax_iota(cs, field),
+                      section=None, validate=True)
 
 
 def canonical_ring_iso(cs, field, standard=None, adjunction=None):
@@ -370,15 +367,13 @@ def pi_as_monad_morphism(cs, field, ring=None, iso=None):
     def at(x):
         sx = src.on_obj(x)
         tx = tgt.on_obj(x)
-        pi = projection_pi(one_h, x, cs, source=sx, target=tx)
+        pi = projection_pi(one_h, x, cs)
         eye = Matrix.identity(field, x.dim)
         mat = mat_mul(pi.matrix, mat_kron(iso.matrix, eye))
         return Morphism(sx, tx, mat, validate=False, tag="theta")
 
     def inv_at(x):
-        sx = src.on_obj(x)
-        tx = tgt.on_obj(x)
-        pinv = projection_pi_inverse(one_h, x, cs, source=tx, target=sx)
+        pinv = projection_pi_inverse(one_h, x, cs)
         eye = Matrix.identity(field, x.dim)
         return mat_mul(mat_kron(iso_inv, eye), pinv.matrix)
 

@@ -12,7 +12,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from ._version import __version__
@@ -502,27 +502,23 @@ def _check_triangle_identities(ctx):
     etas = []
     for x in ctx.greps:
         rx = restrict(x, h)
-        ax = coind_obj(rx, cs)
-        eta = unit_eta(x, cs, target=ax)
-        eps = counit_eps(rx, cs, coind=ax)
+        eta = unit_eta(x, cs)
+        eps = counit_eps(rx, cs)
         _need_identity(out, "triangle_counit_unit", f"eps . Res(eta) at {x.tag}",
                        mat_mul(eps.matrix, eta.matrix))
-        c = ind_counit(x, cs, source=ax)
-        xi = section_xi(rx, cs, coind=ax)
+        c = ind_counit(x, cs)
+        xi = section_xi(rx, cs)
         _need_identity(out, "triangle_ind", f"Res(c) . xi at {x.tag}",
                        mat_mul(c.matrix, xi.matrix))
         etas.append(eta)
     for n in ctx.hreps:
         cn = coind_obj(n, cs)
-        rcn = restrict(cn, h)
-        ccn = coind_obj(rcn, cs)
-        eps_n = counit_eps(n, cs, coind=cn)
-        ceps = coind_mor(eps_n, cs, source=ccn, target=cn)
-        eta_cn = unit_eta(cn, cs, target=ccn)
+        ceps = coind_mor(counit_eps(n, cs), cs)
+        eta_cn = unit_eta(cn, cs)
         _need_identity(out, "triangle_unit_counit", f"Coind(eps) . eta at {n.tag}",
                        mat_mul(ceps.matrix, eta_cn.matrix))
-        c_cn = ind_counit(cn, cs, source=ccn)
-        cxi = coind_mor(section_xi(n, cs, coind=cn), cs, source=cn, target=ccn)
+        c_cn = ind_counit(cn, cs)
+        cxi = coind_mor(section_xi(n, cs), cs)
         _need_identity(out, "triangle_ind", f"c . Coind(xi) at {n.tag}",
                        mat_mul(c_cn.matrix, cxi.matrix))
     eye = Matrix.identity(ctx.field, cs.index)
@@ -618,11 +614,8 @@ def _check_projection_formula(ctx):
     field = ctx.field
     index = cs.index
     for k, (y, x) in enumerate(ctx.pi_pairs):
-        cy = coind_obj(y, cs)
-        src = tensor_obj(cy, x)
-        tgt = coind_obj(tensor_obj(y, restrict(x, h)), cs)
-        pi = projection_pi(y, x, cs, source=src, target=tgt)
-        pinv = projection_pi_inverse(y, x, cs, source=tgt, target=src)
+        pi = projection_pi(y, x, cs)
+        pinv = projection_pi_inverse(y, x, cs)
         _need_identity(out, "projection_invertible", f"pi . pi_inv at pair {k}",
                        mat_mul(pi.matrix, pinv.matrix))
         _need_identity(out, "projection_invertible", f"pi_inv . pi at pair {k}",
@@ -632,7 +625,7 @@ def _check_projection_formula(ctx):
                   pi.matrix, projection_pi_composite_matrix(y, x, cs))
         if y.dim * x.dim <= 6:
             try:
-                Morphism(src, tgt, pi.matrix, validate=True)
+                Morphism(pi.source, pi.target, pi.matrix, validate=True)
             except RepError as exc:
                 out.append(_witness_from_error("projection_equivariance", f"pair {k}", exc))
     for n in ctx.lam_reps[:2]:
@@ -729,8 +722,8 @@ def _check_em_unit_roundtrip(ctx):
         try:
             mod = em_comparison(n, cs, ctx.ring)
             img, p, m, _ = em_inverse_split(mod, cs)
-            w1 = compose(p, section_xi(n, cs, coind=mod.carrier))
-            w2 = compose(counit_eps(n, cs, coind=mod.carrier), m)
+            w1 = compose(p, section_xi(n, cs))
+            w2 = compose(counit_eps(n, cs), m)
         except _DOMAIN_ERRORS as exc:
             out.append(_witness_from_error("em_unit_roundtrip", f"rep {n.tag}", exc))
             data.append(None)
@@ -844,16 +837,7 @@ def mutation_smoke(cfg, corruption):
     """Re-run the suite with one deliberate corruption injected."""
     if corruption not in CORRUPTIONS:
         raise ConfigError(f"unknown corruption {corruption!r}; pick from {CORRUPTIONS}")
-    mutated = SuiteConfig(
-        group=cfg.group,
-        subgroup=cfg.subgroup,
-        field=cfg.field,
-        seed=cfg.seed,
-        family_size=cfg.family_size,
-        checks=cfg.checks,
-        corruption=corruption,
-    )
-    return run_suite(mutated)
+    return run_suite(replace(cfg, corruption=corruption))
 
 
 DEFAULT_FIELDS = ("q", "fp:2", "fp:3", "fp:5")
@@ -882,8 +866,8 @@ def run_matrix(pairs=DEFAULT_PAIRS, fields=DEFAULT_FIELDS, seed=0, family_size=1
     """Run the suite over a grid of cases, optionally in parallel.
 
     Worker count comes from the argument, then the SEPMONAD_WORKERS
-    environment variable, then a small default.  Returns one summary dict
-    per case, in grid order.
+    environment variable, then a small default, and is capped at the number
+    of cases.  Returns one summary dict per case, in grid order.
     """
     cases = [
         (group, subgroup, field, seed, family_size)
@@ -896,6 +880,7 @@ def run_matrix(pairs=DEFAULT_PAIRS, fields=DEFAULT_FIELDS, seed=0, family_size=1
             workers = int(raw) if raw.strip() else min(4, os.cpu_count() or 1)
         except ValueError:
             raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+    workers = min(workers, len(cases))
     if workers <= 1:
         return [_matrix_case(c) for c in cases]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -61,17 +61,14 @@ def test_triangle_identities():
     for seed in range(4):
         x = random_rep(group, Q, seed=seed, budget=3)
         rx = restrict(x, h)
-        ax = coind_obj(rx, cs)
-        eta = unit_eta(x, cs, target=ax)
-        eps = counit_eps(rx, cs, coind=ax)
+        eta = unit_eta(x, cs)
+        eps = counit_eps(rx, cs)
         assert mat_mul(eps.matrix, eta.matrix).is_identity()
 
         n = random_rep(h, Q, seed=seed, budget=2)
         cn = coind_obj(n, cs)
-        rcn = restrict(cn, h)
-        ccn = coind_obj(rcn, cs)
-        ceps = coind_mor(counit_eps(n, cs, coind=cn), cs, source=ccn, target=cn)
-        eta_cn = unit_eta(cn, cs, target=ccn)
+        ceps = coind_mor(counit_eps(n, cs), cs)
+        eta_cn = unit_eta(cn, cs)
         assert mat_mul(ceps.matrix, eta_cn.matrix).is_identity()
 
 
@@ -81,16 +78,14 @@ def test_induction_counit_triangles():
     for seed in range(3):
         x = random_rep(group, Q, seed=seed, budget=2)
         rx = restrict(x, h)
-        ax = coind_obj(rx, cs)
-        c = ind_counit(x, cs, source=ax)
-        xi = section_xi(rx, cs, coind=ax)
+        c = ind_counit(x, cs)
+        xi = section_xi(rx, cs)
         assert mat_mul(c.matrix, xi.matrix).is_identity()
 
         n = random_rep(h, Q, seed=seed + 7, budget=2)
         cn = coind_obj(n, cs)
-        ccn = coind_obj(restrict(cn, h), cs)
-        c_cn = ind_counit(cn, cs, source=ccn)
-        cxi = coind_mor(section_xi(n, cs, coind=cn), cs, source=cn, target=ccn)
+        c_cn = ind_counit(cn, cs)
+        cxi = coind_mor(section_xi(n, cs), cs)
         assert mat_mul(c_cn.matrix, cxi.matrix).is_identity()
 
 
@@ -102,17 +97,31 @@ def test_counit_section_identity():
 
 
 def test_structure_maps_are_equivariant():
-    group, h, cs = _s3_setup()
-    x = random_rep(group, Q, seed=3, budget=2)
-    rx = restrict(x, h)
-    ax = coind_obj(rx, cs)
-    eta = unit_eta(x, cs, target=ax)
-    Morphism(x, ax, eta.matrix, validate=True)
-    n = random_rep(h, Q, seed=4, budget=2)
-    cn = coind_obj(n, cs, validate=True)
-    Morphism(restrict(cn, h), n, counit_eps(n, cs, coind=cn).matrix, validate=True)
-    Morphism(n, restrict(cn, h), section_xi(n, cs, coind=cn).matrix, validate=True)
-    Morphism(ax, x, ind_counit(x, cs, source=ax).matrix, validate=True)
+    """Every structure map is equivariant between the endpoints it builds."""
+    for name in ("s3", "d4"):  # d4: index 4, H not normal
+        group, default = load_preset(name)
+        h = subgroup_generated(group, default)
+        cs = right_cosets(group, h)
+        for fld in (Q, GF(2)):
+            # seeds whose reps are not sums of trivial ones, so a swapped
+            # endpoint shows as a failed equivariance
+            x = random_rep(group, fld, seed=0, budget=3)
+            n = random_rep(h, fld, seed=5, budget=2)
+            m = random_rep(h, fld, seed=2, budget=2)
+            coind_obj(n, cs, validate=True)
+            maps = [
+                unit_eta(x, cs),
+                counit_eps(n, cs),
+                section_xi(n, cs),
+                lax_iota(cs, fld),
+                lax_lambda(n, m, cs),
+                projection_pi(n, x, cs),
+                projection_pi_inverse(n, x, cs),
+                ind_counit(x, cs),
+                coind_mor(random_hom(n, m, seed=6), cs),
+            ]
+            for f in maps:
+                Morphism(f.source, f.target, f.matrix, validate=True)
 
 
 def test_unit_naturality():
@@ -152,14 +161,12 @@ def test_projection_invertible_and_closed_form():
     for fld in (Q, GF(2)):
         y = random_rep(h, fld, seed=1, budget=2)
         x = random_rep(group, fld, seed=2, budget=3)
-        src = tensor_obj(coind_obj(y, cs), x)
-        tgt = coind_obj(tensor_obj(y, restrict(x, h)), cs)
-        pi = projection_pi(y, x, cs, source=src, target=tgt)
-        pinv = projection_pi_inverse(y, x, cs, source=tgt, target=src)
+        pi = projection_pi(y, x, cs)
+        pinv = projection_pi_inverse(y, x, cs)
         assert mat_mul(pi.matrix, pinv.matrix).is_identity()
         assert mat_mul(pinv.matrix, pi.matrix).is_identity()
         assert pi.matrix == projection_pi_composite_matrix(y, x, cs)
-        Morphism(src, tgt, pi.matrix, validate=True)
+        Morphism(pi.source, pi.target, pi.matrix, validate=True)
 
 
 def test_projection_strictness():

@@ -178,6 +178,37 @@ def test_run_matrix_rejects_a_non_integer_worker_count(monkeypatch):
         run_matrix([("c2", None)], ("q",), family_size=1)
 
 
+def test_run_matrix_starts_no_more_workers_than_cases(monkeypatch):
+    recorded = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", SerialPool)
+    rows = run_matrix([("c2", None)], ("q", "fp:2"), family_size=1, workers=64)
+    assert recorded == [2]
+    assert [row["passed"] for row in rows] == [True, True]
+
+
+def test_run_matrix_rows_do_not_depend_on_worker_count():
+    def rows(workers):
+        out = run_matrix([("c2", None), ("s3", None)], ("q", "fp:2"), family_size=2,
+                         workers=workers)
+        return [{k: v for k, v in row.items() if k != "seconds"} for row in out]
+
+    assert rows(1) == rows(2)
+
+
 def test_cli_mutation_smoke(capsys):
     code = main(["--group", "s3", "--family-size", "2", "--mutation-smoke"])
     out = capsys.readouterr().out
@@ -268,8 +299,8 @@ def _changed_first_entry(m):
 def test_changed_pi_block_entry_is_caught_by_projection_formula(monkeypatch, field):
     real = adjunction._pi_blockdiag
 
-    def changed(y, x, cs, invert, source=None, target=None):
-        mor = real(y, x, cs, invert, source=source, target=target)
+    def changed(y, x, cs, invert):
+        mor = real(y, x, cs, invert)
         if invert:
             return mor
         bad = _changed_first_entry(mor.matrix)  # entry (0, 0) of the first block
