@@ -66,7 +66,6 @@ from .adjunction import (
     projection_pi,
     projection_pi_composite_matrix,
     projection_pi_inverse,
-    rho_product_iso,
     section_xi,
     unit_eta,
 )

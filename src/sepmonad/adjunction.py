@@ -193,16 +193,6 @@ def projection_pi_composite_matrix(y, x, cs):
     return mat_mul(lam, mat_kron(eye, eta))
 
 
-def rho_product_iso(n, cs):
-    """The reindexing of Coind(n)'s space as [G:H] copies of n's space.
-
-    With (coset, basis) coordinate ordering the reindexing is literally
-    the identity matrix; returned as a plain Matrix because it forgets
-    the group action.
-    """
-    return Matrix.identity(n.field, cs.index * n.dim)
-
-
 def ind_counit(x, cs):
     """The counit Coind(Res x) -> x of the induction-side adjunction.
 

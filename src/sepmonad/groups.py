@@ -1,11 +1,20 @@
 """Finite groups as multiplication tables, subgroups, and right cosets.
 
-Element 0 is always the identity.  Groups built from permutation generators
-get a deterministic breadth-first element order, so every downstream basis
-and report is reproducible.  Coset spaces are right cosets H\\G: values of
-H-equivariant functions on G are determined on them, which is the index
-set the coinduction construction needs.  Each element factors uniquely as
-x = h * r with h in H and r the representative of the coset H * x.
+Element 0 is always the identity.  Every traversal of a generating set is
+one breadth-first walk, ``generator_walk``, which right-multiplies each
+reached element by each generator once.  It orders the elements of a
+permutation group, so every downstream basis and report is reproducible;
+it closes a seed to the subgroup it generates in O(|K| * |seed|) products,
+since in a finite group inverses are powers; and ``repcat`` checks a
+representation's homomorphism law on the edges it yields.
+
+Coset spaces are right cosets H\\G: values of H-equivariant functions on G
+are determined on them, which is the index set the coinduction
+construction needs.  They are enumerated once, by
+``right_coset_partition``, for the coset space of a case and for the
+permutation blocks of ``repcat.random_rep`` alike.  Each element factors
+uniquely as x = h * r with h in H and r the representative of the coset
+H * x.
 """
 
 from collections import deque
@@ -109,11 +118,32 @@ def _cycle_label(perm):
     return "".join(parts) or "e"
 
 
+def generator_walk(mul, gens, start=0):
+    """Breadth-first walk from ``start`` by right multiplication with ``gens``.
+
+    Yields ``(x, g, mul(x, g))`` for every reached x and every generator g,
+    expanding each reached element once, in order of discovery.  In a
+    finite group the elements reached from the identity form the subgroup
+    the generators generate, because inverses are powers.
+    """
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for g in gens:
+            y = mul(x, g)
+            yield x, g, y
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+
+
 def group_from_permutations(generators, size_cap=1024):
     """Close a set of permutations under composition, breadth-first.
 
     Generators are 0-based image tuples over a common finite set.  Element
-    0 is the identity; the rest follow BFS discovery order.
+    0 is the identity; the rest follow the discovery order of
+    ``generator_walk``.
     """
     gens = [tuple(p) for p in generators]
     degree = len(gens[0]) if gens else 1
@@ -121,21 +151,13 @@ def group_from_permutations(generators, size_cap=1024):
         if len(p) != degree or sorted(p) != list(range(degree)):
             raise GroupError(f"not a permutation of 0..{degree - 1}: {p}")
     ident = tuple(range(degree))
-    elems = [ident]
     index = {ident: 0}
-    queue = deque([ident])
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = _compose(x, g)
-            if y not in index:
-                if len(elems) >= size_cap:
-                    raise GroupError(
-                        f"closure exceeds the size cap of {size_cap} elements"
-                    )
-                index[y] = len(elems)
-                elems.append(y)
-                queue.append(y)
+    for _, _, y in generator_walk(_compose, gens, ident):
+        if y not in index:
+            if len(index) >= size_cap:
+                raise GroupError(f"closure exceeds the size cap of {size_cap} elements")
+            index[y] = len(index)
+    elems = list(index)
     n = len(elems)
     table = [[index[_compose(elems[i], elems[j])] for j in range(n)] for i in range(n)]
     inv = [0] * n
@@ -153,30 +175,20 @@ def subgroup_closure(mul, seed):
     """The subgroup generated by ``seed`` and the identity, as a set.
 
     ``mul`` is the product of the ambient group, for example a group's or
-    a subgroup's ``mul``.  Each element found is multiplied on both sides
-    by every element found so far until nothing new appears; in a finite
-    group that is the generated subgroup.
+    a subgroup's ``mul``: the set ``generator_walk`` reaches from the
+    identity with ``seed`` as generators.
     """
-    have = set(seed) | {0}
-    queue = deque(have)
-    while queue:
-        x = queue.popleft()
-        for y in tuple(have):
-            for z in (mul(x, y), mul(y, x)):
-                if z not in have:
-                    have.add(z)
-                    queue.append(z)
-    return have
+    return {0}.union(y for _, _, y in generator_walk(mul, seed))
 
 
 def _greedy_generators(table):
-    n = len(table)
+    """Each element not yet generated by the ones before it, in index order."""
     have = {0}
     gens = []
-    for x in range(1, n):
+    for x in range(1, len(table)):
         if x not in have:
             gens.append(x)
-            have = subgroup_closure(lambda a, b: table[a][b], have | {x})
+            have = subgroup_closure(lambda a, b: table[a][b], gens)
     return tuple(gens)
 
 
@@ -261,41 +273,49 @@ def subgroup_generated(g, gens):
     return Subgroup(g, subgroup_closure(g.mul, gens), gens)
 
 
+def right_coset_partition(mul, elements, k_elems):
+    """The right cosets K*x of ``k_elems`` that cover ``elements``.
+
+    ``elements`` is in increasing order, so the cosets come in order of
+    their least element, each as a sorted tuple.  Returns the list of
+    cosets and a dict from each element to the position of its coset.
+    """
+    cosets = []
+    coset_of = {}
+    for x in elements:
+        if x in coset_of:
+            continue
+        members = sorted(mul(h, x) for h in k_elems)
+        for y in members:
+            if y in coset_of:
+                raise GroupError("cosets do not partition the group")
+            coset_of[y] = len(cosets)
+        cosets.append(tuple(members))
+    return cosets, coset_of
+
+
 class CosetSpace:
     """Right cosets H\\G with representatives and x = h*r factorization.
 
-    Cosets are enumerated in order of their least element; the coset H
-    itself comes first and its representative is the identity.  ``fact[x]``
-    is the unique pair (h, r) with h in H, r a representative, x = h*r.
+    Cosets come from ``right_coset_partition``: in order of their least
+    element, so the coset H itself comes first and its representative is
+    the identity.  ``fact[x]`` is the unique pair (h, r) with h in H, r a
+    representative, x = h*r.
     """
 
     def __init__(self, group, subgroup):
         self.group = group
         self.subgroup = subgroup
-        n = group.order
-        table = group.table
-        coset_of = [-1] * n
-        cosets = []
-        reps = []
-        for x in range(n):
-            if coset_of[x] >= 0:
-                continue
-            members = sorted(table[h][x] for h in subgroup.elements)
-            idx = len(cosets)
-            for y in members:
-                if coset_of[y] >= 0:
-                    raise GroupError("cosets do not partition the group")
-                coset_of[y] = idx
-            cosets.append(tuple(members))
-            reps.append(members[0])
+        cosets, coset_of = right_coset_partition(group.mul, group.elements, subgroup.elements)
         self.cosets = tuple(cosets)
-        self.reps = tuple(reps)
-        self.coset_of = tuple(coset_of)
+        self.reps = tuple(c[0] for c in cosets)
+        self.coset_of = tuple(coset_of[x] for x in group.elements)
         self.index = len(cosets)
         if self.reps[0] != 0:
             raise GroupError("representative of the trivial coset must be the identity")
+        table = group.table
         fact = []
-        for x in range(n):
+        for x in group.elements:
             r = self.reps[coset_of[x]]
             h = table[x][group.inv[r]]
             if h not in subgroup or table[h][r] != x:

@@ -7,7 +7,7 @@ abelian and nonabelian groups, normal and non-normal subgroups, indices
 2 through 6, and orders up to 24.
 """
 
-from .groups import FiniteGroup, group_from_cayley_table, group_from_permutations
+from .groups import group_from_cayley_table, group_from_permutations
 
 # name -> (generator permutations, default subgroup generator indices)
 _PERM_PRESETS = {

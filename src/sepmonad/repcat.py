@@ -9,10 +9,12 @@ Two kinds of Rep share that storage:
 
 * complete reps are built from a dict and start with the full memo.
   ``random_rep``, the image of a split idempotent and a caller-supplied
-  dict are complete and validated.  Validation checks the
-  homomorphism law on a generating set by breadth-first search, which
-  implies it for all pairs; the search reads every element anyway, and
-  these reps are small.
+  dict are complete and validated.  Validation checks mat(x*g) =
+  mat(x)*mat(g) on every edge of ``groups.generator_walk`` over the
+  carrier's generators, which implies the law for all pairs once the walk
+  reaches every element; the walk reads every element anyway, and these
+  reps are small.  ``random_rep``'s permutation blocks act on the cosets
+  that ``groups.right_coset_partition`` enumerates.
 * derived reps start empty and compute an element only when it is read.
   A tensor product, a restriction, a coinduced rep and the coset
   permutation rep are fixed by their factors, so building one dense
@@ -39,28 +41,11 @@ from .exactlin import (
     nullspace_basis,
     vstack,
 )
-from .groups import subgroup_closure
+from .groups import generator_walk, right_coset_partition, subgroup_closure
 
 
 class RepError(ValueError):
     pass
-
-
-def _bfs_pairs(carrier):
-    """Yield (x, g, x*g) covering the carrier from its generators."""
-    gens = carrier.gens
-    seen = {0}
-    queue = [0]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = carrier.mul(x, g)
-            yield x, g, y
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    if len(seen) != carrier.order:
-        raise RepError("generator set does not generate the carrier")
 
 
 class Rep:
@@ -98,9 +83,13 @@ class Rep:
                 raise RepError(f"matrix at element {i} has wrong shape or field")
         if not self.mats[0].is_identity():
             raise RepError("identity element must act as the identity matrix")
-        for x, g, y in _bfs_pairs(self.carrier):
+        reached = {0}
+        for x, g, y in generator_walk(self.carrier.mul, self.carrier.gens):
             if self.mats[y] != mat_mul(self.mats[x], self.mats[g]):
                 raise RepError(f"homomorphism law fails at pair ({x}, {g})")
+            reached.add(y)
+        if len(reached) != self.carrier.order:
+            raise RepError("generator set does not generate the carrier")
 
     def mat(self, i):
         m = self.mats.get(i)
@@ -303,24 +292,14 @@ def find_iso(x, y, seed=0, attempts=32):
 
 def _perm_action_on_cosets(carrier, k_elems, field):
     """Matrices of the left action g . e_C = e_{C g^{-1}} on cosets of K."""
-    elems = carrier.elements
-    coset_of = {}
-    reps = []
-    for x in elems:
-        if x in coset_of:
-            continue
-        members = sorted(carrier.mul(h, x) for h in k_elems)
-        idx = len(reps)
-        reps.append(members[0])
-        for y in members:
-            coset_of[y] = idx
-    d = len(reps)
+    cosets, coset_of = right_coset_partition(carrier.mul, carrier.elements, k_elems)
+    d = len(cosets)
     mats = {}
-    for g in elems:
+    for g in carrier.elements:
         ginv = carrier.inverse(g)
         rows = [None] * d
-        for c in range(d):
-            rows[coset_of[carrier.mul(reps[c], ginv)]] = {c: 1}
+        for c, members in enumerate(cosets):
+            rows[coset_of[carrier.mul(members[0], ginv)]] = {c: 1}
         mats[g] = Matrix(field, d, d, _normalized=True, nzrows=rows)
     return d, mats
 

@@ -14,7 +14,6 @@ from sepmonad.adjunction import (
     projection_pi,
     projection_pi_composite_matrix,
     projection_pi_inverse,
-    rho_product_iso,
     section_xi,
     unit_eta,
 )
@@ -172,7 +171,6 @@ def test_projection_invertible_and_closed_form():
 def test_projection_strictness():
     group, h, cs = _s3_setup()
     n = random_rep(h, Q, seed=9, budget=2)
-    assert rho_product_iso(n, cs).is_identity()
     strict = coind_obj(tensor_obj(unit_rep(h, Q), n), cs)
     plain = coind_obj(n, cs)
     for g in group.elements:

@@ -39,7 +39,6 @@ from sepmonad.repcat import (
     identity_mor,
     random_hom,
     random_rep,
-    restrict,
     unit_rep,
     zero_mor,
 )

@@ -1,20 +1,31 @@
 """Group construction, validation, cosets, and the factorization map."""
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepmonad.groups import (
-    FiniteGroup,
     GroupError,
     factorize,
     group_from_cayley_table,
     group_from_permutations,
     load_group_json,
     right_cosets,
+    subgroup_closure,
     subgroup_generated,
 )
 from sepmonad.presets import load_preset, preset_names
+
+# S5 from a 5-cycle and a transposition, as in perfbench/s5.json.
+S5 = group_from_permutations([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+S4, _ = load_preset("s4")
+
+
+def _sha256(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
 def test_s3_bfs_element_order_is_frozen():
@@ -147,3 +158,59 @@ def test_load_group_json(tmp_path):
 
 def test_coset_space_index_times_order(s3_cs):
     assert s3_cs.index * s3_cs.subgroup.order == s3_cs.group.order
+
+
+def _two_sided_closure(mul, seed):
+    """Brute-force oracle: add every product of two members until stable."""
+    have = set(seed) | {0}
+    while True:
+        grown = have | {mul(a, b) for a in have for b in have}
+        if grown == have:
+            return have
+        have = grown
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_subgroup_closure_matches_two_sided_oracle(data):
+    group = data.draw(st.sampled_from((S4, S5)))
+    seed = data.draw(st.lists(st.integers(0, group.order - 1), max_size=3))
+    assert subgroup_closure(group.mul, seed) == _two_sided_closure(group.mul, seed)
+
+
+# Recorded before the group walks and coset enumerations were merged into
+# one walk and one enumeration: the element order, the generating sets and
+# the coset spaces must not change with the traversal.
+_S5_PERMS_SHA256 = "99e0ae474ada3186b25bcb606d427584a396267f7047920d75d7c09b5a2f2030"
+_COSET_SPACE_SHA256 = {
+    "a4": "bda1cd0453d408f5959e4833afb585ed57edf22c45f69479e69f23326d8c7053",
+    "c2": "ae45b5b0eece018beede0ffc5625f1e23b449d41975872f3dc67c8f342282329",
+    "c3": "2ea271c33b24a348dc6f1174f42361860ee7699ac805bbb2a02aa33d7dd2831e",
+    "c4": "3ea268cc4085872c7dadade918722dbf99e58fbab201d6aa60215f88c12a5b1e",
+    "c6": "347d9db384ca1ed9db91c985cc70170fbf25f63316b79595732851b683f40d23",
+    "d4": "138e65099f22427e50c5ca64de3049fa42b7decc954d63cc1f2327edc692b91a",
+    "q8": "f4ea58e760f687bc892a137162c7d230f28b82cda28265fd515d77d10c6f3339",
+    "s3": "d85ce01d107fd7ec7672e0c3a1968334b8eb0d95ac100005e3de27d02c2173a2",
+    "s4": "09656f3a74604e4e2681637e6e13737033163a8b463aec014f332ce19d75a0d6",
+    "v4": "310d5b57dbddf25288b9b903737c97423966ead3ba6a6090a09bcd0528c4ff1a",
+}
+
+
+def test_s5_element_order_is_frozen():
+    assert S5.order == 120
+    assert _sha256(S5.perms) == _S5_PERMS_SHA256
+
+
+def test_greedy_generators_are_frozen():
+    q8, _ = load_preset("q8")
+    assert q8.gens == (1, 2, 4)
+    # order 120 > 64, so the table check runs Light's test on these
+    assert group_from_cayley_table(S5.table).gens == (1, 2)
+
+
+@pytest.mark.parametrize("name", sorted(_COSET_SPACE_SHA256))
+def test_coset_spaces_are_frozen(name):
+    group, default = load_preset(name)
+    h = subgroup_generated(group, default if default is not None else group.gens)
+    cs = right_cosets(group, h)
+    assert _sha256((cs.cosets, cs.reps, cs.coset_of, cs.fact)) == _COSET_SPACE_SHA256[name]

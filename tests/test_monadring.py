@@ -23,7 +23,7 @@ from sepmonad.monadring import (
     transport_section,
 )
 from sepmonad.presets import load_preset, preset_names
-from sepmonad.repcat import random_rep, symmetry, unit_rep
+from sepmonad.repcat import random_rep, symmetry
 
 Q = Field(0)
 

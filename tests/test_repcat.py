@@ -26,7 +26,7 @@ from sepmonad.repcat import (
     unit_rep,
     zero_mor,
 )
-from sepmonad.groups import subgroup_generated
+from sepmonad.groups import Subgroup, subgroup_generated
 
 Q = Field(0)
 
@@ -79,6 +79,26 @@ def test_invalid_rep_rejected():
     bad = {0: Matrix.identity(Q, 1), 1: Matrix.from_rows(Q, [[2]])}
     with pytest.raises(RepError):
         Rep(c2, Q, bad)  # 2 * 2 != 1, not a homomorphism to GL_1
+
+
+def test_wrong_non_identity_element_breaks_homomorphism_law():
+    s3, _ = load_preset("s3")
+    good = random_rep(s3, Q, seed=5, budget=3)
+    # element 5 is neither the identity nor a generator
+    assert 5 not in s3.gens
+    mats = {g: good.mat(g) for g in s3.elements}
+    mats[5] = mats[4]
+    with pytest.raises(RepError, match="homomorphism law fails"):
+        Rep(s3, Q, mats)
+
+
+def test_short_generator_set_is_rejected():
+    s3, _ = load_preset("s3")
+    # the transposition alone generates a subgroup of order 2, not S3
+    short = Subgroup(s3, s3.elements, gens=(1,))
+    one = Matrix.identity(Q, 1)
+    with pytest.raises(RepError, match="does not generate"):
+        Rep(short, Q, {g: one for g in s3.elements})
 
 
 def test_identity_must_act_as_identity():
