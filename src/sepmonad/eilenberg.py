@@ -188,9 +188,13 @@ def em_mor(f, cs, ring, source=None, target=None):
 def split_idempotent(e, x):
     """Split an equivariant idempotent through its image representation.
 
-    Returns (image, p, m) with m . p = e and p . m = id.  The image's
-    action is well defined because e commutes with the group action;
-    everything is revalidated on construction.
+    Returns (image, p, m) with m . p = e and p . m = id.  The image acts
+    by g -> p . x(g) . m, built lazily and not validated: its law follows
+    from e . e = e and e's equivariance on the generators (both checked
+    here) together with m . p = e and p . m = id.  ``p`` solves
+    m . p = e exactly, which gives p . m = id because m's columns are
+    independent and fixed by e; the ``module_idempotent`` check certifies
+    both identities.  ``p`` and ``m`` are validated on the generators.
     """
     if e.source is not x or e.target is not x:
         raise EMError("idempotent must be an endomorphism of the given representation")
@@ -204,15 +208,16 @@ def split_idempotent(e, x):
             raise EMError(f"idempotent is not equivariant at generator {g}", (lhs, rhs))
     r, basis, _ = rank_and_column_basis(e.matrix)
     if r == 0:
-        img = Rep(x.carrier, x.field, {g: Matrix.zeros(x.field, 0, 0) for g in x.carrier.elements}, validate=False, tag="0")
+        zero = Matrix.zeros(x.field, 0, 0)
+        img = Rep(x.carrier, x.field, lambda g: zero, validate=False, tag="0", dim=0)
         p = Morphism(x, img, Matrix.zeros(x.field, 0, x.dim), validate=False)
         m = Morphism(img, x, Matrix.zeros(x.field, x.dim, 0), validate=False)
         return img, p, m
     pmat = solve_linear(basis, e.matrix)
     if pmat is None:
         raise ArithmeticError("image basis failed to absorb the idempotent")
-    mats = {g: mat_mul(pmat, mat_mul(x.mat(g), basis)) for g in x.carrier.elements}
-    img = Rep(x.carrier, x.field, mats, validate=True, tag=f"img({e.tag})" if e.tag else "img")
+    img = Rep(x.carrier, x.field, lambda g: mat_mul(pmat, mat_mul(x.mat(g), basis)),
+              validate=False, tag=f"img({e.tag})" if e.tag else "img", dim=r)
     p = Morphism(x, img, pmat, validate=True, tag="retract")
     m = Morphism(img, x, basis, validate=True, tag="include")
     return img, p, m
@@ -262,7 +267,7 @@ def em_unit_iso(n, cs, ring):
     identities exactly.
     """
     mod = em_comparison(n, cs, ring)
-    img, p, m, _ = em_inverse_split(mod, cs)
+    _, p, m, _ = em_inverse_split(mod, cs)
     w1 = compose(p, section_xi(n, cs))
     w2 = compose(counit_eps(n, cs), m)
     _need_identity("unit round trip fails on n", mat_mul(w2.matrix, w1.matrix))

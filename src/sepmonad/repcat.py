@@ -7,19 +7,20 @@ which ``Rep.mat`` fills from an element function on first read.
 
 Two kinds of Rep share that storage:
 
-* complete reps are built from a dict and start with the full memo.
-  ``random_rep``, the image of a split idempotent and a caller-supplied
-  dict are complete and validated.  Validation checks mat(x*g) =
-  mat(x)*mat(g) on every edge of ``groups.generator_walk`` over the
-  carrier's generators, which implies the law for all pairs once the walk
-  reaches every element; the walk reads every element anyway, and these
-  reps are small.  ``random_rep``'s permutation blocks act on the cosets
-  that ``groups.right_coset_partition`` enumerates.
+* complete reps are built from a dict and start with the full memo: the
+  trivial rep and a caller-supplied dict.  Validation checks
+  mat(x*g) = mat(x)*mat(g) on every edge of ``groups.generator_walk``
+  over the carrier's generators, which implies the law for all pairs once
+  the walk reaches every element.
 * derived reps start empty and compute an element only when it is read.
-  A tensor product, a restriction, a coinduced rep and the coset
-  permutation rep are fixed by their factors, so building one dense
-  matrix per element would be wasted work: the checks read a few of them.
-  Validating a derived rep fills its memo first.
+  A tensor product, a restriction, a coinduced rep, the coset permutation
+  rep, a seeded ``random_rep`` and the image of a split idempotent are
+  fixed by data whose law is already known, so building one dense matrix
+  per element would be wasted work: the checks read a few of them.  They
+  are validated only on request (``coind_obj(..., validate=True)``, the
+  ``rep_hom_sanity`` check), and validating a derived rep fills its memo
+  first.  ``random_rep``'s permutation blocks act on the cosets
+  that ``groups.right_coset_partition`` enumerates.
 
 The tensor product uses the fixed Kronecker convention of ``exactlin``,
 which makes the monoidal structure strict: associators and unitors are
@@ -53,7 +54,8 @@ class Rep:
 
     ``mats`` is either a complete dict element -> matrix, which becomes the
     memo, or a function of the element, which needs ``dim`` and fills the
-    memo on demand.
+    memo on demand.  ``validate`` checks the law on every walk edge, and so
+    builds every matrix of a derived rep first.
     """
 
     def __init__(self, carrier, field, mats, validate=True, tag="", dim=None):
@@ -215,6 +217,9 @@ def hom_space_basis(x, y):
     T * x.mat(g) - y.mat(g) * T = 0 over the carrier's generators: one
     block kron(I_y, x(g)^T) - kron(y(g), I_x) per generator, acting on T
     flattened row-major.  Each nullspace column is read back row-major.
+    The basis maps are not revalidated: each solves the stacked generator
+    equations exactly, and those equations are all that ``validate=True``
+    would check.
     """
     if x.carrier is not y.carrier or x.field != y.field:
         raise RepError("hom space needs a common carrier and field")
@@ -235,7 +240,7 @@ def hom_space_basis(x, y):
         for k, v in row.items():
             maps[k][r][s] = v
     return [Morphism(x, y, Matrix(field, y.dim, x.dim, den=cols.den, nzrows=rows),
-                     validate=True)
+                     validate=False)
             for rows in maps]
 
 
@@ -291,17 +296,19 @@ def find_iso(x, y, seed=0, attempts=32):
 
 
 def _perm_action_on_cosets(carrier, k_elems, field):
-    """Matrices of the left action g . e_C = e_{C g^{-1}} on cosets of K."""
+    """(d, g -> matrix of the left action g . e_C = e_{C g^{-1}} on cosets of K)."""
     cosets, coset_of = right_coset_partition(carrier.mul, carrier.elements, k_elems)
     d = len(cosets)
-    mats = {}
-    for g in carrier.elements:
+    firsts = [members[0] for members in cosets]
+
+    def action(g):
         ginv = carrier.inverse(g)
         rows = [None] * d
-        for c, members in enumerate(cosets):
-            rows[coset_of[carrier.mul(members[0], ginv)]] = {c: 1}
-        mats[g] = Matrix(field, d, d, _normalized=True, nzrows=rows)
-    return d, mats
+        for c, x in enumerate(firsts):
+            rows[coset_of[carrier.mul(x, ginv)]] = {c: 1}
+        return Matrix(field, d, d, _normalized=True, nzrows=rows)
+
+    return d, action
 
 
 def random_rep(carrier, field, seed, budget):
@@ -312,6 +319,12 @@ def random_rep(carrier, field, seed, budget):
     The conjugator is built as rows, one integer shear at a time, and so
     never as a dense table.  Deterministic for a fixed (seed, budget,
     carrier, field).
+
+    A derived rep: the matrix of g is built on first read and is not
+    validated here.  Its law holds by construction, since U P(g) U^-1
+    conjugates a permutation action on right cosets by an exact inverse;
+    ``rep_hom_sanity`` validates the suite's seeded families on every edge
+    of the generator walk.
     """
     if budget < 1:
         raise RepError("size budget must be at least 1")
@@ -330,13 +343,9 @@ def random_rep(carrier, field, seed, budget):
                 break
         if chosen is None:
             chosen = elems
-        d, mats = _perm_action_on_cosets(carrier, chosen, field)
-        blocks.append((total, d, mats))
+        d, block = _perm_action_on_cosets(carrier, chosen, field)
+        blocks.append((total, d, block))
         total += d
-    mats = {
-        g: assemble(field, total, total, [(off, off, bm[g]) for off, _, bm in blocks])
-        for g in carrier.elements
-    }
     # Conjugate by a product of integer shears (determinant 1, so the
     # conjugator stays invertible over every field), built as rows: each
     # shear adds c times row j to row i.
@@ -353,6 +362,10 @@ def random_rep(carrier, field, seed, budget):
         u[i] = row
     umat = Matrix(field, total, total, nzrows=u)
     uinv = mat_inverse(umat)
-    conj = {g: mat_mul(umat, mat_mul(m, uinv)) for g, m in mats.items()}
+
+    def action(g):
+        perm = assemble(field, total, total, [(off, off, block(g)) for off, _, block in blocks])
+        return mat_mul(umat, mat_mul(perm, uinv))
+
     dims = "+".join(str(d) for _, d, _ in blocks)
-    return Rep(carrier, field, conj, validate=True, tag=f"rand[{dims}|seed={seed}]")
+    return Rep(carrier, field, action, validate=False, dim=total, tag=f"rand[{dims}|seed={seed}]")

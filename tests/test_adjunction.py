@@ -17,8 +17,9 @@ from sepmonad.adjunction import (
     section_xi,
     unit_eta,
 )
+from sepmonad.eilenberg import em_comparison, em_inverse_split
 from sepmonad.groups import right_cosets, subgroup_generated
-from sepmonad.monadring import coset_permutation_rep
+from sepmonad.monadring import coset_permutation_rep, standard_ring
 from sepmonad.presets import load_preset
 from sepmonad.repcat import (
     Morphism,
@@ -41,7 +42,7 @@ def _s3_setup(field=Q):
 
 
 def test_coind_of_trivial_is_coset_permutation():
-    group, h, cs = _s3_setup()
+    _, h, cs = _s3_setup()
     a = coind_obj(unit_rep(h, Q), cs, validate=True)
     assert a.dim == 3
     rows = lambda m: [[int(m.entry(i, j)) for j in range(3)] for i in range(3)]
@@ -50,7 +51,7 @@ def test_coind_of_trivial_is_coset_permutation():
 
 
 def test_coind_dimension_is_index_times_dim():
-    group, h, cs = _s3_setup()
+    _, h, cs = _s3_setup()
     n = random_rep(h, Q, seed=0, budget=2)
     assert coind_obj(n, cs, validate=True).dim == cs.index * n.dim
 
@@ -89,7 +90,7 @@ def test_induction_counit_triangles():
 
 
 def test_counit_section_identity():
-    group, h, cs = _s3_setup()
+    _, h, cs = _s3_setup()
     for seed in range(4):
         n = random_rep(h, Q, seed=seed, budget=3)
         assert mat_mul(counit_eps(n, cs).matrix, section_xi(n, cs).matrix).is_identity()
@@ -135,7 +136,7 @@ def test_unit_naturality():
 
 
 def test_lambda_closed_form_equals_composite():
-    group, h, cs = _s3_setup()
+    _, h, cs = _s3_setup()
     for fld in (Q, GF(2), GF(3)):
         x = random_rep(h, fld, seed=1, budget=2)
         y = random_rep(h, fld, seed=2, budget=2)
@@ -143,7 +144,7 @@ def test_lambda_closed_form_equals_composite():
 
 
 def test_lambda_unit_laws():
-    group, h, cs = _s3_setup()
+    _, h, cs = _s3_setup()
     one_h = unit_rep(h, Q)
     iota = lax_iota(cs, Q)
     x = random_rep(h, Q, seed=3, budget=2)
@@ -213,14 +214,21 @@ def test_derived_reps_are_lazy_and_correct(name, field):
     m = random_rep(group, field, seed=4, budget=2)
     ux = coind_obj(random_rep(h, field, seed=5, budget=3), cs)
     uy = coind_obj(random_rep(h, field, seed=6, budget=1), cs)
-    derived = [ux, uy, tensor_obj(ux, uy), restrict(m, h), coset_permutation_rep(cs, field)]
+    derived = [ux, uy, tensor_obj(ux, uy), restrict(m, h), coset_permutation_rep(cs, field),
+               random_rep(group, field, seed=7, budget=3), random_rep(h, field, seed=8, budget=3)]
     for rep in derived:
         assert len(rep.mats) == 0
-        g = rep.carrier.elements[-1]
+    mod = em_comparison(random_rep(h, field, seed=9, budget=2), cs, standard_ring(cs, field))
+    img = em_inverse_split(mod, cs)[0]
+    # p and m are validated on the generators, which reads the image there
+    assert set(img.mats) <= set(h.gens)
+    for rep in derived + [img]:
+        g = next(g for g in reversed(rep.carrier.elements) if g not in rep.mats)
+        before = len(rep.mats)
         rep.mat(g)
         rep.mat(g)
-        assert len(rep.mats) == 1
-    for rep in derived:
+        assert len(rep.mats) == before + 1
+    for rep in derived + [img]:
         full = {g: rep.mat(g) for g in rep.carrier.elements}
         Rep(rep.carrier, field, full, validate=True)
     checked = coind_obj(ux.source, cs, validate=True)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepmonad.exactlin import Field, GF, Matrix, mat_mul, parse_field
-from sepmonad.presets import load_preset
+from sepmonad.presets import load_preset, preset_names
 from sepmonad.repcat import (
     Morphism,
     Rep,
@@ -72,6 +72,23 @@ def test_hom_basis_elements_are_equivariant():
     for b in hom_space_basis(reg, reg):
         for g in s3.gens:
             assert mat_mul(b.matrix, reg.mat(g)) == mat_mul(reg.mat(g), b.matrix)
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3"])
+@pytest.mark.parametrize("name", preset_names())
+def test_hom_basis_commutes_with_every_element(name, spec):
+    """The basis is not revalidated on construction: check it on all of G and H."""
+    group, gens = load_preset(name)
+    field = parse_field(spec)
+    for carrier in (group, subgroup_generated(group, gens)):
+        x = random_rep(carrier, field, seed=1, budget=2)
+        y = random_rep(carrier, field, seed=2, budget=3)
+        for a, b in ((x, y), (y, x), (y, y)):
+            basis = hom_space_basis(a, b)
+            assert basis
+            for f in basis:
+                for g in carrier.elements:
+                    assert mat_mul(f.matrix, a.mat(g)) == mat_mul(b.mat(g), f.matrix)
 
 
 def test_invalid_rep_rejected():
@@ -157,7 +174,7 @@ def test_random_rep_deterministic_and_valid():
     b = random_rep(s3, Q, seed=42, budget=4)
     assert rep_equal(a, b)
     assert a.dim == 4
-    Rep(s3, Q, a.mats, validate=True)
+    Rep(s3, Q, {g: a.mat(g) for g in s3.elements}, validate=True)
     c = random_rep(s3, Q, seed=43, budget=4)
     assert not rep_equal(a, c)
 
@@ -194,7 +211,7 @@ def test_seeded_random_reps_are_frozen(name, spec, side):
 def test_random_rep_modular():
     c4, _ = load_preset("c4")
     x = random_rep(c4, GF(2), seed=0, budget=3)
-    Rep(c4, GF(2), x.mats, validate=True)
+    Rep(c4, GF(2), {g: x.mat(g) for g in c4.elements}, validate=True)
     assert x.dim == 3
 
 
