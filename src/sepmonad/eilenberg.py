@@ -51,7 +51,7 @@ from .adjunction import (
     section_xi,
     unit_eta,
 )
-from .monadring import RingAxiomError, _need, ring_axiom_failures
+from .monadring import _need
 
 
 class ModuleAxiomError(ValueError):
@@ -140,10 +140,7 @@ class AModMorphism:
 
 def free_module(ring, y, tag=""):
     """The free module A (x) y with multiplication-induced action."""
-    failures = ring_axiom_failures(ring)
-    if failures:
-        names = ", ".join(f[0] for f in failures)
-        raise RingAxiomError(f"refusing free module over an invalid ring: {names}", failures)
+    ring.require_valid("refusing free module over an invalid ring")
     carrier = tensor_obj(ring.carrier, y)
     eye = Matrix.identity(y.field, y.dim)
     action = Morphism(

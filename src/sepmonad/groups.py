@@ -8,6 +8,15 @@ it closes a seed to the subgroup it generates in O(|K| * |seed|) products,
 since in a finite group inverses are powers; and ``repcat`` checks a
 representation's homomorphism law on the edges it yields.
 
+A permutation group's table is built in one pass over that walk: each
+(element, generator) product is composed once, into a right
+multiplication map r_g, and column b = b' * g of the table, with (b', g)
+the walk edge that discovered b, is column b' read through r_g.  A table
+given as data is validated by one exact fast test (a Latin square with
+identity row and column, and Light's associativity test on greedy
+generators); only a table that fails it goes through the per-instance
+checks that list every violation.
+
 Coset spaces are right cosets H\\G: values of H-equivariant functions on G
 are determined on them, which is the index set the coinduction
 construction needs.  They are enumerated once, by
@@ -152,23 +161,29 @@ def group_from_permutations(generators, size_cap=1024):
             raise GroupError(f"not a permutation of 0..{degree - 1}: {p}")
     ident = tuple(range(degree))
     index = {ident: 0}
-    for _, _, y in generator_walk(_compose, gens, ident):
-        if y not in index:
+    # parent[b] is the walk edge (b', g) that discovered element b, and
+    # right[g][i] the index of element i times g, one map per distinct g:
+    # the walk expands the elements in index order, so appending fills it.
+    parent = [None]
+    right = {g: [] for g in gens}
+    for x, g, y in generator_walk(_compose, list(right), ident):
+        j = index.get(y)
+        if j is None:
             if len(index) >= size_cap:
                 raise GroupError(f"closure exceeds the size cap of {size_cap} elements")
-            index[y] = len(index)
-    elems = list(index)
-    n = len(elems)
-    table = [[index[_compose(elems[i], elems[j])] for j in range(n)] for i in range(n)]
-    inv = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] == 0:
-                inv[i] = j
-                break
-    labels = [_cycle_label(p) for p in elems]
+            j = index[y] = len(index)
+            parent.append((index[x], g))
+        right[g].append(j)
+    # column b of the table is a * b over all a; with b = b' * g it is
+    # column b' right-multiplied by g
+    cols = [list(range(len(index)))]
+    for b_prev, g in parent[1:]:
+        cols.append(list(map(right[g].__getitem__, cols[b_prev])))
+    table = [list(row) for row in zip(*cols)]
+    inv = [row.index(0) for row in table]
+    labels = [_cycle_label(p) for p in index]
     gen_idx = tuple(dict.fromkeys(index[g] for g in gens if index[g] != 0))
-    return FiniteGroup(table, inv, labels, gen_idx, perms=tuple(elems))
+    return FiniteGroup(table, inv, labels, gen_idx, perms=tuple(index))
 
 
 def subgroup_closure(mul, seed):
@@ -192,11 +207,28 @@ def _greedy_generators(table):
     return tuple(gens)
 
 
+def _is_latin_with_identity(table):
+    """Whether the list rows of ``table`` are a Latin square on int entries
+    0..n-1 whose row and column 0 are the identity."""
+    n = len(table)
+    ident = list(range(n))
+    full = set(ident)
+    return (
+        all(set(map(type, row)) == {int} and set(row) == full for row in table)
+        and all(set(col) == full for col in zip(*table))
+        and table[0] == ident
+        and [row[0] for row in table] == ident
+    )
+
+
 def group_from_cayley_table(table, labels=None):
     """Validate a multiplication table and wrap it as a FiniteGroup.
 
-    Index 0 must be a two-sided identity.  Every violated axiom instance is
-    collected into the raised GroupError.
+    Index 0 must be a two-sided identity.  A group table passes one exact
+    fast test: a Latin square with identity row and column, and Light's
+    associativity test as one list equality per (generator, row).  Any
+    other table goes through the per-instance checks, and every violated
+    axiom instance is collected into the raised GroupError.
     """
     n = len(table)
     if n == 0:
@@ -207,6 +239,28 @@ def group_from_cayley_table(table, labels=None):
             violations.append({"kind": "not_square", "row": i, "len": len(row)})
     if violations:
         raise GroupError("table is not square", violations)
+    tbl = [list(row) for row in table]
+    gens = _greedy_generators(tbl) if _is_latin_with_identity(tbl) else None
+    # Light's test: (x*a)*y = x*(a*y) for all y is row x*a equal to row a read through row x
+    if gens is None or not all(list(map(tbl[x].__getitem__, tbl[a])) == tbl[tbl[x][a]]
+                               for a in gens for x in range(n)):
+        _raise_violations(tbl, gens)
+        # no violation yet no fast path: int-subclass entries, such as True for 1
+        gens = _greedy_generators(tbl)
+    # a group by now, so the right inverse read off each row is two-sided
+    inv = [row.index(0) for row in tbl]
+    if labels is None:
+        labels = [str(i) for i in range(n)]
+    return FiniteGroup(tbl, inv, list(labels), gens)
+
+
+def _raise_violations(table, gens):
+    """Raise GroupError listing every violated axiom instance, if any.
+
+    ``gens`` are the greedy generators, or None if not yet computed.
+    """
+    n = len(table)
+    violations = []
     for i, row in enumerate(table):
         for j, v in enumerate(row):
             if not isinstance(v, int) or not 0 <= v < n:
@@ -239,7 +293,7 @@ def group_from_cayley_table(table, labels=None):
                         violations.append({"kind": "assoc", "triple": [a, b, c]})
     else:
         # Light's test: checking (x*a)*y = x*(a*y) for generators a suffices.
-        for a in _greedy_generators(table):
+        for a in gens if gens is not None else _greedy_generators(table):
             for x in range(n):
                 xa = table[x][a]
                 rowa = table[a]
@@ -248,20 +302,6 @@ def group_from_cayley_table(table, labels=None):
                         violations.append({"kind": "assoc", "triple": [x, a, y]})
     if violations:
         raise GroupError(f"invalid multiplication table ({len(violations)} violations)", violations)
-    inv = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] == 0:
-                if table[j][i] != 0:
-                    raise GroupError(
-                        "inverse not two-sided", [{"kind": "inverse", "pair": [i, j]}]
-                    )
-                inv[i] = j
-                break
-    if labels is None:
-        labels = [str(i) for i in range(n)]
-    tbl = [list(row) for row in table]
-    return FiniteGroup(tbl, inv, list(labels), _greedy_generators(table))
 
 
 def subgroup_generated(g, gens):

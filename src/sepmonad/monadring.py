@@ -13,6 +13,8 @@ inner coinduction through the counit.  The projection morphism identifies
 them; the diagram checks live alongside the constructors.
 """
 
+from functools import cached_property
+
 from .exactlin import Matrix, mat_inverse, mat_kron, mat_mul
 from .repcat import (
     Morphism,
@@ -45,7 +47,11 @@ class RingAxiomError(ValueError):
 
 
 class RingObject:
-    """A representation with multiplication, unit, and optional section."""
+    """A representation with multiplication, unit, and optional section.
+
+    ``failures``, its ``ring_axiom_failures``, is computed once: at
+    construction when ``validate`` is set, otherwise on first read.
+    """
 
     def __init__(self, carrier, mul, unit, section=None, validate=True):
         da = carrier.dim
@@ -62,10 +68,17 @@ class RingObject:
         self.unit = unit
         self.section = section
         if validate:
-            failures = ring_axiom_failures(self)
-            if failures:
-                names = ", ".join(f[0] for f in failures)
-                raise RingAxiomError(f"ring axioms fail: {names}", failures)
+            self.require_valid("ring axioms fail")
+
+    @cached_property
+    def failures(self):
+        return ring_axiom_failures(self)
+
+    def require_valid(self, refusal):
+        """Raise RingAxiomError, message ``refusal: <names>``, when an axiom fails."""
+        if self.failures:
+            names = ", ".join(f[0] for f in self.failures)
+            raise RingAxiomError(f"{refusal}: {names}", self.failures)
 
     @property
     def dim(self):
@@ -264,10 +277,7 @@ def monad_from_ring(ring):
     Refuses construction when any ring axiom fails: Eilenberg-Moore
     statements downstream would be meaningless.
     """
-    failures = ring_axiom_failures(ring)
-    if failures:
-        names = ", ".join(f[0] for f in failures)
-        raise RingAxiomError(f"refusing monad on an invalid ring: {names}", failures)
+    ring.require_valid("refusing monad on an invalid ring")
     a = ring.carrier
     ida = identity_mor(a)
 

@@ -7,12 +7,10 @@ failing check carries a serialized witness.  Reports are deterministic for
 a fixed configuration and tool version; only the timing fields vary.
 """
 
-import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property
 
 from ._version import __version__
@@ -63,7 +61,6 @@ from .monadring import (
     monad_morphism_failures,
     monad_separability_failures,
     pi_as_monad_morphism,
-    ring_axiom_failures,
     ring_from_adjunction,
     standard_ring,
     transport_section,
@@ -118,23 +115,14 @@ class InternalError(RuntimeError):
     """A check crashed in a way that is a bug, not a failed identity."""
 
 
-@dataclass
-class SuiteConfig:
-    group: str = "s3"
-    subgroup: tuple = None
-    field: str = "q"
-    seed: int = 0
-    family_size: int = 10
-    checks: tuple = ()
-    corruption: str = None
+# Named tuples, not dataclasses: a verdict then never imports ``dataclasses``
+# and ``inspect``.  Derive a changed config with ``cfg._replace(...)``.
+SuiteConfig = namedtuple(
+    "SuiteConfig", "group subgroup field seed family_size checks corruption",
+    defaults=("s3", None, "q", 0, 10, (), None),
+)
 
-
-@dataclass
-class CheckResult:
-    id: str
-    status: str
-    witness: dict
-    ms: float
+CheckResult = namedtuple("CheckResult", "id status witness ms")
 
 
 class SuiteReport:
@@ -182,6 +170,8 @@ def _mat_payload(m):
         return {"value": repr(m)}
     if m.rows * m.cols <= _WITNESS_ENTRY_CAP:
         return {"rows": m.rows, "cols": m.cols, "den": m.den, "nums": list(m.nums)}
+    import hashlib
+
     digest = hashlib.sha256(repr((m.rows, m.cols, m.den, m.nums)).encode()).hexdigest()
     return {"rows": m.rows, "cols": m.cols, "den": m.den, "sha256": digest}
 
@@ -603,7 +593,7 @@ def _check_ring_axioms(ctx):
     out = []
     cs = ctx.cs
     std = ctx.ring
-    out.extend(_from_failures("ring_axioms", "standard ring", ring_axiom_failures(std)))
+    out.extend(_from_failures("ring_axioms", "standard ring", std.failures))
     if std.dim != cs.index:
         out.append(_witness("ring_axioms", f"ring dimension {std.dim} != index {cs.index}"))
     try:
@@ -782,7 +772,7 @@ def mutation_smoke(cfg, corruption):
     """Re-run the suite with one deliberate corruption injected."""
     if corruption not in CORRUPTIONS:
         raise ConfigError(f"unknown corruption {corruption!r}; pick from {CORRUPTIONS}")
-    return run_suite(replace(cfg, corruption=corruption))
+    return run_suite(cfg._replace(corruption=corruption))
 
 
 DEFAULT_FIELDS = ("q", "fp:2", "fp:3", "fp:5")
@@ -828,5 +818,8 @@ def run_matrix(pairs=DEFAULT_PAIRS, fields=DEFAULT_FIELDS, seed=0, family_size=1
     workers = min(workers, len(cases))
     if workers <= 1:
         return [_matrix_case(c) for c in cases]
+    # imported here: the pool pulls in multiprocessing, which a single verdict never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_matrix_case, cases))

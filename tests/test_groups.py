@@ -111,6 +111,77 @@ def test_nonassociative_latin_square_rejected():
     assert [1, 1, 2] in [v["triple"] for v in err.value.violations if v["kind"] == "assoc"]
 
 
+def _loop_times_group(loop, group_table):
+    """The direct product table, element (l, g) at index l * |G| + g."""
+    m = len(group_table)
+    return [[loop[a1][b1] * m + group_table[a2][b2] for b1 in range(len(loop)) for b2 in range(m)]
+            for a1 in range(len(loop)) for a2 in range(m)]
+
+
+_LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+
+
+def _corrupted(name, kind):
+    """A copy of a group's table with one defect; S4 is order 24, S5 order 120."""
+    if kind == "loop":
+        return _LOOP5 if name == "s4" else _loop_times_group(_LOOP5, S4.table)
+    t = [list(row) for row in (S4 if name == "s4" else S5).table]
+    if kind == "swapped":  # duplicates in rows 1, 3 and columns 2, 4
+        t[1][2], t[3][4] = t[3][4], t[1][2]
+    elif kind == "true":  # True == 1 duplicates the 1 of row 2 and column 3
+        t[2][3] = True
+    elif kind == "float":
+        t[2][3] = 1.0
+    elif kind == "identity_row":
+        t[0][1], t[0][2] = t[0][2], t[0][1]
+    return t
+
+
+# (message, violation count, sha256 of the JSON violation list), pinned from
+# the per-instance checks before the fast path existed: the fast path must
+# leave every refusal and witness as it was.
+_VIOLATIONS = {
+    ("s4", "swapped"): ("invalid multiplication table (183 violations)", 183,
+                        "5931ba0720283d27d7ed1ca9d36cb387d47b7c2f8f0a24391f6204c0a292990d"),
+    ("s4", "true"): ("invalid multiplication table (92 violations)", 92,
+                     "05d2581d82ef08522ca51246d1306c132f44e410b0b41ba3fa2dc8ceac451738"),
+    ("s4", "float"): ("table entries out of range", 1,
+                      "cdb681ab2bd0974bd5c5339fe066301e0add2f21610693831bda6a14ec323a96"),
+    ("s4", "identity_row"): ("invalid multiplication table (186 violations)", 186,
+                             "de515790499589ca9f36d8315450735a4eca79e542b334238e7056f433bcaf54"),
+    ("s4", "loop"): ("invalid multiplication table (51 violations)", 51,
+                     "4600d8f3464315a4d4598e7f2a55737661fb2ccf96cd9d74beba8c44601999c9"),
+    ("s5", "swapped"): ("invalid multiplication table (247 violations)", 247,
+                        "4d49601c83b795c03a8eae4ab3a4045cc1ff4ed955e1109f2e6daaba18c77866"),
+    ("s5", "true"): ("invalid multiplication table (124 violations)", 124,
+                     "b7290c0b5bf5b9d37fe0dfc8fc6b099b840b9bff4a06aaaedd60123e11bb1a39"),
+    ("s5", "float"): ("table entries out of range", 1,
+                      "cdb681ab2bd0974bd5c5339fe066301e0add2f21610693831bda6a14ec323a96"),
+    ("s5", "identity_row"): ("invalid multiplication table (133 violations)", 133,
+                             "bbdecd193869e169384012d80b0adf8dcb2d4f4a41b19409c725f1650ab16ec2"),
+    ("s5", "loop"): ("invalid multiplication table (15552 violations)", 15552,
+                     "50f089e5c7fb1714e4a2ead302651ef293f81b01af5b676303a19fce86a3bd16"),
+}
+
+
+@pytest.mark.parametrize("name,kind", sorted(_VIOLATIONS))
+def test_corrupted_table_violations_are_frozen(name, kind):
+    # s4 (order 24) and the 5-element loop take the all-triples associativity
+    # check; s5 and the loop times S4 (order 120) take Light's test
+    with pytest.raises(GroupError) as err:
+        group_from_cayley_table(_corrupted(name, kind))
+    violations = err.value.violations
+    digest = hashlib.sha256(json.dumps(violations).encode()).hexdigest()
+    assert (str(err.value), len(violations), digest) == _VIOLATIONS[name, kind]
+
+
+def test_bool_entry_equal_to_its_int_is_accepted_as_before():
+    # True == 1, so the per-instance checks find nothing although the fast
+    # test (int entries only) fails; the table is accepted as it always was
+    g = group_from_cayley_table([[0, True], [True, 0]])
+    assert (g.gens, g.inv) == ((1,), [0, 1])
+
+
 def test_bad_tables_rejected():
     with pytest.raises(GroupError):
         group_from_cayley_table([[0, 0], [1, 1]])  # not a Latin square

@@ -7,6 +7,10 @@ report's env block and names its work-count ledgers after the backend.
 spans) and skips its overflow-fallback counter when ``backend._speed`` is
 None.  A fresh interpreter checks that ``import sepmonad`` alone provides
 all of it.
+
+``perfbench`` also times a ``verify`` process's start-up (``setup_s``), so a
+second probe checks that the CLI loads no process pool, digest or
+dataclass machinery that a single verdict never runs.
 """
 
 import json
@@ -25,14 +29,39 @@ print(json.dumps([b.backend_name(), b.has_speed(), b._speed is None,
 """
 
 
-def test_backend_module_is_what_perfbench_reads():
+# What sepmonad imports anyway comes first, so that only what importing the
+# CLI adds on top of it is measured.
+_IMPORT_PROBE = """
+import sys
+import argparse, json, fractions, random, collections, functools, itertools, math
+before = set(sys.modules)
+import sepmonad.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+_NOT_AT_STARTUP = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "hashlib")
+
+
+def _probe(code):
+    """Run ``code`` in a fresh interpreter on the tests' sepmonad; its stdout as JSON."""
     # the directory the tests imported sepmonad from
     src = os.path.dirname(os.path.dirname(os.path.abspath(sepmonad.__file__)))
     env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    name, speed, speed_none, rrefj_mod, rref_mod = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_backend_module_is_what_perfbench_reads():
+    name, speed, speed_none, rrefj_mod, rref_mod = _probe(_PROBE)
     assert name == "pure"
     assert speed is False
     assert speed_none is True
     assert rrefj_mod == rref_mod == "sepmonad.backend"
+
+
+def test_cli_import_loads_no_pool_digest_or_dataclasses():
+    added = _probe(_IMPORT_PROBE)
+    assert "sepmonad.cli" in added
+    loaded = [m for m in added for n in _NOT_AT_STARTUP if m == n or m.startswith(n + ".")]
+    assert loaded == []

@@ -194,7 +194,8 @@ def test_run_matrix_starts_no_more_workers_than_cases(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(suite, "ProcessPoolExecutor", SerialPool)
+    # run_matrix imports the pool only when it starts one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     rows = run_matrix([("c2", None)], ("q", "fp:2"), family_size=1, workers=64)
     assert recorded == [2]
     assert [row["passed"] for row in rows] == [True, True]
@@ -359,3 +360,18 @@ def test_row_built_witness_payload_matches_dense_twin():
         big = Matrix.identity(field, 80)  # above the entry cap: a digest
         assert _mat_payload(big) == _mat_payload(Matrix.from_flat(field, 80, 80, big.nums))
         assert "sha256" in _mat_payload(big)
+
+
+def test_witness_digest_above_the_entry_cap_is_frozen():
+    # 80 x 80 = 6400 entries > _WITNESS_ENTRY_CAP: the payload is a sha256 of
+    # (rows, cols, den, nums), pinned so that the lazily imported digest
+    # cannot drift
+    assert _mat_payload(Matrix.identity(QQ, 80)) == {
+        "rows": 80, "cols": 80, "den": 1,
+        "sha256": "095fcc2d37a708ba73813eec3d56d8767914360f8d4db1414c2b3960400b1958",
+    }
+    nums = [(i * 7 + 3) % 5 for i in range(4900)]
+    assert _mat_payload(Matrix.from_flat(GF(5), 70, 70, nums)) == {
+        "rows": 70, "cols": 70, "den": 1,
+        "sha256": "a915e745bc3c809bde86dd5f3e3645820dee047d7cc54a23280cfad851fa4f4e",
+    }
