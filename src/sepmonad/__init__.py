@@ -42,7 +42,6 @@ from .repcat import (
     Rep,
     RepError,
     compose,
-    find_iso,
     hom_space_basis,
     identity_mor,
     random_hom,
@@ -64,7 +63,6 @@ from .adjunction import (
     lax_lambda,
     lax_lambda_composite,
     projection_pi,
-    projection_pi_composite_matrix,
     projection_pi_inverse,
     section_xi,
     unit_eta,

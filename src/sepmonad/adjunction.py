@@ -17,7 +17,10 @@ have closed forms:
   projection pi(f(x)m) = (r |-> f_r (x) r.m),  block diagonal in r
 
 Every closed form is cross-checkable against its abstract composite
-definition; the check functions live in the verification suite and tests.
+definition, built from the maps of this module: ``lax_lambda_composite``
+for lambda, and lambda . (id (x) eta) from ``compose``, ``tensor_mor``,
+``lax_lambda`` and ``unit_eta`` for pi.  The comparisons live in the
+verification suite and the tests.
 
 Each structure map is a function of its mathematical arguments only and
 builds its own lazy source and target.  A derived rep costs nothing until
@@ -25,7 +28,7 @@ one of its action matrices is read, so no caller shares endpoints with a
 map.
 """
 
-from .exactlin import Matrix, assemble, hstack, mat_kron, mat_mul, vstack
+from .exactlin import Matrix, assemble, hstack, mat_kron, vstack
 from .repcat import (
     Morphism,
     Rep,
@@ -179,18 +182,6 @@ def _pi_blockdiag(y, x, cs, invert):
     if invert:
         src, tgt = tgt, src
     return Morphism(src, tgt, mat, validate=False, tag="pi_inv" if invert else "pi")
-
-
-def projection_pi_composite_matrix(y, x, cs):
-    """The matrix of the abstract composite lambda . (id (x) eta).
-
-    Computed at matrix level only, to avoid materializing the doubly
-    coinduced tensor representation.
-    """
-    eta = vstack([x.mat(r) for r in cs.reps])
-    lam = _lambda_matrix(x.field, cs.index, y.dim, x.dim)
-    eye = Matrix.identity(x.field, cs.index * y.dim)
-    return mat_mul(lam, mat_kron(eye, eta))
 
 
 def ind_counit(x, cs):

@@ -15,7 +15,11 @@ from ``repcat.hom_space_basis``; no second linear system solves for them.
 
 All round trips ship explicit invertible witnesses built from the
 adjunction's structure maps; nothing is certified by a search when a
-closed form exists.
+closed form exists.  This module is the one place each round trip is
+built and checked: ``em_unit_iso``, ``em_counit_iso`` and
+``extension_of_scalars_iso`` raise EMError with the failing
+(composite, identity) pair, which the suite reports as its witness.
+Modules and module maps are validated when they are built, always.
 """
 
 import random
@@ -69,7 +73,7 @@ class EMError(ValueError):
 class AModule:
     """A carrier representation with a validated ring action."""
 
-    def __init__(self, ring, carrier, action, validate=True, tag=""):
+    def __init__(self, ring, carrier, action, tag=""):
         da = ring.dim
         dx = carrier.dim
         if action.matrix.rows != dx or action.matrix.cols != da * dx:
@@ -78,11 +82,10 @@ class AModule:
         self.carrier = carrier
         self.action = action
         self.tag = tag
-        if validate:
-            failures = module_axiom_failures(self)
-            if failures:
-                names = ", ".join(f[0] for f in failures)
-                raise ModuleAxiomError(f"module axioms fail: {names}", failures)
+        failures = module_axiom_failures(self)
+        if failures:
+            names = ", ".join(f[0] for f in failures)
+            raise ModuleAxiomError(f"module axioms fail: {names}", failures)
 
     @property
     def dim(self):
@@ -120,19 +123,18 @@ def module_axiom_failures(mod):
 class AModMorphism:
     """A G-equivariant map between module carriers commuting with actions."""
 
-    def __init__(self, source, target, matrix, validate=True):
+    def __init__(self, source, target, matrix):
         if source.ring is not target.ring:
             raise EMError("modules live over different rings")
         self.source = source
         self.target = target
         self.matrix = matrix
-        self.mor = Morphism(source.carrier, target.carrier, matrix, validate=validate)
-        if validate:
-            eye_a = Matrix.identity(matrix.field, source.ring.dim)
-            lhs = mat_mul(matrix, source.action.matrix)
-            rhs = mat_mul(target.action.matrix, mat_kron(eye_a, matrix))
-            if lhs != rhs:
-                raise EMError("map does not commute with the actions", (lhs, rhs))
+        self.mor = Morphism(source.carrier, target.carrier, matrix)
+        eye_a = Matrix.identity(matrix.field, source.ring.dim)
+        lhs = mat_mul(matrix, source.action.matrix)
+        rhs = mat_mul(target.action.matrix, mat_kron(eye_a, matrix))
+        if lhs != rhs:
+            raise EMError("map does not commute with the actions", (lhs, rhs))
 
     def __repr__(self):
         return f"<AModMorphism {self.source.dim}->{self.target.dim}>"
@@ -149,7 +151,7 @@ def free_module(ring, y, tag=""):
         mat_kron(ring.mul.matrix, eye),
         validate=False,
     )
-    return AModule(ring, carrier, action, validate=True, tag=tag or f"free({y.tag})")
+    return AModule(ring, carrier, action, tag=tag or f"free({y.tag})")
 
 
 def em_comparison(n, cs, ring, tag=""):
@@ -171,7 +173,7 @@ def em_comparison(n, cs, ring, tag=""):
         Matrix(n.field, d, index * d, _normalized=True, nzrows=rows),
         validate=False,
     )
-    return AModule(ring, carrier, action, validate=True, tag=tag or f"E({n.tag})")
+    return AModule(ring, carrier, action, tag=tag or f"E({n.tag})")
 
 
 def em_mor(f, cs, ring, source=None, target=None):
@@ -179,7 +181,7 @@ def em_mor(f, cs, ring, source=None, target=None):
     src = source if source is not None else em_comparison(f.source, cs, ring)
     tgt = target if target is not None else em_comparison(f.target, cs, ring)
     eye = Matrix.identity(f.matrix.field, cs.index)
-    return AModMorphism(src, tgt, mat_kron(eye, f.matrix), validate=True)
+    return AModMorphism(src, tgt, mat_kron(eye, f.matrix))
 
 
 def split_idempotent(e, x):
@@ -225,12 +227,9 @@ def em_inverse_split(mod, cs):
 
     e acts by the identity-coset idempotent, read H-equivariantly through
     the projection transport; returns (image H-rep, p, m, e) with
-    m . p = e, p . m = id.
+    m . p = e, p . m = id.  Only e is checked here, for equivariance and
+    e . e = e: an AModule's axioms were checked when it was built.
     """
-    failures = module_axiom_failures(mod)
-    if failures:
-        names = ", ".join(f[0] for f in failures)
-        raise ModuleAxiomError(f"module axioms fail: {names}", failures)
     h = cs.subgroup
     x = mod.carrier
     field = x.field
@@ -260,8 +259,10 @@ def _need_identity(message, composite):
 def em_unit_iso(n, cs, ring):
     """Mutually inverse H-morphisms between n and the round trip through E.
 
-    w1 = p . xi and w2 = eps . m; both composites are checked to be
-    identities exactly.
+    Returns (mod, p, m, w1, w2): the comparison module mod = E(n), the
+    splitting p, m of its idempotent, and w1 = p . xi, w2 = eps . m.  Both
+    composites of w1 and w2 are checked to be identities exactly; the
+    splitting data is returned for naturality squares over maps of n.
     """
     mod = em_comparison(n, cs, ring)
     _, p, m, _ = em_inverse_split(mod, cs)
@@ -269,7 +270,7 @@ def em_unit_iso(n, cs, ring):
     w2 = compose(counit_eps(n, cs), m)
     _need_identity("unit round trip fails on n", mat_mul(w2.matrix, w1.matrix))
     _need_identity("unit round trip fails on the image", mat_mul(w1.matrix, w2.matrix))
-    return w1, w2
+    return mod, p, m, w1, w2
 
 
 def em_counit_iso(mod, cs):
@@ -290,8 +291,8 @@ def em_counit_iso(mod, cs):
     psi_mat = mat_mul(cp.matrix, eta.matrix)
     _need_identity("counit round trip fails on the module", mat_mul(phi_mat, psi_mat))
     _need_identity("counit round trip fails on the comparison", mat_mul(psi_mat, phi_mat))
-    phi = AModMorphism(en, mod, phi_mat, validate=True)
-    psi = AModMorphism(mod, en, psi_mat, validate=True)
+    phi = AModMorphism(en, mod, phi_mat)
+    psi = AModMorphism(mod, en, psi_mat)
     return phi, psi
 
 
@@ -305,8 +306,8 @@ def extension_of_scalars_iso(y, cs, ring):
     pinv = projection_pi_inverse(one_h, y, cs)
     _need_identity("pi . pi-inverse is not the identity", mat_mul(pi.matrix, pinv.matrix))
     _need_identity("pi-inverse . pi is not the identity", mat_mul(pinv.matrix, pi.matrix))
-    phi = AModMorphism(free, en, pi.matrix, validate=True)
-    psi = AModMorphism(en, free, pinv.matrix, validate=True)
+    phi = AModMorphism(free, en, pi.matrix)
+    psi = AModMorphism(en, free, pinv.matrix)
     return phi, psi
 
 
@@ -394,7 +395,7 @@ def free_hom_basis(free, y, target):
     """
     eye_a = Matrix.identity(y.field, free.ring.dim)
     rho = target.action.matrix
-    return [AModMorphism(free, target, mat_mul(rho, mat_kron(eye_a, f.matrix)), validate=True)
+    return [AModMorphism(free, target, mat_mul(rho, mat_kron(eye_a, f.matrix)))
             for f in hom_space_basis(y, target.carrier)]
 
 
@@ -428,7 +429,7 @@ def find_idempotent_summand(ring, cs, seed=0, tries=6):
             mat_mul(p.matrix, mat_mul(free.action.matrix, mat_kron(eye_a, m.matrix))),
             validate=False,
         )
-        return AModule(ring, img, action, validate=True, tag="summand")
+        return AModule(ring, img, action, tag="summand")
     return None
 
 

@@ -27,7 +27,6 @@ which makes the monoidal structure strict: associators and unitors are
 identity matrices, and (x (x) y) (x) z equals x (x) (y (x) z) entrywise.
 """
 
-import itertools
 import random
 
 from .exactlin import (
@@ -259,40 +258,6 @@ def random_hom(x, y, seed):
         if any(coeffs):
             break
     return Morphism(x, y, _combination(coeffs, [b.matrix for b in basis]), validate=False)
-
-
-def find_iso(x, y, seed=0, attempts=32):
-    """An invertible equivariant map x -> y, or None if none was found.
-
-    Random linear combinations of the hom basis, deterministic per seed;
-    over a small prime field the search falls back to exhausting all
-    coefficient tuples, so absence is definitive there.
-    """
-    if x.dim != y.dim:
-        return None
-    basis = hom_space_basis(x, y)
-    if not basis:
-        return None
-    mats = [b.matrix for b in basis]
-    p = x.field.char
-    rng = random.Random(f"sepmonad|iso|{seed}")
-    for trial in range(attempts):
-        if trial == 0:
-            coeffs = [1] * len(mats)
-        elif p == 0:
-            coeffs = [rng.randint(-4, 4) for _ in mats]
-        else:
-            coeffs = [rng.randrange(p) for _ in mats]
-        mat = _combination(coeffs, mats)
-        if mat_inverse(mat) is not None:
-            return Morphism(x, y, mat, validate=False)
-    if p and p ** len(mats) <= 4096:
-        for coeffs in itertools.product(range(p), repeat=len(mats)):
-            if any(coeffs):
-                mat = _combination(coeffs, mats)
-                if mat_inverse(mat) is not None:
-                    return Morphism(x, y, mat, validate=False)
-    return None
 
 
 def _perm_action_on_cosets(carrier, k_elems, field):

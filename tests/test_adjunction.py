@@ -12,7 +12,6 @@ from sepmonad.adjunction import (
     lax_lambda,
     lax_lambda_composite,
     projection_pi,
-    projection_pi_composite_matrix,
     projection_pi_inverse,
     section_xi,
     unit_eta,
@@ -24,10 +23,13 @@ from sepmonad.presets import load_preset
 from sepmonad.repcat import (
     Morphism,
     Rep,
+    compose,
+    identity_mor,
     random_hom,
     random_rep,
     restrict,
     restrict_mor,
+    tensor_mor,
     tensor_obj,
     unit_rep,
 )
@@ -165,7 +167,10 @@ def test_projection_invertible_and_closed_form():
         pinv = projection_pi_inverse(y, x, cs)
         assert mat_mul(pi.matrix, pinv.matrix).is_identity()
         assert mat_mul(pinv.matrix, pi.matrix).is_identity()
-        assert pi.matrix == projection_pi_composite_matrix(y, x, cs)
+        # the defining composite lambda . (id (x) eta), from the library's maps
+        composite = compose(lax_lambda(y, restrict(x, h), cs),
+                            tensor_mor(identity_mor(coind_obj(y, cs)), unit_eta(x, cs)))
+        assert pi.matrix == composite.matrix
         Morphism(pi.source, pi.target, pi.matrix, validate=True)
 
 

@@ -42,6 +42,7 @@ from sepmonad.repcat import (
     unit_rep,
     zero_mor,
 )
+from sepmonad.suite import SuiteConfig, run_suite
 
 Q = Field(0)
 
@@ -112,6 +113,17 @@ def test_split_idempotent_rejects_non_idempotent():
         split_idempotent(f, x)
 
 
+def test_em_inverse_split_does_not_rerun_the_module_axioms(monkeypatch):
+    # an AModule is validated when built; splitting it checks only e
+    cs, ring = _setup("s3")
+    mod = em_comparison(random_rep(cs.subgroup, Q, seed=0, budget=2), cs, ring)
+    calls = []
+    real = eilenberg.module_axiom_failures
+    monkeypatch.setattr(eilenberg, "module_axiom_failures", lambda m: calls.append(m) or real(m))
+    em_inverse_split(mod, cs)
+    assert calls == []
+
+
 def test_module_idempotent_splits():
     cs, ring = _setup("s3")
     for seed in range(3):
@@ -127,7 +139,9 @@ def test_em_unit_roundtrip():
     cs, ring = _setup("s3")
     for seed in range(3):
         n = random_rep(cs.subgroup, Q, seed=seed, budget=2)
-        w1, w2 = em_unit_iso(n, cs, ring)
+        mod, p, m, w1, w2 = em_unit_iso(n, cs, ring)
+        assert mod.dim == cs.index * n.dim
+        assert mat_mul(p.matrix, m.matrix).is_identity()
         assert mat_mul(w2.matrix, w1.matrix).is_identity()
         assert mat_mul(w1.matrix, w2.matrix).is_identity()
 
@@ -183,12 +197,34 @@ def test_round_trip_witness_is_the_composite_against_identity(monkeypatch, field
     assert lhs.is_zero() and rhs.is_identity()
 
 
+@pytest.mark.parametrize("field", ["q", "fp:2"])
+def test_suite_reports_the_library_round_trip_witness(monkeypatch, field):
+    """Each EM check fails under its own kind with the library's (0, I) pair."""
+    for corrupt, cid, message in (
+        ("counit_eps", "em_unit_roundtrip", "unit round trip fails on n"),
+        ("unit_eta", "em_counit_roundtrip", "counit round trip fails on the module"),
+        ("projection_pi_inverse", "extension_of_scalars", "pi . pi-inverse is not the identity"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(eilenberg, corrupt, _zeroed(getattr(eilenberg, corrupt)))
+            cfg = SuiteConfig(group="s3", field=field, family_size=3, checks=(cid,))
+            [check] = run_suite(cfg).checks
+        witness = check.witness
+        assert (check.status, witness["kind"]) == ("fail", cid)
+        assert witness["context"].endswith(message)
+        lhs, rhs = witness["lhs"], witness["rhs"]
+        d = rhs["rows"]
+        assert (lhs["rows"], lhs["cols"], rhs["cols"]) == (d, d, d)
+        assert not any(lhs["nums"])
+        assert (rhs["den"], rhs["nums"]) == (1, [int(i == j) for i in range(d) for j in range(d)])
+
+
 @pytest.mark.parametrize("name,p", [("c4", 2), ("s3", 3), ("q8", 2)])
 def test_modular_em_equivalence(name, p):
     """The equivalence survives characteristic dividing the group order."""
     cs, ring = _setup(name, GF(p))
     n = random_rep(cs.subgroup, GF(p), seed=0, budget=2)
-    w1, w2 = em_unit_iso(n, cs, ring)
+    *_, w1, w2 = em_unit_iso(n, cs, ring)
     assert mat_mul(w2.matrix, w1.matrix).is_identity()
     y = random_rep(cs.group, GF(p), seed=1, budget=2)
     phi, psi = em_counit_iso(free_module(ring, y), cs)

@@ -175,11 +175,15 @@ def test_corrupted_table_violations_are_frozen(name, kind):
     assert (str(err.value), len(violations), digest) == _VIOLATIONS[name, kind]
 
 
-def test_bool_entry_equal_to_its_int_is_accepted_as_before():
-    # True == 1, so the per-instance checks find nothing although the fast
-    # test (int entries only) fails; the table is accepted as it always was
-    g = group_from_cayley_table([[0, True], [True, 0]])
-    assert (g.gens, g.inv) == ((1,), [0, 1])
+def test_bool_entry_equal_to_its_int_is_refused():
+    # True == 1, so the per-instance checks find nothing; the entry type is
+    # what refuses the table, one bad_entry per entry that is not an int
+    with pytest.raises(GroupError, match="of type int") as err:
+        group_from_cayley_table([[0, True], [True, 0]])
+    assert err.value.violations == [
+        {"kind": "bad_entry", "at": [0, 1], "value": True},
+        {"kind": "bad_entry", "at": [1, 0], "value": True},
+    ]
 
 
 def test_bad_tables_rejected():

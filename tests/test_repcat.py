@@ -13,7 +13,6 @@ from sepmonad.repcat import (
     Rep,
     RepError,
     compose,
-    find_iso,
     hom_space_basis,
     identity_mor,
     random_hom,
@@ -233,20 +232,6 @@ def test_compose_and_zero():
     assert compose(identity_mor(x), f).matrix == f.matrix
     assert compose(f, identity_mor(x)).matrix == f.matrix
     assert compose(f, zero_mor(x, x)).matrix.is_zero()
-
-
-def test_find_iso_on_conjugate_reps():
-    s3, _ = load_preset("s3")
-    x = random_rep(s3, Q, seed=14, budget=3)
-    y = random_rep(s3, Q, seed=15, budget=3)
-    iso = find_iso(x, x, seed=0)
-    assert iso is not None
-    one = unit_rep(s3, Q)
-    assert find_iso(one, tensor_obj(one, one), seed=0) is not None
-    got = find_iso(x, y, seed=0)
-    if got is not None:
-        inv = find_iso(y, x, seed=0)
-        assert inv is not None
 
 
 @settings(max_examples=20, deadline=None)
