@@ -30,7 +30,6 @@ from .groups import (
     FiniteGroup,
     GroupError,
     Subgroup,
-    factorize,
     group_from_cayley_table,
     group_from_permutations,
     load_group_json,
@@ -93,7 +92,6 @@ from .eilenberg import (
     ModuleAxiomError,
     em_comparison,
     em_counit_iso,
-    em_inverse,
     em_inverse_split,
     em_mor,
     em_unit_iso,

@@ -49,12 +49,11 @@ class CoindRep(Rep):
     factorization; it is built when g is first read.
     """
 
-    def __init__(self, source, cs, validate=False, tag=""):
-        # set first: validation in Rep.__init__ already reads the action
+    def __init__(self, source, cs, tag=""):
+        super().__init__(cs.group, source.field, self._block_action,
+                         tag=tag, dim=cs.index * source.dim)
         self.source = source
         self.cs = cs
-        super().__init__(cs.group, source.field, self._block_action, validate=validate,
-                         tag=tag, dim=cs.index * source.dim)
 
     def _block_action(self, gg):
         cs, n = self.cs, self.source
@@ -67,28 +66,27 @@ class CoindRep(Rep):
         return assemble(self.field, self.dim, self.dim, blocks)
 
 
-def coind_obj(n, cs, validate=False):
+def coind_obj(n, cs):
     """Coinduce an H-representation to G along the coset space.
 
-    Correct by construction; validation is optional because the generator
-    check is exercised separately on small cases.
+    Correct by construction, so not validated here; a caller that wants the
+    law certified calls ``require_valid()`` on the result.
     """
     if n.carrier is not cs.subgroup:
         raise RepError("representation must live over the coset space's subgroup")
-    return CoindRep(n, cs, validate=validate, tag=f"Coind({n.tag})" if n.tag else "Coind")
+    return CoindRep(n, cs, tag=f"Coind({n.tag})" if n.tag else "Coind")
 
 
 def coind_mor(f, cs):
     """Apply an H-morphism in every representative coordinate: kron(I_[G:H], f)."""
     eye = Matrix.identity(f.matrix.field, cs.index)
-    return Morphism(coind_obj(f.source, cs), coind_obj(f.target, cs), mat_kron(eye, f.matrix),
-                    validate=False)
+    return Morphism(coind_obj(f.source, cs), coind_obj(f.target, cs), mat_kron(eye, f.matrix))
 
 
 def unit_eta(m, cs):
     """The unit m -> Coind(Res m): a vector goes to the function g |-> g.v."""
     mat = vstack([m.mat(r) for r in cs.reps])
-    return Morphism(m, coind_obj(restrict(m, cs.subgroup), cs), mat, validate=False, tag="eta")
+    return Morphism(m, coind_obj(restrict(m, cs.subgroup), cs), mat, tag="eta")
 
 
 def counit_eps(n, cs):
@@ -100,7 +98,7 @@ def counit_eps(n, cs):
     dn = n.dim
     rows = [{a: 1} for a in range(dn)]
     mat = Matrix(n.field, dn, cs.index * dn, _normalized=True, nzrows=rows)
-    return Morphism(restrict(coind_obj(n, cs), cs.subgroup), n, mat, validate=False, tag="eps")
+    return Morphism(restrict(coind_obj(n, cs), cs.subgroup), n, mat, tag="eps")
 
 
 def section_xi(n, cs):
@@ -113,7 +111,7 @@ def section_xi(n, cs):
     d = cs.index * dn
     rows = [{a: 1} for a in range(dn)] + [{} for _ in range(d - dn)]
     mat = Matrix(n.field, d, dn, _normalized=True, nzrows=rows)
-    return Morphism(n, restrict(coind_obj(n, cs), cs.subgroup), mat, validate=False, tag="xi")
+    return Morphism(n, restrict(coind_obj(n, cs), cs.subgroup), mat, tag="xi")
 
 
 def lax_iota(cs, field):
@@ -121,7 +119,7 @@ def lax_iota(cs, field):
     one_g = unit_rep(cs.group, field)
     tgt = coind_obj(unit_rep(cs.subgroup, field), cs)
     mat = Matrix(field, cs.index, 1, _normalized=True, nzrows=[{0: 1} for _ in range(cs.index)])
-    return Morphism(one_g, tgt, mat, validate=False, tag="iota")
+    return Morphism(one_g, tgt, mat, tag="iota")
 
 
 def _lambda_matrix(field, index, dx, dy):
@@ -140,7 +138,7 @@ def lax_lambda(x, y, cs):
     src = tensor_obj(coind_obj(x, cs), coind_obj(y, cs))
     tgt = coind_obj(tensor_obj(x, y), cs)
     mat = _lambda_matrix(x.field, cs.index, x.dim, y.dim)
-    return Morphism(src, tgt, mat, validate=False, tag="lambda")
+    return Morphism(src, tgt, mat, tag="lambda")
 
 
 def lax_lambda_composite(x, y, cs):
@@ -181,7 +179,7 @@ def _pi_blockdiag(y, x, cs, invert):
     tgt = coind_obj(tensor_obj(y, restrict(x, cs.subgroup)), cs)
     if invert:
         src, tgt = tgt, src
-    return Morphism(src, tgt, mat, validate=False, tag="pi_inv" if invert else "pi")
+    return Morphism(src, tgt, mat, tag="pi_inv" if invert else "pi")
 
 
 def ind_counit(x, cs):
@@ -193,5 +191,4 @@ def ind_counit(x, cs):
     """
     g = cs.group
     mat = hstack([x.mat(g.inverse(r)) for r in cs.reps])
-    return Morphism(coind_obj(restrict(x, cs.subgroup), cs), x, mat, validate=False,
-                    tag="ind_counit")
+    return Morphism(coind_obj(restrict(x, cs.subgroup), cs), x, mat, tag="ind_counit")

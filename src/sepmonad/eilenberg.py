@@ -57,6 +57,9 @@ from .adjunction import (
 )
 from .monadring import _need
 
+# Seeded free modules that find_idempotent_summand searches before it gives up.
+SUMMAND_TRIES = 6
+
 
 class ModuleAxiomError(ValueError):
     def __init__(self, message, failures=None):
@@ -129,7 +132,7 @@ class AModMorphism:
         self.source = source
         self.target = target
         self.matrix = matrix
-        self.mor = Morphism(source.carrier, target.carrier, matrix)
+        Morphism(source.carrier, target.carrier, matrix).require_valid()
         eye_a = Matrix.identity(matrix.field, source.ring.dim)
         lhs = mat_mul(matrix, source.action.matrix)
         rhs = mat_mul(target.action.matrix, mat_kron(eye_a, matrix))
@@ -145,12 +148,7 @@ def free_module(ring, y, tag=""):
     ring.require_valid("refusing free module over an invalid ring")
     carrier = tensor_obj(ring.carrier, y)
     eye = Matrix.identity(y.field, y.dim)
-    action = Morphism(
-        tensor_obj(ring.carrier, carrier),
-        carrier,
-        mat_kron(ring.mul.matrix, eye),
-        validate=False,
-    )
+    action = Morphism(tensor_obj(ring.carrier, carrier), carrier, mat_kron(ring.mul.matrix, eye))
     return AModule(ring, carrier, action, tag=tag or f"free({y.tag})")
 
 
@@ -171,17 +169,18 @@ def em_comparison(n, cs, ring, tag=""):
         tensor_obj(ring.carrier, carrier),
         carrier,
         Matrix(n.field, d, index * d, _normalized=True, nzrows=rows),
-        validate=False,
     )
     return AModule(ring, carrier, action, tag=tag or f"E({n.tag})")
 
 
-def em_mor(f, cs, ring, source=None, target=None):
-    """Functoriality of the comparison: E(f) applies f per representative."""
-    src = source if source is not None else em_comparison(f.source, cs, ring)
-    tgt = target if target is not None else em_comparison(f.target, cs, ring)
+def em_mor(f, cs, source, target):
+    """Functoriality of the comparison: E(f) applies f per representative.
+
+    ``source`` and ``target`` are the comparison modules E(f.source) and
+    E(f.target); the map is checked to be equivariant and A-linear.
+    """
     eye = Matrix.identity(f.matrix.field, cs.index)
-    return AModMorphism(src, tgt, mat_kron(eye, f.matrix))
+    return AModMorphism(source, target, mat_kron(eye, f.matrix))
 
 
 def split_idempotent(e, x):
@@ -208,17 +207,19 @@ def split_idempotent(e, x):
     r, basis, _ = rank_and_column_basis(e.matrix)
     if r == 0:
         zero = Matrix.zeros(x.field, 0, 0)
-        img = Rep(x.carrier, x.field, lambda g: zero, validate=False, tag="0", dim=0)
-        p = Morphism(x, img, Matrix.zeros(x.field, 0, x.dim), validate=False)
-        m = Morphism(img, x, Matrix.zeros(x.field, x.dim, 0), validate=False)
+        img = Rep(x.carrier, x.field, lambda g: zero, tag="0", dim=0)
+        p = Morphism(x, img, Matrix.zeros(x.field, 0, x.dim))
+        m = Morphism(img, x, Matrix.zeros(x.field, x.dim, 0))
         return img, p, m
     pmat = solve_linear(basis, e.matrix)
     if pmat is None:
         raise ArithmeticError("image basis failed to absorb the idempotent")
     img = Rep(x.carrier, x.field, lambda g: mat_mul(pmat, mat_mul(x.mat(g), basis)),
-              validate=False, tag=f"img({e.tag})" if e.tag else "img", dim=r)
-    p = Morphism(x, img, pmat, validate=True, tag="retract")
-    m = Morphism(img, x, basis, validate=True, tag="include")
+              tag=f"img({e.tag})" if e.tag else "img", dim=r)
+    p = Morphism(x, img, pmat, tag="retract")
+    m = Morphism(img, x, basis, tag="include")
+    p.require_valid()
+    m.require_valid()
     return img, p, m
 
 
@@ -237,17 +238,13 @@ def em_inverse_split(mod, cs):
     pinv = projection_pi_inverse(unit_rep(h, field), x, cs)
     xi = section_xi(rx, cs)
     e_mat = mat_mul(mod.action.matrix, mat_mul(pinv.matrix, xi.matrix))
-    e = Morphism(rx, rx, e_mat, validate=True, tag="e")
+    e = Morphism(rx, rx, e_mat, tag="e")
+    e.require_valid()
     e2 = mat_mul(e_mat, e_mat)
     if e2 != e_mat:
         raise EMError("module idempotent law e.e = e fails", (e2, e_mat))
     img, p, m = split_idempotent(e, rx)
     return img, p, m, e
-
-
-def em_inverse(mod, cs):
-    """The underlying H-representation of a module: the image of e."""
-    return em_inverse_split(mod, cs)[0]
 
 
 def _need_identity(message, composite):
@@ -273,14 +270,15 @@ def em_unit_iso(n, cs, ring):
     return mod, p, m, w1, w2
 
 
-def em_counit_iso(mod, cs):
-    """Mutually inverse A-linear maps between E(em_inverse(mod)) and mod.
+def em_counit_iso(mod, split, cs):
+    """Mutually inverse A-linear maps between E(img) and mod.
 
-    phi = action . pi-inverse . Coind(m) and psi = Coind(p) . eta; both
-    composites are verified to be identities and both maps to be
-    A-linear.
+    ``split`` is ``em_inverse_split(mod, cs)``: the image H-rep img of
+    the module's idempotent with its splitting p, m.  phi = action .
+    pi-inverse . Coind(m) and psi = Coind(p) . eta; both composites are
+    verified to be identities and both maps to be A-linear.
     """
-    img, p, m, _ = em_inverse_split(mod, cs)
+    img, p, m, _ = split
     x = mod.carrier
     en = em_comparison(img, cs, mod.ring)
     pinv = projection_pi_inverse(unit_rep(cs.subgroup, x.field), x, cs)
@@ -399,19 +397,19 @@ def free_hom_basis(free, y, target):
             for f in hom_space_basis(y, target.carrier)]
 
 
-def find_idempotent_summand(ring, cs, seed=0, tries=6):
+def find_idempotent_summand(ring, cs, seed=0):
     """A module summand of a free module split off a nontrivial idempotent.
 
     Searches End_A(A (x) y) of seeded free modules, read off the G-maps
     y -> A (x) y by the universal property (``free_hom_basis``): a basis
     element that is already idempotent, else an eigen-idempotent q(B)/q(c)
     at a simple root c of a random endomorphism's minimal polynomial.
-    Returns None when the budget is exhausted; absence is a search
-    verdict, not a nonexistence proof.
+    Returns None after ``SUMMAND_TRIES`` seeded free modules; absence is a
+    search verdict, not a nonexistence proof.
     """
     field = ring.field
     g = cs.group
-    for t in range(tries):
+    for t in range(SUMMAND_TRIES):
         y = random_rep(g, field, seed * 131 + t, 2 + (t % 2))
         free = free_module(ring, y)
         basis = free_hom_basis(free, y, free)
@@ -420,14 +418,13 @@ def find_idempotent_summand(ring, cs, seed=0, tries=6):
         e_mat = _idempotent_from_basis(basis, field, seed * 17 + t)
         if e_mat is None:
             continue
-        e = Morphism(free.carrier, free.carrier, e_mat, validate=False, tag="summand")
+        e = Morphism(free.carrier, free.carrier, e_mat, tag="summand")
         img, p, m = split_idempotent(e, free.carrier)
         eye_a = Matrix.identity(field, ring.dim)
         action = Morphism(
             tensor_obj(ring.carrier, img),
             img,
             mat_mul(p.matrix, mat_mul(free.action.matrix, mat_kron(eye_a, m.matrix))),
-            validate=False,
         )
         return AModule(ring, img, action, tag="summand")
     return None

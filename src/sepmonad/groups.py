@@ -29,6 +29,9 @@ H * x.
 from collections import deque
 import json
 
+# The most elements group_from_permutations closes a generating set to.
+PERMUTATION_CLOSURE_CAP = 1024
+
 
 class GroupError(ValueError):
     """Invalid group data; ``violations`` lists every offending instance."""
@@ -147,12 +150,13 @@ def generator_walk(mul, gens, start=0):
                 queue.append(y)
 
 
-def group_from_permutations(generators, size_cap=1024):
+def group_from_permutations(generators):
     """Close a set of permutations under composition, breadth-first.
 
     Generators are 0-based image tuples over a common finite set.  Element
     0 is the identity; the rest follow the discovery order of
-    ``generator_walk``.
+    ``generator_walk``.  A closure above ``PERMUTATION_CLOSURE_CAP``
+    elements is refused.
     """
     gens = [tuple(p) for p in generators]
     degree = len(gens[0]) if gens else 1
@@ -169,8 +173,9 @@ def group_from_permutations(generators, size_cap=1024):
     for x, g, y in generator_walk(_compose, list(right), ident):
         j = index.get(y)
         if j is None:
-            if len(index) >= size_cap:
-                raise GroupError(f"closure exceeds the size cap of {size_cap} elements")
+            if len(index) >= PERMUTATION_CLOSURE_CAP:
+                raise GroupError(
+                    f"closure exceeds the size cap of {PERMUTATION_CLOSURE_CAP} elements")
             j = index[y] = len(index)
             parent.append((index[x], g))
         right[g].append(j)
@@ -381,11 +386,6 @@ def right_cosets(g, h):
     if h.parent is not g:
         raise GroupError("subgroup does not belong to this group")
     return CosetSpace(g, h)
-
-
-def factorize(cs, x):
-    """The unique (h, r) with h in H, r a coset representative, x = h*r."""
-    return cs.fact[x]
 
 
 def load_group_json(path):

@@ -49,11 +49,12 @@ class RingAxiomError(ValueError):
 class RingObject:
     """A representation with multiplication, unit, and optional section.
 
-    ``failures``, its ``ring_axiom_failures``, is computed once: at
-    construction when ``validate`` is set, otherwise on first read.
+    The constructor checks only shapes.  ``failures``, its
+    ``ring_axiom_failures``, is computed once, on first read;
+    ``require_valid`` raises on it.
     """
 
-    def __init__(self, carrier, mul, unit, section=None, validate=True):
+    def __init__(self, carrier, mul, unit, section=None):
         da = carrier.dim
         if mul.matrix.rows != da or mul.matrix.cols != da * da:
             raise ValueError("multiplication must map carrier(x)carrier to carrier")
@@ -67,8 +68,6 @@ class RingObject:
         self.mul = mul
         self.unit = unit
         self.section = section
-        if validate:
-            self.require_valid("ring axioms fail")
 
     @cached_property
     def failures(self):
@@ -147,7 +146,7 @@ def coset_permutation_rep(cs, field):
         rows = [{cs.coset_of[g.mul(r, gg)]: 1} for r in cs.reps]
         return Matrix(field, d, d, _normalized=True, nzrows=rows)
 
-    return Rep(g, field, perm, validate=False, tag="k(cosets)", dim=d)
+    return Rep(g, field, perm, tag="k(cosets)", dim=d)
 
 
 def standard_ring(cs, field):
@@ -162,18 +161,16 @@ def standard_ring(cs, field):
     # row (c, c') of the section is e_c when c = c', else zero
     sec_rows = [{i // d: 1} if i // d == i % d else {} for i in range(d * d)]
     aa = tensor_obj(a, a)
-    mul = Morphism(aa, a, Matrix(field, d, d * d, _normalized=True, nzrows=mul_rows),
-                   validate=False)
+    mul = Morphism(aa, a, Matrix(field, d, d * d, _normalized=True, nzrows=mul_rows))
     unit = Morphism(
         unit_rep(cs.group, field),
         a,
         Matrix(field, d, 1, _normalized=True, nzrows=[{0: 1} for _ in range(d)]),
-        validate=False,
     )
-    section = Morphism(
-        a, aa, Matrix(field, d * d, d, _normalized=True, nzrows=sec_rows), validate=False
-    )
-    return RingObject(a, mul, unit, section, validate=True)
+    section = Morphism(a, aa, Matrix(field, d * d, d, _normalized=True, nzrows=sec_rows))
+    ring = RingObject(a, mul, unit, section)
+    ring.require_valid("ring axioms fail")
+    return ring
 
 
 def ring_from_adjunction(cs, field):
@@ -183,20 +180,20 @@ def ring_from_adjunction(cs, field):
     standard ring along the canonical isomorphism.
     """
     one_h = unit_rep(cs.subgroup, field)
-    return RingObject(coind_obj(one_h, cs), lax_lambda(one_h, one_h, cs), lax_iota(cs, field),
-                      section=None, validate=True)
+    ring = RingObject(coind_obj(one_h, cs), lax_lambda(one_h, one_h, cs), lax_iota(cs, field))
+    ring.require_valid("ring axioms fail")
+    return ring
 
 
-def canonical_ring_iso(cs, field, standard=None, adjunction=None):
+def canonical_ring_iso(std, adj):
     """The ring isomorphism from the standard ring to the adjunction ring.
 
     Sends e_c to the indicator function of the coset c; in representative
     coordinates that matrix is the identity, but the morphism is still
-    validated as an isomorphism of ring objects at runtime.
+    validated, for equivariance and as an isomorphism of ring objects.
     """
-    std = standard if standard is not None else standard_ring(cs, field)
-    adj = adjunction if adjunction is not None else ring_from_adjunction(cs, field)
-    iso = Morphism(std.carrier, adj.carrier, Matrix.identity(field, cs.index), validate=True)
+    iso = Morphism(std.carrier, adj.carrier, Matrix.identity(std.field, std.dim))
+    iso.require_valid()
     failures = ring_iso_failures(std, adj, iso)
     if failures:
         names = ", ".join(f[0] for f in failures)
@@ -234,8 +231,9 @@ def transport_section(std, adj, iso):
         raise RingAxiomError("cannot transport along a singular map")
     mat = mat_mul(mat_kron(iso.matrix, iso.matrix), mat_mul(std.section.matrix, inv))
     aa = tensor_obj(adj.carrier, adj.carrier)
-    section = Morphism(adj.carrier, aa, mat, validate=False)
-    return RingObject(adj.carrier, adj.mul, adj.unit, section, validate=True)
+    ring = RingObject(adj.carrier, adj.mul, adj.unit, Morphism(adj.carrier, aa, mat))
+    ring.require_valid("ring axioms fail")
+    return ring
 
 
 class Monad:
@@ -289,12 +287,12 @@ def monad_from_ring(ring):
 
     def eta_at(x):
         eye = Matrix.identity(x.field, x.dim)
-        return Morphism(x, on_obj(x), mat_kron(ring.unit.matrix, eye), validate=False)
+        return Morphism(x, on_obj(x), mat_kron(ring.unit.matrix, eye))
 
     def mu_at(x):
         eye = Matrix.identity(x.field, x.dim)
         src = on_obj(on_obj(x))
-        return Morphism(src, on_obj(x), mat_kron(ring.mul.matrix, eye), validate=False)
+        return Morphism(src, on_obj(x), mat_kron(ring.mul.matrix, eye))
 
     return Monad(f"{a.tag or 'A'}(x)-", on_obj, on_mor, eta_at, mu_at)
 
@@ -359,15 +357,14 @@ class MonadMorphism:
         return f"<MonadMorphism {self.name}>"
 
 
-def pi_as_monad_morphism(cs, field, ring=None, iso=None):
+def pi_as_monad_morphism(std, iso, cs):
     """The projection morphism as a map of monads A (x) (-) -> Coind Res.
 
     Component at x: pi at (1_H, x), precomposed with the canonical ring
-    isomorphism tensored with the identity, so the source really is the
-    standard ring's monad.
+    isomorphism ``iso`` out of ``std`` tensored with the identity, so the
+    source really is the standard ring's monad.
     """
-    std = ring if ring is not None else standard_ring(cs, field)
-    iso = iso if iso is not None else canonical_ring_iso(cs, field, standard=std)
+    field = std.field
     iso_inv = mat_inverse(iso.matrix)
     src = monad_from_ring(std)
     tgt = monad_from_adjunction(cs)
@@ -380,7 +377,7 @@ def pi_as_monad_morphism(cs, field, ring=None, iso=None):
         pi = projection_pi(one_h, x, cs)
         eye = Matrix.identity(field, x.dim)
         mat = mat_mul(pi.matrix, mat_kron(iso.matrix, eye))
-        return Morphism(sx, tx, mat, validate=False, tag="theta")
+        return Morphism(sx, tx, mat, tag="theta")
 
     def inv_at(x):
         pinv = projection_pi_inverse(one_h, x, cs)

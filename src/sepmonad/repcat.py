@@ -16,11 +16,15 @@ Two kinds of Rep share that storage:
   A tensor product, a restriction, a coinduced rep, the coset permutation
   rep, a seeded ``random_rep`` and the image of a split idempotent are
   fixed by data whose law is already known, so building one dense matrix
-  per element would be wasted work: the checks read a few of them.  They
-  are validated only on request (``coind_obj(..., validate=True)``, the
-  ``rep_hom_sanity`` check), and validating a derived rep fills its memo
-  first.  ``random_rep``'s permutation blocks act on the cosets
-  that ``groups.right_coset_partition`` enumerates.
+  per element would be wasted work: the checks read a few of them.
+  ``random_rep``'s permutation blocks act on the cosets that
+  ``groups.right_coset_partition`` enumerates.
+
+Constructors only build, with cheap structural checks.  A caller that
+must certify a law calls ``require_valid()``: ``Rep.require_valid`` fills
+the memo and checks the law on the walk (the ``rep_hom_sanity`` check
+calls it on the seeded families), and ``Morphism.require_valid`` checks
+equivariance on the generators.
 
 The tensor product uses the fixed Kronecker convention of ``exactlin``,
 which makes the monoidal structure strict: associators and unitors are
@@ -53,11 +57,11 @@ class Rep:
 
     ``mats`` is either a complete dict element -> matrix, which becomes the
     memo, or a function of the element, which needs ``dim`` and fills the
-    memo on demand.  ``validate`` checks the law on every walk edge, and so
-    builds every matrix of a derived rep first.
+    memo on demand.  ``require_valid`` checks the law on every walk edge,
+    and so builds every matrix of a derived rep first.
     """
 
-    def __init__(self, carrier, field, mats, validate=True, tag="", dim=None):
+    def __init__(self, carrier, field, mats, tag="", dim=None):
         self.carrier = carrier
         self.field = field
         self.tag = tag
@@ -73,13 +77,11 @@ class Rep:
                 raise RepError("need exactly one matrix per carrier element")
             self._action = self.mats.__getitem__
             self.dim = self.mats[0].rows
-        if validate:
-            for i in carrier.elements:
-                self.mat(i)
-            self._validate()
 
-    def _validate(self):
-        for i, m in self.mats.items():
+    def require_valid(self):
+        """Raise RepError unless every matrix fits and the law holds on the walk."""
+        for i in self.carrier.elements:
+            m = self.mat(i)
             if m.rows != self.dim or m.cols != self.dim or m.field != self.field:
                 raise RepError(f"matrix at element {i} has wrong shape or field")
         if not self.mats[0].is_identity():
@@ -115,7 +117,7 @@ def rep_equal(a, b):
 class Morphism:
     """An equivariant matrix between the spaces of two representations."""
 
-    def __init__(self, source, target, matrix, validate=True, tag=""):
+    def __init__(self, source, target, matrix, tag=""):
         if source.carrier is not target.carrier:
             raise RepError("source and target live over different carriers")
         if source.field != target.field or matrix.field != source.field:
@@ -128,34 +130,37 @@ class Morphism:
         self.target = target
         self.matrix = matrix
         self.tag = tag
-        if validate:
-            for g in source.carrier.gens:
-                if mat_mul(matrix, source.mat(g)) != mat_mul(target.mat(g), matrix):
-                    raise RepError(f"equivariance fails at generator {g}")
+
+    def require_valid(self):
+        """Raise RepError unless the matrix is equivariant on the generators."""
+        f = self.matrix
+        for g in self.source.carrier.gens:
+            if mat_mul(f, self.source.mat(g)) != mat_mul(self.target.mat(g), f):
+                raise RepError(f"equivariance fails at generator {g}")
 
     def __repr__(self):
         return f"<Morphism {self.source.dim}->{self.target.dim}{': ' + self.tag if self.tag else ''}>"
 
 
 def identity_mor(x):
-    return Morphism(x, x, Matrix.identity(x.field, x.dim), validate=False, tag="id")
+    return Morphism(x, x, Matrix.identity(x.field, x.dim), tag="id")
 
 
 def zero_mor(x, y):
-    return Morphism(x, y, Matrix.zeros(x.field, y.dim, x.dim), validate=False, tag="0")
+    return Morphism(x, y, Matrix.zeros(x.field, y.dim, x.dim), tag="0")
 
 
 def compose(f, g):
     """The composite f after g."""
     if g.target.carrier is not f.source.carrier or g.target.dim != f.source.dim:
         raise RepError("composition mismatch")
-    return Morphism(g.source, f.target, mat_mul(f.matrix, g.matrix), validate=False)
+    return Morphism(g.source, f.target, mat_mul(f.matrix, g.matrix))
 
 
 def unit_rep(carrier, field):
     """The one-dimensional trivial representation."""
     one = Matrix.identity(field, 1)
-    return Rep(carrier, field, {i: one for i in carrier.elements}, validate=False, tag="1")
+    return Rep(carrier, field, {i: one for i in carrier.elements}, tag="1")
 
 
 def tensor_obj(x, y):
@@ -166,7 +171,7 @@ def tensor_obj(x, y):
         raise RepError("tensor factors over different fields")
     tag = f"({x.tag})(x)({y.tag})" if x.tag or y.tag else ""
     return Rep(x.carrier, x.field, lambda i: mat_kron(x.mat(i), y.mat(i)),
-               validate=False, tag=tag, dim=x.dim * y.dim)
+               tag=tag, dim=x.dim * y.dim)
 
 
 def tensor_mor(f, g):
@@ -175,7 +180,6 @@ def tensor_mor(f, g):
         tensor_obj(f.source, g.source),
         tensor_obj(f.target, g.target),
         mat_kron(f.matrix, g.matrix),
-        validate=False,
     )
 
 
@@ -185,18 +189,18 @@ def symmetry(x, y):
     # row (j, i) picks column (i, j)
     rows = [{i * dy + j: 1} for j in range(dy) for i in range(dx)]
     mat = Matrix(x.field, dx * dy, dx * dy, _normalized=True, nzrows=rows)
-    return Morphism(tensor_obj(x, y), tensor_obj(y, x), mat, validate=False, tag="swap")
+    return Morphism(tensor_obj(x, y), tensor_obj(y, x), mat, tag="swap")
 
 
 def restrict(x, h):
     """View a representation of G as a representation of the subgroup h."""
     if hasattr(x.carrier, "parent"):
         raise RepError("restriction starts from a full-group representation")
-    return Rep(h, x.field, x.mat, validate=False, tag=f"Res({x.tag})" if x.tag else "Res", dim=x.dim)
+    return Rep(h, x.field, x.mat, tag=f"Res({x.tag})" if x.tag else "Res", dim=x.dim)
 
 
 def restrict_mor(f, h):
-    return Morphism(restrict(f.source, h), restrict(f.target, h), f.matrix, validate=False)
+    return Morphism(restrict(f.source, h), restrict(f.target, h), f.matrix)
 
 
 def _combination(coeffs, mats):
@@ -217,8 +221,8 @@ def hom_space_basis(x, y):
     block kron(I_y, x(g)^T) - kron(y(g), I_x) per generator, acting on T
     flattened row-major.  Each nullspace column is read back row-major.
     The basis maps are not revalidated: each solves the stacked generator
-    equations exactly, and those equations are all that ``validate=True``
-    would check.
+    equations exactly, and those equations are all that ``require_valid``
+    checks.
     """
     if x.carrier is not y.carrier or x.field != y.field:
         raise RepError("hom space needs a common carrier and field")
@@ -238,8 +242,7 @@ def hom_space_basis(x, y):
         r, s = divmod(i, x.dim)
         for k, v in row.items():
             maps[k][r][s] = v
-    return [Morphism(x, y, Matrix(field, y.dim, x.dim, den=cols.den, nzrows=rows),
-                     validate=False)
+    return [Morphism(x, y, Matrix(field, y.dim, x.dim, den=cols.den, nzrows=rows))
             for rows in maps]
 
 
@@ -257,7 +260,7 @@ def random_hom(x, y, seed):
             coeffs = [rng.randrange(p) for _ in basis]
         if any(coeffs):
             break
-    return Morphism(x, y, _combination(coeffs, [b.matrix for b in basis]), validate=False)
+    return Morphism(x, y, _combination(coeffs, [b.matrix for b in basis]))
 
 
 def _perm_action_on_cosets(carrier, k_elems, field):
@@ -333,4 +336,4 @@ def random_rep(carrier, field, seed, budget):
         return mat_mul(umat, mat_mul(perm, uinv))
 
     dims = "+".join(str(d) for _, d, _ in blocks)
-    return Rep(carrier, field, action, validate=False, dim=total, tag=f"rand[{dims}|seed={seed}]")
+    return Rep(carrier, field, action, dim=total, tag=f"rand[{dims}|seed={seed}]")

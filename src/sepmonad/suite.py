@@ -85,24 +85,6 @@ WORKERS_ENV = "SEPMONAD_WORKERS"
 
 CORRUPTIONS = ("ring_mul", "xi_block", "rep_action")
 
-# Ids in dependency order; later checks assume the structures the earlier
-# ones certify.
-CHECK_IDS = (
-    "group_axioms",
-    "rep_hom_sanity",
-    "triangle_identities",
-    "counit_section",
-    "lambda_laws",
-    "projection_formula",
-    "monad_morphism",
-    "ring_axioms",
-    "monad_laws",
-    "module_idempotent",
-    "em_unit_roundtrip",
-    "em_counit_roundtrip",
-    "extension_of_scalars",
-)
-
 _DOMAIN_ERRORS = (GroupError, RepError, RingAxiomError, ModuleAxiomError, EMError)
 
 # Matrices above this entry count are reported by digest, not by value.
@@ -355,7 +337,7 @@ class Ctx:
 
     @cached_property
     def iso(self):
-        return canonical_ring_iso(self.cs, self.field, standard=self.ring, adjunction=self.ring_adj)
+        return canonical_ring_iso(self.ring, self.ring_adj)
 
     @cached_property
     def modules(self):
@@ -370,6 +352,21 @@ class Ctx:
             out.append(summand)
         return out
 
+    @cached_property
+    def splits(self):
+        """``em_inverse_split`` of each module, or the domain error it raised.
+
+        Split once per case: ``module_idempotent`` and
+        ``em_counit_roundtrip`` both read it.
+        """
+        out = []
+        for mod in self.modules:
+            try:
+                out.append(em_inverse_split(mod, self.cs))
+            except _DOMAIN_ERRORS as exc:
+                out.append(exc)
+        return out
+
 
 def _with_first_entry(m, num):
     """m with the numerator of entry (0, 0) set to num, over the same den."""
@@ -379,18 +376,17 @@ def _with_first_entry(m, num):
 
 
 def _corrupt_rep(rep):
-    """Flip one entry of one action matrix; rebuilt without validation."""
+    """Flip one entry of one action matrix."""
     mats = {g: rep.mat(g) for g in rep.carrier.elements}
     m = mats[0]
     mats[0] = _with_first_entry(m, m.nzrows[0].get(0, 0) + m.den)
-    return Rep(rep.carrier, rep.field, mats, validate=False, tag=f"{rep.tag}|corrupted")
+    return Rep(rep.carrier, rep.field, mats, tag=f"{rep.tag}|corrupted")
 
 
 def _corrupt_ring(ring):
-    """Zero the structure constant mu(e_0 (x) e_0); rebuilt unvalidated."""
-    mul = Morphism(ring.mul.source, ring.mul.target, _with_first_entry(ring.mul.matrix, 0),
-                   validate=False)
-    return RingObject(ring.carrier, mul, ring.unit, ring.section, validate=False)
+    """Zero the structure constant mu(e_0 (x) e_0)."""
+    mul = Morphism(ring.mul.source, ring.mul.target, _with_first_entry(ring.mul.matrix, 0))
+    return RingObject(ring.carrier, mul, ring.unit, ring.section)
 
 
 def _need(out, kind, context, lhs, rhs):
@@ -429,13 +425,12 @@ def _check_rep_hom_sanity(ctx):
     out = []
     for rep in ctx.hreps + ctx.greps:
         try:
-            Rep(rep.carrier, rep.field, {g: rep.mat(g) for g in rep.carrier.elements},
-                validate=True, tag=rep.tag)
+            rep.require_valid()
         except RepError as exc:
             out.append(_witness_from_error("rep_hom_sanity", f"rep {rep.tag}", exc))
     for i, f in enumerate(ctx.hmors + ctx.gmors):
         try:
-            Morphism(f.source, f.target, f.matrix, validate=True)
+            f.require_valid()
         except RepError as exc:
             out.append(_witness_from_error("rep_hom_sanity", f"morphism {i}", exc))
     return out
@@ -488,7 +483,7 @@ def _check_counit_section(ctx):
     for i, n in enumerate(ctx.hreps):
         xi = section_xi(n, cs)
         if ctx.corruption == "xi_block" and i == 0:
-            xi = Morphism(xi.source, xi.target, _with_first_entry(xi.matrix, 0), validate=False)
+            xi = Morphism(xi.source, xi.target, _with_first_entry(xi.matrix, 0))
         eps = counit_eps(n, cs)
         _need_identity(out, "counit_section", f"eps . xi at {n.tag}",
                        mat_mul(eps.matrix, xi.matrix))
@@ -572,7 +567,7 @@ def _check_projection_formula(ctx):
             _need(out, "projection_closed_form", f"pair {k}", pi.matrix, composite.matrix)
         if y.dim * x.dim <= 6:
             try:
-                Morphism(pi.source, pi.target, pi.matrix, validate=True)
+                pi.require_valid()
             except RepError as exc:
                 out.append(_witness_from_error("projection_equivariance", f"pair {k}", exc))
     for n in ctx.lam_reps[:2]:
@@ -585,7 +580,7 @@ def _check_projection_formula(ctx):
 
 
 def _check_monad_morphism(ctx):
-    mm = pi_as_monad_morphism(ctx.cs, ctx.field, ring=ctx.ring, iso=ctx.iso)
+    mm = pi_as_monad_morphism(ctx.ring, ctx.iso, ctx.cs)
     out = []
     for x in ctx.mm_objs:
         out.extend(_from_failures("monad_morphism", f"at {x.tag}",
@@ -639,12 +634,11 @@ def _check_monad_laws(ctx):
 
 def _check_module_idempotent(ctx):
     out = []
-    for mod in ctx.modules:
-        try:
-            _, p, m, e = em_inverse_split(mod, ctx.cs)
-        except _DOMAIN_ERRORS as exc:
-            out.append(_witness_from_error("module_idempotent", f"module {mod.tag}", exc))
+    for mod, split in zip(ctx.modules, ctx.splits):
+        if isinstance(split, Exception):
+            out.append(_witness_from_error("module_idempotent", f"module {mod.tag}", split))
             continue
+        _, p, m, e = split
         _need_identity(out, "module_idempotent", f"p . m at {mod.tag}",
                        mat_mul(p.matrix, m.matrix))
         _need(out, "module_idempotent", f"m . p = e at {mod.tag}",
@@ -655,7 +649,6 @@ def _check_module_idempotent(ctx):
 def _check_em_unit_roundtrip(ctx):
     out = []
     cs = ctx.cs
-    eye = Matrix.identity(ctx.field, cs.index)
     data = []
     for n in ctx.hreps:
         try:
@@ -670,11 +663,11 @@ def _check_em_unit_roundtrip(ctx):
         mod_i, _, m_i, w1_i, _ = data[i]
         mod_j, p_j, _, w1_j, _ = data[j]
         try:
-            em_mor(f, cs, ctx.ring, source=mod_i, target=mod_j)
+            ef = em_mor(f, cs, mod_i, mod_j)
         except _DOMAIN_ERRORS as exc:
             out.append(_witness_from_error("em_unit_roundtrip", f"E on hmor {i}", exc))
             continue
-        through = mat_mul(p_j.matrix, mat_mul(mat_kron(eye, f.matrix), m_i.matrix))
+        through = mat_mul(p_j.matrix, mat_mul(ef.matrix, m_i.matrix))
         _need(out, "em_unit_naturality", f"hmor {i}",
               mat_mul(w1_j.matrix, f.matrix), mat_mul(through, w1_i.matrix))
     return out
@@ -682,9 +675,11 @@ def _check_em_unit_roundtrip(ctx):
 
 def _check_em_counit_roundtrip(ctx):
     out = []
-    for mod in ctx.modules:
+    for mod, split in zip(ctx.modules, ctx.splits):
         try:
-            em_counit_iso(mod, ctx.cs)
+            if isinstance(split, Exception):
+                raise split
+            em_counit_iso(mod, split, ctx.cs)
         except _DOMAIN_ERRORS as exc:
             out.append(_witness_from_error("em_counit_roundtrip", f"module {mod.tag}", exc))
     return out
@@ -713,6 +708,8 @@ def _check_extension_of_scalars(ctx):
     return out
 
 
+# In dependency order; later checks assume the structures the earlier ones
+# certify.
 _CHECKS = (
     ("group_axioms", _check_group_axioms),
     ("rep_hom_sanity", _check_rep_hom_sanity),
@@ -728,6 +725,8 @@ _CHECKS = (
     ("em_counit_roundtrip", _check_em_counit_roundtrip),
     ("extension_of_scalars", _check_extension_of_scalars),
 )
+
+CHECK_IDS = tuple(cid for cid, _ in _CHECKS)
 
 
 def run_suite(cfg):

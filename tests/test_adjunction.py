@@ -21,8 +21,6 @@ from sepmonad.groups import right_cosets, subgroup_generated
 from sepmonad.monadring import coset_permutation_rep, standard_ring
 from sepmonad.presets import load_preset
 from sepmonad.repcat import (
-    Morphism,
-    Rep,
     compose,
     identity_mor,
     random_hom,
@@ -45,7 +43,8 @@ def _s3_setup(field=Q):
 
 def test_coind_of_trivial_is_coset_permutation():
     _, h, cs = _s3_setup()
-    a = coind_obj(unit_rep(h, Q), cs, validate=True)
+    a = coind_obj(unit_rep(h, Q), cs)
+    a.require_valid()
     assert a.dim == 3
     rows = lambda m: [[int(m.entry(i, j)) for j in range(3)] for i in range(3)]
     assert rows(a.mat(1)) == [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
@@ -55,7 +54,9 @@ def test_coind_of_trivial_is_coset_permutation():
 def test_coind_dimension_is_index_times_dim():
     _, h, cs = _s3_setup()
     n = random_rep(h, Q, seed=0, budget=2)
-    assert coind_obj(n, cs, validate=True).dim == cs.index * n.dim
+    cn = coind_obj(n, cs)
+    cn.require_valid()
+    assert cn.dim == cs.index * n.dim
 
 
 def test_triangle_identities():
@@ -110,7 +111,7 @@ def test_structure_maps_are_equivariant():
             x = random_rep(group, fld, seed=0, budget=3)
             n = random_rep(h, fld, seed=5, budget=2)
             m = random_rep(h, fld, seed=2, budget=2)
-            coind_obj(n, cs, validate=True)
+            coind_obj(n, cs).require_valid()
             maps = [
                 unit_eta(x, cs),
                 counit_eps(n, cs),
@@ -123,7 +124,7 @@ def test_structure_maps_are_equivariant():
                 coind_mor(random_hom(n, m, seed=6), cs),
             ]
             for f in maps:
-                Morphism(f.source, f.target, f.matrix, validate=True)
+                f.require_valid()
 
 
 def test_unit_naturality():
@@ -171,7 +172,7 @@ def test_projection_invertible_and_closed_form():
         composite = compose(lax_lambda(y, restrict(x, h), cs),
                             tensor_mor(identity_mor(coind_obj(y, cs)), unit_eta(x, cs)))
         assert pi.matrix == composite.matrix
-        Morphism(pi.source, pi.target, pi.matrix, validate=True)
+        pi.require_valid()
 
 
 def test_projection_strictness():
@@ -191,7 +192,8 @@ def test_whole_group_subgroup_is_trivial():
     assert cs.index == 1
     x = random_rep(group, Q, seed=0, budget=3)
     rx = restrict(x, h)
-    cn = coind_obj(rx, cs, validate=True)
+    cn = coind_obj(rx, cs)
+    cn.require_valid()
     assert cn.dim == x.dim
     for g in group.elements:
         assert cn.mat(g) == x.mat(g)
@@ -205,7 +207,8 @@ def test_trivial_subgroup_coind_has_full_index():
     cs = right_cosets(group, h)
     assert cs.index == 4
     n = unit_rep(h, Q)
-    a = coind_obj(n, cs, validate=True)
+    a = coind_obj(n, cs)
+    a.require_valid()
     assert a.dim == 4
     assert a.mat(0).is_identity()
 
@@ -234,9 +237,9 @@ def test_derived_reps_are_lazy_and_correct(name, field):
         rep.mat(g)
         assert len(rep.mats) == before + 1
     for rep in derived + [img]:
-        full = {g: rep.mat(g) for g in rep.carrier.elements}
-        Rep(rep.carrier, field, full, validate=True)
-    checked = coind_obj(ux.source, cs, validate=True)
+        rep.require_valid()
+    checked = coind_obj(ux.source, cs)
+    checked.require_valid()
     assert len(checked.mats) == group.order
     eta = unit_eta(m, cs)
     for g in group.elements:

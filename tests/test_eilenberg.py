@@ -7,7 +7,6 @@ from sepmonad.eilenberg import (
     EMError,
     em_comparison,
     em_counit_iso,
-    em_inverse,
     em_inverse_split,
     em_mor,
     em_unit_iso,
@@ -66,7 +65,7 @@ def test_free_module_on_trivial_recovers_unit_dim():
     cs, ring = _setup("s3")
     free = free_module(ring, unit_rep(cs.group, Q))
     assert free.dim == cs.index
-    img = em_inverse(free, cs)
+    img = em_inverse_split(free, cs)[0]
     assert img.dim == 1
 
 
@@ -88,7 +87,6 @@ def test_invalid_action_rejected():
         free.action.source,
         free.action.target,
         Matrix(Q, free.action.matrix.rows, free.action.matrix.cols, nums, free.action.matrix.den),
-        validate=False,
     )
     with pytest.raises(Exception):
         AModule(ring, free.carrier, bad)
@@ -108,7 +106,7 @@ def test_split_idempotent_identity_and_zero():
 def test_split_idempotent_rejects_non_idempotent():
     cs, _ = _setup("s3")
     x = random_rep(cs.subgroup, Q, seed=5, budget=2)
-    f = Morphism(x, x, Matrix.from_flat(Q, x.dim, x.dim, [2 if i == j else 0 for i in range(x.dim) for j in range(x.dim)]), validate=False)
+    f = Morphism(x, x, Matrix.from_flat(Q, x.dim, x.dim, [2 if i == j else 0 for i in range(x.dim) for j in range(x.dim)]))
     with pytest.raises(EMError):
         split_idempotent(f, x)
 
@@ -149,10 +147,12 @@ def test_em_unit_roundtrip():
 def test_em_counit_roundtrip_on_free_and_comparison():
     cs, ring = _setup("s3")
     y = random_rep(cs.group, Q, seed=6, budget=2)
-    phi, psi = em_counit_iso(free_module(ring, y), cs)
+    free = free_module(ring, y)
+    phi, psi = em_counit_iso(free, em_inverse_split(free, cs), cs)
     assert mat_mul(phi.matrix, psi.matrix).is_identity()
     n = random_rep(cs.subgroup, Q, seed=7, budget=2)
-    phi2, psi2 = em_counit_iso(em_comparison(n, cs, ring), cs)
+    comparison = em_comparison(n, cs, ring)
+    phi2, psi2 = em_counit_iso(comparison, em_inverse_split(comparison, cs), cs)
     assert mat_mul(psi2.matrix, phi2.matrix).is_identity()
 
 
@@ -184,9 +184,10 @@ def _zeroed(fn):
 def test_round_trip_witness_is_the_composite_against_identity(monkeypatch, field, iso, corrupt,
                                                               message):
     cs, ring = _setup("s3", field)
+    free = free_module(ring, random_rep(cs.group, field, seed=1, budget=2))
     args = {
         "em_unit_iso": (random_rep(cs.subgroup, field, seed=0, budget=2), cs, ring),
-        "em_counit_iso": (free_module(ring, random_rep(cs.group, field, seed=1, budget=2)), cs),
+        "em_counit_iso": (free, em_inverse_split(free, cs), cs),
         "extension_of_scalars_iso": (random_rep(cs.group, field, seed=1, budget=2), cs, ring),
     }[iso]
     monkeypatch.setattr(eilenberg, corrupt, _zeroed(getattr(eilenberg, corrupt)))
@@ -227,7 +228,8 @@ def test_modular_em_equivalence(name, p):
     *_, w1, w2 = em_unit_iso(n, cs, ring)
     assert mat_mul(w2.matrix, w1.matrix).is_identity()
     y = random_rep(cs.group, GF(p), seed=1, budget=2)
-    phi, psi = em_counit_iso(free_module(ring, y), cs)
+    free = free_module(ring, y)
+    phi, psi = em_counit_iso(free, em_inverse_split(free, cs), cs)
     assert mat_mul(phi.matrix, psi.matrix).is_identity()
     phi2, psi2 = extension_of_scalars_iso(y, cs, ring)
     assert mat_mul(phi2.matrix, psi2.matrix).is_identity()
@@ -237,14 +239,13 @@ def test_em_mor_functoriality():
     cs, ring = _setup("s3")
     n1 = random_rep(cs.subgroup, Q, seed=8, budget=2)
     n2 = random_rep(cs.subgroup, Q, seed=9, budget=2)
+    e1, e2 = em_comparison(n1, cs, ring), em_comparison(n2, cs, ring)
     f = random_hom(n1, n2, seed=10)
-    ef = em_mor(f, cs, ring)
+    ef = em_mor(f, cs, e1, e2)
     assert ef.matrix.rows == cs.index * n2.dim
     g = random_hom(n2, n1, seed=11)
-    eg = em_mor(g, cs, ring)
-    comp = em_mor(
-        Morphism(n1, n1, mat_mul(g.matrix, f.matrix), validate=False), cs, ring
-    )
+    eg = em_mor(g, cs, e2, e1)
+    comp = em_mor(Morphism(n1, n1, mat_mul(g.matrix, f.matrix)), cs, e1, e1)
     assert mat_mul(eg.matrix, ef.matrix) == comp.matrix
 
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepmonad.groups import (
+    PERMUTATION_CLOSURE_CAP,
     GroupError,
-    factorize,
     group_from_cayley_table,
     group_from_permutations,
     load_group_json,
@@ -68,10 +68,18 @@ def test_factorize_recomposes_everywhere():
         h = subgroup_generated(group, default)
         cs = right_cosets(group, h)
         for x in group.elements:
-            hh, r = factorize(cs, x)
+            hh, r = cs.fact[x]
             assert hh in h.elements
             assert r in cs.reps
             assert group.mul(hh, r) == x
+
+
+def test_permutation_closure_above_the_cap_is_refused():
+    # S7 has 5040 elements: the closure stops at the cap
+    s7 = [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)]
+    assert PERMUTATION_CLOSURE_CAP == 1024
+    with pytest.raises(GroupError, match="size cap of 1024 elements"):
+        group_from_permutations(s7)
 
 
 def test_inverse_and_identity_laws():

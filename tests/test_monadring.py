@@ -90,10 +90,10 @@ def test_invalid_ring_rejected(s3_cs, s3_ring):
         s3_ring.mul.source,
         s3_ring.mul.target,
         Matrix(Q, s3_ring.mul.matrix.rows, s3_ring.mul.matrix.cols, nums),
-        validate=False,
     )
     with pytest.raises(RingAxiomError) as err:
-        RingObject(s3_ring.carrier, bad_mul, s3_ring.unit, s3_ring.section)
+        RingObject(s3_ring.carrier, bad_mul, s3_ring.unit, s3_ring.section).require_valid(
+            "ring axioms fail")
     assert err.value.failures
 
 
@@ -101,7 +101,7 @@ def test_adjunction_ring_matches_standard(s3_cs):
     std = standard_ring(s3_cs, Q)
     adj = ring_from_adjunction(s3_cs, Q)
     assert ring_axiom_failures(adj) == []
-    iso = canonical_ring_iso(s3_cs, Q, standard=std, adjunction=adj)
+    iso = canonical_ring_iso(std, adj)
     assert iso.matrix.is_identity()
     assert ring_iso_failures(std, adj, iso) == []
     transported = transport_section(std, adj, iso)
@@ -112,7 +112,7 @@ def test_adjunction_ring_modular():
     cs, _ = _space("c4")
     std = standard_ring(cs, GF(2))
     adj = ring_from_adjunction(cs, GF(2))
-    iso = canonical_ring_iso(cs, GF(2), standard=std, adjunction=adj)
+    iso = canonical_ring_iso(std, adj)
     assert ring_iso_failures(std, adj, iso) == []
 
 
@@ -142,15 +142,15 @@ def test_monad_from_invalid_ring_refused(s3_cs, s3_ring):
         s3_ring.mul.source,
         s3_ring.mul.target,
         Matrix(Q, s3_ring.mul.matrix.rows, s3_ring.mul.matrix.cols, nums),
-        validate=False,
     )
-    bad = RingObject(s3_ring.carrier, bad_mul, s3_ring.unit, s3_ring.section, validate=False)
+    bad = RingObject(s3_ring.carrier, bad_mul, s3_ring.unit, s3_ring.section)
     with pytest.raises(RingAxiomError):
         monad_from_ring(bad)
 
 
-def test_monad_morphism_diagrams(s3_cs):
-    mm = pi_as_monad_morphism(s3_cs, Q)
+def test_monad_morphism_diagrams(s3_cs, s3_ring):
+    iso = canonical_ring_iso(s3_ring, ring_from_adjunction(s3_cs, Q))
+    mm = pi_as_monad_morphism(s3_ring, iso, s3_cs)
     for seed in range(3):
         x = random_rep(s3_cs.group, Q, seed=seed, budget=2)
         assert monad_morphism_failures(mm, x) == []
@@ -158,7 +158,8 @@ def test_monad_morphism_diagrams(s3_cs):
 
 def test_monad_morphism_modular():
     cs, _ = _space("c4")
-    mm = pi_as_monad_morphism(cs, GF(2))
+    std = standard_ring(cs, GF(2))
+    mm = pi_as_monad_morphism(std, canonical_ring_iso(std, ring_from_adjunction(cs, GF(2))), cs)
     x = random_rep(cs.group, GF(2), seed=1, budget=2)
     assert monad_morphism_failures(mm, x) == []
 

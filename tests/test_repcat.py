@@ -38,7 +38,9 @@ def regular_rep(group, field):
         for x in group.elements:
             nums[group.mul(g, x) * n + x] = 1
         mats[g] = Matrix(field, n, n, nums)
-    return Rep(group, field, mats, validate=True, tag="reg")
+    reg = Rep(group, field, mats, tag="reg")
+    reg.require_valid()
+    return reg
 
 
 def test_c2_regular_character():
@@ -94,7 +96,7 @@ def test_invalid_rep_rejected():
     c2, _ = load_preset("c2")
     bad = {0: Matrix.identity(Q, 1), 1: Matrix.from_rows(Q, [[2]])}
     with pytest.raises(RepError):
-        Rep(c2, Q, bad)  # 2 * 2 != 1, not a homomorphism to GL_1
+        Rep(c2, Q, bad).require_valid()  # 2 * 2 != 1, not a homomorphism to GL_1
 
 
 def test_wrong_non_identity_element_breaks_homomorphism_law():
@@ -105,7 +107,7 @@ def test_wrong_non_identity_element_breaks_homomorphism_law():
     mats = {g: good.mat(g) for g in s3.elements}
     mats[5] = mats[4]
     with pytest.raises(RepError, match="homomorphism law fails"):
-        Rep(s3, Q, mats)
+        Rep(s3, Q, mats).require_valid()
 
 
 def test_short_generator_set_is_rejected():
@@ -114,14 +116,14 @@ def test_short_generator_set_is_rejected():
     short = Subgroup(s3, s3.elements, gens=(1,))
     one = Matrix.identity(Q, 1)
     with pytest.raises(RepError, match="does not generate"):
-        Rep(short, Q, {g: one for g in s3.elements})
+        Rep(short, Q, {g: one for g in s3.elements}).require_valid()
 
 
 def test_identity_must_act_as_identity():
     c2, _ = load_preset("c2")
     bad = {0: Matrix.from_rows(Q, [[-1]]), 1: Matrix.from_rows(Q, [[1]])}
     with pytest.raises(RepError):
-        Rep(c2, Q, bad)
+        Rep(c2, Q, bad).require_valid()
 
 
 def test_strict_associativity_of_tensor():
@@ -164,7 +166,7 @@ def test_symmetry_is_equivariant():
     x = random_rep(s3, Q, seed=9, budget=2)
     y = random_rep(s3, Q, seed=10, budget=2)
     s = symmetry(x, y)
-    Morphism(s.source, s.target, s.matrix, validate=True)
+    s.require_valid()
 
 
 def test_random_rep_deterministic_and_valid():
@@ -173,7 +175,7 @@ def test_random_rep_deterministic_and_valid():
     b = random_rep(s3, Q, seed=42, budget=4)
     assert rep_equal(a, b)
     assert a.dim == 4
-    Rep(s3, Q, {g: a.mat(g) for g in s3.elements}, validate=True)
+    a.require_valid()
     c = random_rep(s3, Q, seed=43, budget=4)
     assert not rep_equal(a, c)
 
@@ -210,7 +212,7 @@ def test_seeded_random_reps_are_frozen(name, spec, side):
 def test_random_rep_modular():
     c4, _ = load_preset("c4")
     x = random_rep(c4, GF(2), seed=0, budget=3)
-    Rep(c4, GF(2), {g: x.mat(g) for g in c4.elements}, validate=True)
+    x.require_valid()
     assert x.dim == 3
 
 
@@ -240,4 +242,4 @@ def test_random_hom_is_equivariant(seed, budget):
     s3, _ = load_preset("s3")
     x = random_rep(s3, Q, seed=seed, budget=budget)
     f = random_hom(x, x, seed=seed)
-    Morphism(x, x, f.matrix, validate=True)
+    f.require_valid()

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from sepmonad import adjunction, suite
+from sepmonad import adjunction, eilenberg, suite
 from sepmonad.cli import main
+from sepmonad.eilenberg import EMError
 from sepmonad.exactlin import GF, QQ, Matrix
 from sepmonad.repcat import Morphism
 from sepmonad.suite import (
@@ -91,6 +92,40 @@ def test_mutation_smoke_detects_each_corruption(corruption):
     witness = failed[0].witness
     assert witness is not None
     assert witness["kind"] and witness["context"]
+
+
+def test_each_module_is_split_once_per_case(monkeypatch):
+    """module_idempotent and em_counit_roundtrip read one split per module."""
+    calls = []
+    real = eilenberg.em_inverse_split
+
+    def spy(mod, cs):
+        calls.append(mod)
+        return real(mod, cs)
+
+    monkeypatch.setattr(eilenberg, "em_inverse_split", spy)
+    monkeypatch.setattr(suite, "em_inverse_split", spy)
+    assert run_suite(SuiteConfig(group="s4", family_size=10)).passed
+    # 11 modules (5 free, 5 comparison, the summand) once each, and the
+    # comparison module of each of the 10 H-reps in em_unit_roundtrip
+    assert len(calls) == 21
+
+
+def test_a_failed_split_is_reported_by_both_module_checks(monkeypatch):
+    real = eilenberg.em_inverse_split
+
+    def split(mod, cs):
+        if mod.tag == "summand":
+            raise EMError("module idempotent law e.e = e fails")
+        return real(mod, cs)
+
+    monkeypatch.setattr(suite, "em_inverse_split", split)
+    cfg = small_cfg(checks=("module_idempotent", "em_counit_roundtrip"))
+    idem, counit = run_suite(cfg).checks
+    assert (idem.status, idem.witness["kind"]) == ("fail", "module_idempotent")
+    assert (counit.status, counit.witness["kind"]) == ("fail", "em_counit_roundtrip")
+    assert idem.witness["context"] == counit.witness["context"] == (
+        "module summand: module idempotent law e.e = e fails")
 
 
 def test_unknown_group_is_config_error():
@@ -304,7 +339,7 @@ def test_changed_pi_block_entry_is_caught_by_projection_formula(monkeypatch, fie
         if invert:
             return mor
         bad = _changed_first_entry(mor.matrix)  # entry (0, 0) of the first block
-        return Morphism(mor.source, mor.target, bad, validate=False, tag=mor.tag)
+        return Morphism(mor.source, mor.target, bad, tag=mor.tag)
 
     monkeypatch.setattr(adjunction, "_pi_blockdiag", changed)
     [check] = run_suite(small_cfg(field=field, checks=("projection_formula",))).checks
@@ -323,7 +358,7 @@ def test_changed_pi_component_is_caught_by_monad_morphism(monkeypatch, field):
         def bad_at(x):
             mor = at(x)
             bad = _changed_first_entry(mor.matrix)
-            return Morphism(mor.source, mor.target, bad, validate=False, tag=mor.tag)
+            return Morphism(mor.source, mor.target, bad, tag=mor.tag)
 
         mm.at = bad_at
         return mm
