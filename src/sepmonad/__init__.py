@@ -14,6 +14,7 @@ from .exactlin import (
     QQ,
     Field,
     Matrix,
+    column_factor,
     mat_add,
     mat_inverse,
     mat_kron,
@@ -22,7 +23,6 @@ from .exactlin import (
     mat_sub,
     nullspace_basis,
     parse_field,
-    rank_and_column_basis,
     solve_linear,
 )
 from .groups import (

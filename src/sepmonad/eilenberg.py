@@ -27,12 +27,12 @@ from fractions import Fraction
 
 from .exactlin import (
     Matrix,
+    column_factor,
     hstack,
     mat_add,
     mat_kron,
     mat_mul,
     mat_scale,
-    rank_and_column_basis,
     solve_linear,
 )
 from .repcat import (
@@ -184,43 +184,23 @@ def em_mor(f, cs, source, target):
 
 
 def split_idempotent(e, x):
-    """Split an equivariant idempotent through its image representation.
+    """Split an idempotent of x through its image representation.
 
-    Returns (image, p, m) with m . p = e and p . m = id.  The image acts
-    by g -> p . x(g) . m, built lazily and not validated: its law follows
-    from e . e = e and e's equivariance on the generators (both checked
-    here) together with m . p = e and p . m = id.  ``p`` solves
-    m . p = e exactly, which gives p . m = id because m's columns are
-    independent and fixed by e; the ``module_idempotent`` check certifies
-    both identities.  ``p`` and ``m`` are validated on the generators.
+    Returns (image, p, m) with m . p = e and p . m = id, read off one
+    column factorization e = basis . coeffs: m = basis, the independent
+    columns of e, and p = coeffs.  The caller certifies e (e . e = e and
+    equivariance), and nothing is re-checked here.  Given that, m . p = e
+    by construction, and p . m = id because e . m = m and m's columns are
+    independent; so p and m are equivariant, and the image, which acts by
+    g -> p . x(g) . m and is built lazily, satisfies the group law.  The
+    ``module_idempotent`` check certifies both splitting identities.
     """
     if e.source is not x or e.target is not x:
         raise EMError("idempotent must be an endomorphism of the given representation")
-    e2 = mat_mul(e.matrix, e.matrix)
-    if e2 != e.matrix:
-        raise EMError("endomorphism is not idempotent", (e2, e.matrix))
-    for g in x.carrier.gens:
-        lhs = mat_mul(e.matrix, x.mat(g))
-        rhs = mat_mul(x.mat(g), e.matrix)
-        if lhs != rhs:
-            raise EMError(f"idempotent is not equivariant at generator {g}", (lhs, rhs))
-    r, basis, _ = rank_and_column_basis(e.matrix)
-    if r == 0:
-        zero = Matrix.zeros(x.field, 0, 0)
-        img = Rep(x.carrier, x.field, lambda g: zero, tag="0", dim=0)
-        p = Morphism(x, img, Matrix.zeros(x.field, 0, x.dim))
-        m = Morphism(img, x, Matrix.zeros(x.field, x.dim, 0))
-        return img, p, m
-    pmat = solve_linear(basis, e.matrix)
-    if pmat is None:
-        raise ArithmeticError("image basis failed to absorb the idempotent")
+    basis, pmat = column_factor(e.matrix)
     img = Rep(x.carrier, x.field, lambda g: mat_mul(pmat, mat_mul(x.mat(g), basis)),
-              tag=f"img({e.tag})" if e.tag else "img", dim=r)
-    p = Morphism(x, img, pmat, tag="retract")
-    m = Morphism(img, x, basis, tag="include")
-    p.require_valid()
-    m.require_valid()
-    return img, p, m
+              tag=f"img({e.tag})" if e.tag else "img", dim=basis.cols)
+    return img, Morphism(x, img, pmat, tag="retract"), Morphism(img, x, basis, tag="include")
 
 
 def em_inverse_split(mod, cs):
@@ -228,8 +208,9 @@ def em_inverse_split(mod, cs):
 
     e acts by the identity-coset idempotent, read H-equivariantly through
     the projection transport; returns (image H-rep, p, m, e) with
-    m . p = e, p . m = id.  Only e is checked here, for equivariance and
-    e . e = e: an AModule's axioms were checked when it was built.
+    m . p = e, p . m = id.  This is where e is certified, for
+    equivariance and e . e = e, before ``split_idempotent``, which does
+    not re-check it; an AModule's axioms were checked when it was built.
     """
     h = cs.subgroup
     x = mod.carrier

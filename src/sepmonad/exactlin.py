@@ -14,10 +14,10 @@ nonzeros, and products (Gustavson's row-by-row sparse product), Kronecker
 products, block assembly, identity tests and comparisons work on those
 rows, so they cost time per nonzero, not per entry.
 
-Rank, solve, inverse and nullspace pass those rows to the kernels of
-``backend``, which eliminate on them and return the reduced rows:
-fraction-free over Q, with every row kept primitive, and plain
-Gauss-Jordan over GF(p).  No floating point appears anywhere.
+The column factorization, solve, inverse and nullspace pass those rows
+to the kernels of ``backend``, which eliminate on them and return the
+reduced rows: fraction-free over Q, with every row kept primitive, and
+plain Gauss-Jordan over GF(p).  No floating point appears anywhere.
 """
 
 from fractions import Fraction
@@ -433,22 +433,17 @@ def _rref(rows_list, rows, cols, field):
     return pivots, red, 1
 
 
-def rank_and_column_basis(a):
-    """Rank, an independent-column basis, and a left inverse of that basis.
+def column_factor(a):
+    """a = basis . coeffs from one elimination: a column-row factorization.
 
-    Returns (rank, basis, witness) where basis is rows x rank built from
-    columns of a, and witness is rank x rows with witness * basis = I.
+    ``basis`` is the pivot columns of a (rows x rank, independent) and
+    ``coeffs`` is the nonzero rows of the RREF of a (rank x cols), so
+    coeffs restricted to the pivot columns is the identity and coeffs is
+    the unique X with basis . X = a.  The rank is ``basis.cols``.
     """
-    pivots, _, _ = _rref(a.nzrows, a.rows, a.cols, a.field)
-    basis = a.submatrix_cols(pivots)
-    r = len(pivots)
-    if r == 0:
-        return 0, basis, Matrix.zeros(a.field, 0, a.rows)
-    bt = basis.transpose()
-    x = solve_linear(bt, Matrix.identity(a.field, r))
-    if x is None:
-        raise ArithmeticError("column basis unexpectedly dependent")
-    return r, basis, x.transpose()
+    pivots, red, den = _rref(a.nzrows, a.rows, a.cols, a.field)
+    coeffs = Matrix(a.field, len(pivots), a.cols, den=den, nzrows=red)
+    return a.submatrix_cols(pivots), coeffs
 
 
 def _right_block(red, pivots, n):

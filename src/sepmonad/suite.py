@@ -785,19 +785,24 @@ def run_matrix(pairs=DEFAULT_PAIRS, fields=DEFAULT_FIELDS, seed=0, family_size=1
 
     Worker count comes from the argument, then the SEPMONAD_WORKERS
     environment variable, then a small default, and is capped at the number
-    of cases.  Returns one summary dict per case, in grid order.
+    of cases; a count below 1 is refused.  Returns one summary dict per
+    case, in grid order.
     """
     cases = [
         (group, subgroup, field, seed, family_size)
         for group, subgroup in pairs
         for field in fields
     ]
+    source = "workers"
     if workers is None:
+        source = WORKERS_ENV
         raw = os.environ.get(WORKERS_ENV, "")
         try:
             workers = int(raw) if raw.strip() else min(4, os.cpu_count() or 1)
         except ValueError:
             raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{source} must be at least 1, got {workers}")
     workers = min(workers, len(cases))
     if workers <= 1:
         return [_matrix_case(c) for c in cases]

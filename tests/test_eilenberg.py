@@ -17,17 +17,17 @@ from sepmonad.eilenberg import (
     module_axiom_failures,
     split_idempotent,
 )
-from sepmonad import eilenberg
+from sepmonad import eilenberg, exactlin
 from sepmonad.exactlin import (
     Field,
     GF,
     Matrix,
+    column_factor,
     hstack,
     mat_kron,
     mat_mul,
     mat_sub,
     nullspace_basis,
-    rank_and_column_basis,
     vstack,
 )
 from sepmonad.groups import right_cosets, subgroup_generated
@@ -35,6 +35,7 @@ from sepmonad.monadring import standard_ring
 from sepmonad.presets import load_preset, preset_names
 from sepmonad.repcat import (
     Morphism,
+    Rep,
     identity_mor,
     random_hom,
     random_rep,
@@ -103,12 +104,25 @@ def test_split_idempotent_identity_and_zero():
     assert p0.matrix.rows == 0 and m0.matrix.cols == 0
 
 
-def test_split_idempotent_rejects_non_idempotent():
-    cs, _ = _setup("s3")
-    x = random_rep(cs.subgroup, Q, seed=5, budget=2)
-    f = Morphism(x, x, Matrix.from_flat(Q, x.dim, x.dim, [2 if i == j else 0 for i in range(x.dim) for j in range(x.dim)]))
-    with pytest.raises(EMError):
-        split_idempotent(f, x)
+def test_em_unit_iso_refuses_a_module_whose_idempotent_is_not_one():
+    # split_idempotent trusts e; em_inverse_split is where e . e = e is checked
+    cs, ring = _setup("c2")
+    n = Rep(cs.subgroup, Q, {0: Matrix.from_rows(Q, [[2]])}, tag="doubled")
+    with pytest.raises(EMError, match=r"^module idempotent law e\.e = e fails$") as info:
+        em_unit_iso(n, cs, ring)
+    e2, e = info.value.witness
+    assert e == Matrix.from_rows(Q, [[2, 0], [0, 0]])
+    assert e2 == mat_mul(e, e) == Matrix.from_rows(Q, [[4, 0], [0, 0]])
+
+
+def test_em_inverse_split_runs_one_elimination(monkeypatch):
+    cs, ring = _setup("s3")
+    mod = em_comparison(random_rep(cs.subgroup, Q, seed=0, budget=2), cs, ring)
+    calls = []
+    real = exactlin._rref
+    monkeypatch.setattr(exactlin, "_rref", lambda *a: calls.append(a) or real(*a))
+    em_inverse_split(mod, cs)
+    assert len(calls) == 1
 
 
 def test_em_inverse_split_does_not_rerun_the_module_axioms(monkeypatch):
@@ -278,7 +292,7 @@ def _module_map_oracle(m1, m2):
 
 
 def _rank(m):
-    return rank_and_column_basis(m)[0]
+    return column_factor(m)[0].cols
 
 
 @pytest.mark.parametrize("field", [Q, GF(2)], ids=["q", "fp2"])

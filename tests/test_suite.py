@@ -212,6 +212,18 @@ def test_run_matrix_rejects_a_non_integer_worker_count(monkeypatch):
         run_matrix([("c2", None)], ("q",), family_size=1)
 
 
+@pytest.mark.parametrize("raw", ["0", "-2"])
+def test_run_matrix_rejects_a_worker_count_below_one_from_the_environment(monkeypatch, raw):
+    monkeypatch.setenv("SEPMONAD_WORKERS", raw)
+    with pytest.raises(ConfigError, match=f"^SEPMONAD_WORKERS must be at least 1, got {raw}$"):
+        run_matrix([("c2", None)], ("q",), family_size=1)
+
+
+def test_run_matrix_rejects_a_worker_count_below_one_as_argument():
+    with pytest.raises(ConfigError, match="^workers must be at least 1, got 0$"):
+        run_matrix([("c2", None)], ("q",), family_size=1, workers=0)
+
+
 def test_run_matrix_starts_no_more_workers_than_cases(monkeypatch):
     recorded = []
 
