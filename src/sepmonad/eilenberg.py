@@ -18,8 +18,11 @@ adjunction's structure maps; nothing is certified by a search when a
 closed form exists.  This module is the one place each round trip is
 built and checked: ``em_unit_iso``, ``em_counit_iso`` and
 ``extension_of_scalars_iso`` raise EMError with the failing
-(composite, identity) pair, which the suite reports as its witness.
-Modules and module maps are validated when they are built, always.
+(composite, identity) pair, which the suite reports as its witness; the
+second composite of a square pair follows from the first and is not
+formed (``exactlin.inverse_composites``).  Modules are validated when
+built, module maps by ``require_valid``, and the inverse of a certified
+isomorphism is not certified again.
 """
 
 import random
@@ -29,6 +32,7 @@ from .exactlin import (
     Matrix,
     column_factor,
     hstack,
+    inverse_composites,
     mat_add,
     mat_kron,
     mat_mul,
@@ -124,7 +128,11 @@ def module_axiom_failures(mod):
 
 
 class AModMorphism:
-    """A G-equivariant map between module carriers commuting with actions."""
+    """A map between module carriers, meant to be equivariant and A-linear.
+
+    The constructor checks the ring, fields and shapes only;
+    ``require_valid`` certifies both laws.
+    """
 
     def __init__(self, source, target, matrix):
         if source.ring is not target.ring:
@@ -132,10 +140,14 @@ class AModMorphism:
         self.source = source
         self.target = target
         self.matrix = matrix
-        Morphism(source.carrier, target.carrier, matrix).require_valid()
-        eye_a = Matrix.identity(matrix.field, source.ring.dim)
-        lhs = mat_mul(matrix, source.action.matrix)
-        rhs = mat_mul(target.action.matrix, mat_kron(eye_a, matrix))
+        self._carrier_map = Morphism(source.carrier, target.carrier, matrix)
+
+    def require_valid(self):
+        """Raise RepError unless equivariant, EMError unless A-linear."""
+        self._carrier_map.require_valid()
+        eye_a = Matrix.identity(self.matrix.field, self.source.ring.dim)
+        lhs = mat_mul(self.matrix, self.source.action.matrix)
+        rhs = mat_mul(self.target.action.matrix, mat_kron(eye_a, self.matrix))
         if lhs != rhs:
             raise EMError("map does not commute with the actions", (lhs, rhs))
 
@@ -180,7 +192,9 @@ def em_mor(f, cs, source, target):
     E(f.target); the map is checked to be equivariant and A-linear.
     """
     eye = Matrix.identity(f.matrix.field, cs.index)
-    return AModMorphism(source, target, mat_kron(eye, f.matrix))
+    ef = AModMorphism(source, target, mat_kron(eye, f.matrix))
+    ef.require_valid()
+    return ef
 
 
 def split_idempotent(e, x):
@@ -228,26 +242,28 @@ def em_inverse_split(mod, cs):
     return img, p, m, e
 
 
-def _need_identity(message, composite):
-    """Raise EMError with (composite, I) unless the composite is the identity."""
-    if not composite.is_identity():
-        raise EMError(message, (composite, Matrix.identity(composite.field, composite.rows)))
+def _need_inverse(a, b, on_ab, on_ba):
+    """Raise EMError unless a . b = I = b . a: message on_ab or on_ba, witness (composite, I)."""
+    for message, composite in zip((on_ab, on_ba), inverse_composites(a, b)):
+        if not composite.is_identity():
+            raise EMError(message, (composite, Matrix.identity(composite.field, composite.rows)))
 
 
 def em_unit_iso(n, cs, ring):
     """Mutually inverse H-morphisms between n and the round trip through E.
 
     Returns (mod, p, m, w1, w2): the comparison module mod = E(n), the
-    splitting p, m of its idempotent, and w1 = p . xi, w2 = eps . m.  Both
-    composites of w1 and w2 are checked to be identities exactly; the
-    splitting data is returned for naturality squares over maps of n.
+    splitting p, m of its idempotent, and w1 = p . xi, w2 = eps . m.
+    w2 . w1 = I is checked exactly, and w1 . w2 = I too unless w2 is
+    square, when it follows; the splitting data is returned for
+    naturality squares over maps of n.
     """
     mod = em_comparison(n, cs, ring)
     _, p, m, _ = em_inverse_split(mod, cs)
     w1 = compose(p, section_xi(n, cs))
     w2 = compose(counit_eps(n, cs), m)
-    _need_identity("unit round trip fails on n", mat_mul(w2.matrix, w1.matrix))
-    _need_identity("unit round trip fails on the image", mat_mul(w1.matrix, w2.matrix))
+    _need_inverse(w2.matrix, w1.matrix, "unit round trip fails on n",
+                  "unit round trip fails on the image")
     return mod, p, m, w1, w2
 
 
@@ -256,8 +272,10 @@ def em_counit_iso(mod, split, cs):
 
     ``split`` is ``em_inverse_split(mod, cs)``: the image H-rep img of
     the module's idempotent with its splitting p, m.  phi = action .
-    pi-inverse . Coind(m) and psi = Coind(p) . eta; both composites are
-    verified to be identities and both maps to be A-linear.
+    pi-inverse . Coind(m) and psi = Coind(p) . eta.  phi . psi = I is
+    verified, and psi . phi = I too unless phi is square, when it follows.
+    phi is certified equivariant and A-linear; so is psi = phi^-1, which is
+    not checked again.
     """
     img, p, m, _ = split
     x = mod.carrier
@@ -268,26 +286,30 @@ def em_counit_iso(mod, split, cs):
     eta = unit_eta(x, cs)
     cp = coind_mor(p, cs)
     psi_mat = mat_mul(cp.matrix, eta.matrix)
-    _need_identity("counit round trip fails on the module", mat_mul(phi_mat, psi_mat))
-    _need_identity("counit round trip fails on the comparison", mat_mul(psi_mat, phi_mat))
+    _need_inverse(phi_mat, psi_mat, "counit round trip fails on the module",
+                  "counit round trip fails on the comparison")
     phi = AModMorphism(en, mod, phi_mat)
-    psi = AModMorphism(mod, en, psi_mat)
-    return phi, psi
+    phi.require_valid()
+    return phi, AModMorphism(mod, en, psi_mat)
 
 
 def extension_of_scalars_iso(y, cs, ring):
-    """The projection as an A-linear isomorphism A (x) y -> E(Res y)."""
+    """The projection as an A-linear isomorphism A (x) y -> E(Res y).
+
+    Returns (phi, psi) = (pi, pi-inverse), checked to be mutually inverse
+    like ``em_counit_iso``'s; only phi is certified A-linear.
+    """
     h = cs.subgroup
     one_h = unit_rep(h, y.field)
     free = free_module(ring, y)
     en = em_comparison(restrict(y, h), cs, ring)
     pi = projection_pi(one_h, y, cs)
     pinv = projection_pi_inverse(one_h, y, cs)
-    _need_identity("pi . pi-inverse is not the identity", mat_mul(pi.matrix, pinv.matrix))
-    _need_identity("pi-inverse . pi is not the identity", mat_mul(pinv.matrix, pi.matrix))
+    _need_inverse(pi.matrix, pinv.matrix, "pi . pi-inverse is not the identity",
+                  "pi-inverse . pi is not the identity")
     phi = AModMorphism(free, en, pi.matrix)
-    psi = AModMorphism(en, free, pinv.matrix)
-    return phi, psi
+    phi.require_valid()
+    return phi, AModMorphism(en, free, pinv.matrix)
 
 
 def _minimal_polynomial(b):
@@ -374,8 +396,11 @@ def free_hom_basis(free, y, target):
     """
     eye_a = Matrix.identity(y.field, free.ring.dim)
     rho = target.action.matrix
-    return [AModMorphism(free, target, mat_mul(rho, mat_kron(eye_a, f.matrix)))
-            for f in hom_space_basis(y, target.carrier)]
+    basis = [AModMorphism(free, target, mat_mul(rho, mat_kron(eye_a, f.matrix)))
+             for f in hom_space_basis(y, target.carrier)]
+    for phi in basis:
+        phi.require_valid()
+    return basis
 
 
 def find_idempotent_summand(ring, cs, seed=0):

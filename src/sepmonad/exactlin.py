@@ -309,6 +309,19 @@ def mat_mul(a, b):
     return Matrix(a.field, a.rows, b.cols, den=den, _normalized=den == 1, nzrows=out)
 
 
+def inverse_composites(a, b):
+    """The composites (a . b, b . a) of a candidate inverse b of a.
+
+    Over a field a square a with a . b = I has b . a = I, which is then
+    returned without a second product.  Otherwise b . a is formed: a
+    one-sided inverse of a non-square map is not two-sided.
+    """
+    ab = mat_mul(a, b)
+    if a.rows == a.cols and ab.is_identity():
+        return ab, ab
+    return ab, mat_mul(b, a)
+
+
 def mat_kron(a, b):
     """Kronecker product; entry (i*b.rows+k, j*b.cols+l) is a[i,j]*b[k,l]."""
     _check_same_field(a, b)

@@ -15,6 +15,7 @@ from sepmonad.exactlin import (
     assemble,
     column_factor,
     hstack,
+    inverse_composites,
     mat_add,
     mat_inverse,
     mat_kron,
@@ -104,6 +105,25 @@ def test_inverse_mod_p():
     a = M(GF(5), [[2, 0], [0, 3]])
     inv = mat_inverse(a)
     assert mat_mul(a, inv).is_identity()
+
+
+def test_inverse_composites_of_a_square_pair_form_one_product():
+    a = M(Q, [[1, 1], [0, 2]])
+    b = mat_inverse(a)
+    ab, ba = inverse_composites(a, b)
+    assert ab.is_identity() and ba is ab
+    # the identity is not a's inverse, so the second product is formed
+    ab, ba = inverse_composites(a, M(Q, [[1, 0], [0, 1]]))
+    assert ab == a and ba == a
+
+
+def test_inverse_composites_of_a_non_square_pair_form_both_products():
+    # a . b = I_1, but b . a is a rank-one idempotent, not I_2
+    a = M(GF(3), [[1, 0]])
+    b = M(GF(3), [[1], [2]])
+    ab, ba = inverse_composites(a, b)
+    assert ab.is_identity()
+    assert ba == M(GF(3), [[1, 0], [2, 0]])
 
 
 def test_nullspace_hand_case():

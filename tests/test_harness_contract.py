@@ -47,7 +47,9 @@ def _probe(code):
     # the directory the tests imported sepmonad from
     src = os.path.dirname(os.path.dirname(os.path.abspath(sepmonad.__file__)))
     env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    # -B: the bare environment drops PYTHONDONTWRITEBYTECODE, and bytecode
+    # written into src/ changes what perfbench measures of a start-up
+    out = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     return json.loads(out.stdout)
 

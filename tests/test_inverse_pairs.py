@@ -1,0 +1,168 @@
+"""Each candidate inverse pair is multiplied once when one product decides it.
+
+Over a field a square a with a . b = I has b as its two-sided inverse, so
+the five isomorphism checks form b . a only when a . b is not the identity
+or a is not square.  A spy on ``mat_mul`` counts the products of each
+pair; the inverse of a certified module isomorphism is not multiplied
+again to re-certify it.
+"""
+
+import sys
+
+import pytest
+
+from sepmonad import eilenberg, exactlin, suite
+from sepmonad.eilenberg import (
+    EMError,
+    em_counit_iso,
+    em_inverse_split,
+    em_unit_iso,
+    extension_of_scalars_iso,
+    free_module,
+)
+from sepmonad.exactlin import GF, Field, Matrix, assemble, hstack, vstack
+from sepmonad.groups import right_cosets, subgroup_generated
+from sepmonad.monadring import (
+    canonical_ring_iso,
+    monad_morphism_failures,
+    pi_as_monad_morphism,
+    ring_from_adjunction,
+    standard_ring,
+)
+from sepmonad.presets import load_preset
+from sepmonad.repcat import Morphism, Rep, random_rep
+from sepmonad.suite import SuiteConfig, run_suite
+
+Q = Field(0)
+FIELDS = pytest.mark.parametrize("field", [Q, GF(3)], ids=["q", "fp3"])
+
+
+def _setup(name, field):
+    group, default = load_preset(name)
+    cs = right_cosets(group, subgroup_generated(group, default))
+    return cs, standard_ring(cs, field)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Every operand pair (a, b) of a product, read through each sepmonad namespace.
+
+    The pairs keep their operands alive, so ``is`` tells matrices apart.
+    """
+    calls = []
+    original = exactlin.mat_mul
+
+    def spy(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "sepmonad" and getattr(mod, "mat_mul", None) is original:
+            monkeypatch.setattr(mod, "mat_mul", spy)
+    return calls
+
+
+def _pair_products(calls, a, b):
+    """How many products multiply a with b, in either order."""
+    return sum((x is a and y is b) or (x is b and y is a) for x, y in calls)
+
+
+def _uses(calls, a):
+    """How many products have a as an operand."""
+    return sum(x is a or y is a for x, y in calls)
+
+
+def _recording(results, fn):
+    def record(*args):
+        out = fn(*args)
+        results.append(out)
+        return out
+    return record
+
+
+def test_projection_formula_multiplies_each_pi_pair_once(monkeypatch, products):
+    pis, pinvs = [], []
+    monkeypatch.setattr(suite, "projection_pi", _recording(pis, suite.projection_pi))
+    monkeypatch.setattr(suite, "projection_pi_inverse",
+                        _recording(pinvs, suite.projection_pi_inverse))
+    report = run_suite(SuiteConfig(group="s4", family_size=2, checks=("projection_formula",)))
+    assert report.passed
+    assert len(pis) == len(pinvs) == 2
+    assert [_pair_products(products, pi.matrix, pinv.matrix)
+            for pi, pinv in zip(pis, pinvs)] == [1, 1]
+
+
+@FIELDS
+def test_monad_morphism_multiplies_each_component_with_its_inverse_once(field, products):
+    cs, std = _setup("s3", field)
+    mm = pi_as_monad_morphism(std, canonical_ring_iso(std, ring_from_adjunction(cs, field)), cs)
+    thetas, invs = [], []
+    mm.at = _recording(thetas, mm.at)
+    mm.inv_at = _recording(invs, mm.inv_at)
+    for seed in range(2):
+        x = random_rep(cs.group, field, seed=seed, budget=2)
+        assert monad_morphism_failures(mm, x) == []
+        # at(x) comes first, then at(A (x) x) for the multiplication square
+        assert _pair_products(products, thetas[-2].matrix, invs[-1]) == 1
+
+
+@FIELDS
+def test_em_unit_iso_multiplies_its_witnesses_once(field, products):
+    cs, ring = _setup("s3", field)
+    n = random_rep(cs.subgroup, field, seed=0, budget=2)
+    *_, w1, w2 = em_unit_iso(n, cs, ring)
+    assert _pair_products(products, w1.matrix, w2.matrix) == 1
+
+
+@FIELDS
+def test_em_counit_iso_multiplies_psi_once_and_certifies_phi_only(field, products):
+    cs, ring = _setup("s3", field)
+    free = free_module(ring, random_rep(cs.group, field, seed=1, budget=2))
+    phi, psi = em_counit_iso(free, em_inverse_split(free, cs), cs)
+    assert _pair_products(products, phi.matrix, psi.matrix) == 1
+    # psi = phi^-1 enters no product but phi . psi: it is not re-certified
+    assert _uses(products, psi.matrix) == 1
+    assert _uses(products, phi.matrix) > 1
+
+
+@FIELDS
+def test_extension_of_scalars_multiplies_pi_pair_once_and_certifies_phi_only(field, products):
+    cs, ring = _setup("s3", field)
+    y = random_rep(cs.group, field, seed=2, budget=2)
+    phi, psi = extension_of_scalars_iso(y, cs, ring)
+    assert _pair_products(products, phi.matrix, psi.matrix) == 1
+    assert _uses(products, psi.matrix) == 1
+    assert _uses(products, phi.matrix) > 1
+
+
+def _grown_by_a_trivial_summand(split):
+    """The split with the image grown by one dimension: p gains a zero row, m a zero column.
+
+    p . m is the identity padded by one zero entry, so the pair (p, m) is
+    no longer a splitting, and w2 . w1 = I still holds while w1 . w2 != I.
+    """
+    img, p, m, e = split
+    field, r = img.field, img.dim
+    one = Matrix.identity(field, 1)
+    grown = Rep(img.carrier, field,
+                lambda g: assemble(field, r + 1, r + 1, [(0, 0, img.mat(g)), (r, r, one)]),
+                tag="img+1", dim=r + 1)
+    pmat = vstack([p.matrix, Matrix.zeros(field, 1, p.matrix.cols)])
+    mmat = hstack([m.matrix, Matrix.zeros(field, m.matrix.rows, 1)])
+    return grown, Morphism(p.source, grown, pmat), Morphism(grown, m.target, mmat), e
+
+
+@FIELDS
+def test_non_square_unit_round_trip_is_checked_on_both_sides(monkeypatch, field):
+    cs, ring = _setup("s3", field)
+    split = eilenberg.em_inverse_split
+    monkeypatch.setattr(eilenberg, "em_inverse_split",
+                        lambda mod, cs: _grown_by_a_trivial_summand(split(mod, cs)))
+    n = random_rep(cs.subgroup, field, seed=0, budget=2)
+    with pytest.raises(EMError, match="unit round trip fails on the image") as err:
+        em_unit_iso(n, cs, ring)
+    lhs, rhs = err.value.witness
+    r = n.dim
+    assert rhs == Matrix.identity(field, r + 1)
+    # w1 . w2 is the identity on the true image and zero on the added line
+    assert lhs.nzrows == [{i: 1} for i in range(r)] + [{}]
