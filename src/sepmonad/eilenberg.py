@@ -33,11 +33,12 @@ from .exactlin import (
     column_factor,
     hstack,
     inverse_composites,
-    mat_add,
+    mat_inverse,
     mat_kron,
     mat_mul,
     mat_scale,
-    solve_linear,
+    mat_sub,
+    nullspace_basis,
 )
 from .repcat import (
     Morphism,
@@ -312,80 +313,6 @@ def extension_of_scalars_iso(y, cs, ring):
     return phi, AModMorphism(en, free, pinv.matrix)
 
 
-def _minimal_polynomial(b):
-    """Monic minimal polynomial coefficients [c_0, ..., c_{t-1}, 1] of b.
-
-    Found as the first power of b that is a combination of the lower
-    powers: one linear solve per degree, each power read row-major as one
-    column.
-    """
-    d = b.rows
-    field = b.field
-
-    def column(m):
-        rows = [{} for _ in range(d * d)]
-        for i, row in enumerate(m.nzrows):
-            for j, v in row.items():
-                rows[i * d + j] = {0: v}
-        return Matrix(field, d * d, 1, den=m.den, _normalized=True, nzrows=rows)
-
-    powers = [Matrix.identity(field, d)]
-    while True:
-        nxt = mat_mul(powers[-1], b)
-        x = solve_linear(hstack(column(p) for p in powers), column(nxt))
-        if x is not None:
-            coeffs = [-x.entry(i, 0) for i in range(len(powers))]
-            if field.char:
-                coeffs = [v % field.char for v in coeffs]
-            return coeffs + [Fraction(1) if field.char == 0 else 1]
-        powers.append(nxt)
-        if len(powers) > d + 1:
-            raise ArithmeticError("minimal polynomial search exceeded the dimension")
-
-
-def _poly_eval_scalar(coeffs, c, field):
-    acc = Fraction(0) if field.char == 0 else 0
-    for a in reversed(coeffs):
-        acc = acc * c + a
-        if field.char:
-            acc %= field.char
-    return acc
-
-
-def _poly_derivative(coeffs, field):
-    out = []
-    for i in range(1, len(coeffs)):
-        v = coeffs[i] * i
-        out.append(v % field.char if field.char else v)
-    return out
-
-
-def _poly_divide_linear(coeffs, c, field):
-    """Divide a monic polynomial by (x - c); the division is exact."""
-    t = len(coeffs) - 1
-    q = [None] * t
-    carry = coeffs[t]
-    for i in range(t - 1, -1, -1):
-        q[i] = carry
-        carry = coeffs[i] + c * carry
-        if field.char:
-            q[i] %= field.char
-            carry %= field.char
-    return q
-
-
-def _poly_eval_matrix(coeffs, b):
-    field = b.field
-    d = b.rows
-    acc = Matrix.zeros(field, d, d)
-    for a in reversed(coeffs):
-        acc = mat_mul(acc, b)
-        if a:
-            term = mat_scale(Matrix.identity(field, d), a)
-            acc = mat_add(acc, term)
-    return acc
-
-
 def free_hom_basis(free, y, target):
     """A basis of the A-linear maps free -> target, for free = free_module(ring, y).
 
@@ -408,8 +335,10 @@ def find_idempotent_summand(ring, cs, seed=0):
 
     Searches End_A(A (x) y) of seeded free modules, read off the G-maps
     y -> A (x) y by the universal property (``free_hom_basis``): a basis
-    element that is already idempotent, else an eigen-idempotent q(B)/q(c)
-    at a simple root c of a random endomorphism's minimal polynomial.
+    element that is already idempotent, else, for a seeded combination B
+    of the basis, the projector onto ker(B - c) along im(B - c) at the
+    first candidate c where it exists and is neither 0 nor I, built by
+    elimination (``_eigen_projector``).
     Returns None after ``SUMMAND_TRIES`` seeded free modules; absence is a
     search verdict, not a nonexistence proof.
     """
@@ -450,6 +379,7 @@ def _idempotent_from_basis(basis, field, seed):
         candidates += [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]
     else:
         candidates = list(range(p))
+    eye = Matrix.identity(field, basis[0].matrix.rows)
     for _ in range(8):
         if p == 0:
             coeffs = [rng.randint(-2, 2) for _ in basis]
@@ -458,26 +388,29 @@ def _idempotent_from_basis(basis, field, seed):
         if not any(coeffs):
             continue
         bmat = _combination(coeffs, [b.matrix for b in basis])
-        try:
-            minpoly = _minimal_polynomial(bmat)
-        except ArithmeticError:
-            continue
-        deriv = _poly_derivative(minpoly, field)
         for c in candidates:
-            if _poly_eval_scalar(minpoly, c, field) != 0:
-                continue
-            if _poly_eval_scalar(deriv, c, field) == 0:
-                continue
-            q = _poly_divide_linear(minpoly, c, field)
-            qc = _poly_eval_scalar(q, c, field)
-            e_mat = _poly_eval_matrix(q, bmat)
-            if field.char == 0:
-                e_mat = mat_scale(e_mat, Fraction(1) / qc)
-            else:
-                e_mat = mat_scale(e_mat, pow(int(qc), p - 2, p))
-            if e_mat.is_zero() or e_mat.is_identity():
-                continue
-            if mat_mul(e_mat, e_mat) != e_mat:
-                continue
-            return e_mat
+            e_mat = _eigen_projector(mat_sub(bmat, mat_scale(eye, c)))
+            if e_mat is not None and mat_mul(e_mat, e_mat) == e_mat:
+                return e_mat
     return None
+
+
+def _eigen_projector(n):
+    """The projector onto ker n along im n; None when it does not exist or is 0 or I.
+
+    For n = B - c I it is q(B)/q(c) when c is a simple root of B's minimal
+    polynomial (x - c) q.  The nullspace basis K and the pivot columns R of
+    n have d columns together, by rank-nullity, and [K | R] is invertible
+    exactly when ker n and im n meet only in 0; then the projector is K
+    times the first K.cols rows of [K | R]^-1.  An empty K (c is no
+    eigenvalue) gives 0 and an empty R (n = 0) gives I, so both are
+    refused before the inverse.
+    """
+    d = n.rows
+    k = nullspace_basis(n)
+    if not 0 < k.cols < d:
+        return None
+    inv = mat_inverse(hstack([k, column_factor(n)[0]]))
+    if inv is None:
+        return None
+    return mat_mul(k, Matrix(n.field, k.cols, d, den=inv.den, nzrows=inv.nzrows[:k.cols]))

@@ -492,15 +492,13 @@ def solve_linear(a, b):
 
 
 def mat_inverse(a):
-    """Exact inverse, or None when a is singular."""
+    """Exact inverse, or None when a is singular.
+
+    The solution of a . X = I: a singular a makes that system inconsistent.
+    """
     if a.rows != a.cols:
         raise ValueError("inverse of a non-square matrix")
-    n = a.rows
-    aug = [row | {n + i: a.den} for i, row in enumerate(a.nzrows)]
-    pivots, red, den = _rref(aug, n, 2 * n, a.field)
-    if pivots != list(range(n)):
-        return None
-    return Matrix(a.field, n, n, den=den, nzrows=_right_block(red, pivots, n))
+    return solve_linear(a, Matrix.identity(a.field, a.rows))
 
 
 def nullspace_basis(a):

@@ -19,6 +19,7 @@ from .exactlin import Matrix, inverse_composites, mat_inverse, mat_kron, mat_mul
 from .repcat import (
     Morphism,
     Rep,
+    _perm_action_on_cosets,
     identity_mor,
     restrict,
     restrict_mor,
@@ -139,14 +140,8 @@ def ring_axiom_failures(ring):
 
 def coset_permutation_rep(cs, field):
     """The permutation representation on right cosets, basis {e_c}."""
-    g = cs.group
-    d = cs.index
-
-    def perm(gg):
-        rows = [{cs.coset_of[g.mul(r, gg)]: 1} for r in cs.reps]
-        return Matrix(field, d, d, _normalized=True, nzrows=rows)
-
-    return Rep(g, field, perm, tag="k(cosets)", dim=d)
+    d, perm = _perm_action_on_cosets(cs.group, cs.subgroup.elements, field)
+    return Rep(cs.group, field, perm, tag="k(cosets)", dim=d)
 
 
 def standard_ring(cs, field):

@@ -37,7 +37,6 @@ from .exactlin import (
     Matrix,
     assemble,
     mat_add,
-    mat_inverse,
     mat_kron,
     mat_mul,
     mat_scale,
@@ -279,6 +278,20 @@ def _perm_action_on_cosets(carrier, k_elems, field):
     return d, action
 
 
+def _sheared_identity(field, n, shears):
+    """The n x n identity after the row operations (i, j, c), in order.
+
+    Each operation adds c times row j to row i.
+    """
+    u = [{i: 1} for i in range(n)]
+    for i, j, c in shears:
+        row = dict(u[i])
+        for k, v in u[j].items():
+            row[k] = row.get(k, 0) + c * v
+        u[i] = row
+    return Matrix(field, n, n, nzrows=u)
+
+
 def random_rep(carrier, field, seed, budget):
     """A seeded representation of dimension exactly ``budget``.
 
@@ -315,21 +328,16 @@ def random_rep(carrier, field, seed, budget):
         blocks.append((total, d, block))
         total += d
     # Conjugate by a product of integer shears (determinant 1, so the
-    # conjugator stays invertible over every field), built as rows: each
-    # shear adds c times row j to row i.
-    u = [{i: 1} for i in range(total)]
+    # conjugator stays invertible over every field).  Its inverse undoes
+    # the shears in reverse order, so no elimination is needed.
+    shears = []
     for _ in range(2 * total):
         i = rng.randrange(total)
         j = rng.randrange(total)
-        if i == j:
-            continue
-        c = rng.choice((-2, -1, 1, 2))
-        row = dict(u[i])
-        for k, v in u[j].items():
-            row[k] = row.get(k, 0) + c * v
-        u[i] = row
-    umat = Matrix(field, total, total, nzrows=u)
-    uinv = mat_inverse(umat)
+        if i != j:
+            shears.append((i, j, rng.choice((-2, -1, 1, 2))))
+    umat = _sheared_identity(field, total, shears)
+    uinv = _sheared_identity(field, total, [(i, j, -c) for i, j, c in reversed(shears)])
 
     def action(g):
         perm = assemble(field, total, total, [(off, off, block(g)) for off, _, block in blocks])

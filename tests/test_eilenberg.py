@@ -1,5 +1,7 @@
 """Modules over the coset ring and the comparison equivalence."""
 
+import hashlib
+
 import pytest
 
 from sepmonad.eilenberg import (
@@ -26,8 +28,10 @@ from sepmonad.exactlin import (
     hstack,
     mat_kron,
     mat_mul,
+    mat_scale,
     mat_sub,
     nullspace_basis,
+    parse_field,
     vstack,
 )
 from sepmonad.groups import right_cosets, subgroup_generated
@@ -332,3 +336,73 @@ def test_find_idempotent_summand_is_valid_or_none(monkeypatch):
             assert found is not None, (name, field)
             assert 0 < found.dim < searched[-1].dim
             assert module_axiom_failures(found) == []
+
+
+# sha256 of the summand found at seed 0 (its action matrix and the matrix of
+# every group element on its carrier): the search must not change from one
+# version to the next.  v4 and q8 reach the eigen-projector search on all
+# three fields and split off its projector over Q and GF(3); every other
+# summand comes from a hom-space basis element that is already idempotent.
+_SUMMAND_DIGESTS = {
+    ("a4", "q"): "08a2d665253f01028388605d9511b2a2a1e6d6a1cb806ba2993cac4cab9e9fb0",
+    ("a4", "fp:2"): "08a2d665253f01028388605d9511b2a2a1e6d6a1cb806ba2993cac4cab9e9fb0",
+    ("a4", "fp:3"): "08a2d665253f01028388605d9511b2a2a1e6d6a1cb806ba2993cac4cab9e9fb0",
+    ("c2", "q"): "765836b5aa97d2e4ef2c04151ebb34d7f9f478f29d0eaa17812a7ed4c5613550",
+    ("c2", "fp:2"): "765836b5aa97d2e4ef2c04151ebb34d7f9f478f29d0eaa17812a7ed4c5613550",
+    ("c2", "fp:3"): "765836b5aa97d2e4ef2c04151ebb34d7f9f478f29d0eaa17812a7ed4c5613550",
+    ("c3", "q"): "8809052c592abdc3b063cd2921d6e986716e5525e82036b9e564e3454d6a7f5b",
+    ("c3", "fp:2"): "8809052c592abdc3b063cd2921d6e986716e5525e82036b9e564e3454d6a7f5b",
+    ("c3", "fp:3"): "8809052c592abdc3b063cd2921d6e986716e5525e82036b9e564e3454d6a7f5b",
+    ("c4", "q"): "8119faf1436fc4be34a144b18d7a2e500790f8b5f3d73e303bbfb600cb947dd2",
+    ("c4", "fp:2"): "8119faf1436fc4be34a144b18d7a2e500790f8b5f3d73e303bbfb600cb947dd2",
+    ("c4", "fp:3"): "8119faf1436fc4be34a144b18d7a2e500790f8b5f3d73e303bbfb600cb947dd2",
+    ("c6", "q"): "8358936e4bf636de90d74ee30cb4a06e19eddeb2e50287e5406f75149535b87d",
+    ("c6", "fp:2"): "8358936e4bf636de90d74ee30cb4a06e19eddeb2e50287e5406f75149535b87d",
+    ("c6", "fp:3"): "8358936e4bf636de90d74ee30cb4a06e19eddeb2e50287e5406f75149535b87d",
+    ("d4", "q"): "825f1c230f68fb1c0962705bdf40e3de1d48cf5814a821d96cd0fe14da4e2471",
+    ("d4", "fp:2"): "825f1c230f68fb1c0962705bdf40e3de1d48cf5814a821d96cd0fe14da4e2471",
+    ("d4", "fp:3"): "825f1c230f68fb1c0962705bdf40e3de1d48cf5814a821d96cd0fe14da4e2471",
+    ("q8", "q"): "d3f597ea7215d54e870ea694305b8958bf445b2cf1a6f8d4929b8bde72d695bd",
+    ("q8", "fp:2"): "b9944da2d558eabea991736a21540a93a2b4f7ec7be078bbcd4b5dba372e41c2",
+    ("q8", "fp:3"): "5543fe4444435b14541471d8cbd7535127365c3945cdbff89cc44ced1fc84cb3",
+    ("s3", "q"): "6c1f6b97d027b33cd3644528530e570a2b82262091bbf53ad3e80965acc699bb",
+    ("s3", "fp:2"): "6c1f6b97d027b33cd3644528530e570a2b82262091bbf53ad3e80965acc699bb",
+    ("s3", "fp:3"): "6c1f6b97d027b33cd3644528530e570a2b82262091bbf53ad3e80965acc699bb",
+    ("s4", "q"): "34da30c067dfb5af3aa6830fa8d661814b6b42824049929d119428904dbdb8d6",
+    ("s4", "fp:2"): "34da30c067dfb5af3aa6830fa8d661814b6b42824049929d119428904dbdb8d6",
+    ("s4", "fp:3"): "34da30c067dfb5af3aa6830fa8d661814b6b42824049929d119428904dbdb8d6",
+    ("v4", "q"): "c207d819921171daf47ac16cdd922ac53befbdd7a49aa3b885ab78e37332cb77",
+    ("v4", "fp:2"): "2b99047612601b3d5bc429b7a4e0d3d7c82f5ccd1564efdb5c2f59a59a7ee1f8",
+    ("v4", "fp:3"): "b8f46a0999ac40504facf200c4e9d0acc9b01808191b9ba22c29cbd8cb6fb425",
+}
+
+
+@pytest.mark.parametrize("name, spec", sorted(_SUMMAND_DIGESTS))
+def test_found_summands_are_frozen(name, spec):
+    cs, ring = _setup(name, parse_field(spec))
+    found = find_idempotent_summand(ring, cs, seed=0)
+    digest = hashlib.sha256()
+    for m in [found.action.matrix] + [found.carrier.mat(g) for g in cs.group.elements]:
+        digest.update(repr((m.rows, m.cols, m.den, m.nums)).encode())
+    assert digest.hexdigest() == _SUMMAND_DIGESTS[name, spec]
+
+
+@pytest.mark.parametrize("field", [Q, GF(5)], ids=["q", "fp5"])
+def test_eigen_projector_is_q_of_b_over_q_of_c(field):
+    """q(B)/q(c) at a simple root c of B's minimal polynomial (x - c) q, else None."""
+    def projector(rows, c):
+        b = Matrix.from_rows(field, rows)
+        return eilenberg._eigen_projector(mat_sub(b, mat_scale(Matrix.identity(field, b.rows), c)))
+
+    # diagonalizable, minimal polynomial (x - 1)(x - 3)
+    b = [[1, 0, 2], [0, 1, 0], [0, 0, 3]]
+    # c = 1: (B - 3I)/(1 - 3), onto the plane ker(B - I) along im(B - I)
+    assert projector(b, 1) == Matrix.from_rows(field, [[1, 0, -1], [0, 1, 0], [0, 0, 0]])
+    # c = 3: (B - I)/(3 - 1)
+    assert projector(b, 3) == Matrix.from_rows(field, [[0, 0, 1], [0, 0, 0], [0, 0, 1]])
+    assert projector(b, 2) is None  # no eigenvalue: the projector is 0
+    assert projector([[1, 0], [0, 1]], 1) is None  # B = cI: the projector is I
+    # a Jordan block at 2 and a simple eigenvalue 4
+    jordan = [[2, 1, 0], [0, 2, 0], [0, 0, 4]]
+    assert projector(jordan, 2) is None
+    assert projector(jordan, 4) == Matrix.from_rows(field, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
