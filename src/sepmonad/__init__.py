@@ -24,6 +24,7 @@ from .exactlin import (
     nullspace_basis,
     parse_field,
     solve_linear,
+    span_basis,
 )
 from .groups import (
     CosetSpace,

@@ -14,10 +14,15 @@ nonzeros, and products (Gustavson's row-by-row sparse product), Kronecker
 products, block assembly, identity tests and comparisons work on those
 rows, so they cost time per nonzero, not per entry.
 
-The column factorization, solve, inverse and nullspace pass those rows
-to the kernels of ``backend``, which eliminate on them and return the
-reduced rows: fraction-free over Q, with every row kept primitive, and
-plain Gauss-Jordan over GF(p).  No floating point appears anywhere.
+The column factorization, solve, inverse, nullspace and span basis pass
+those rows to the kernels of ``backend``, which eliminate on them and
+return the reduced rows: fraction-free over Q, with every row kept
+primitive, and plain Gauss-Jordan over GF(p).  No floating point appears
+anywhere.  ``nullspace_basis`` returns a canonical basis of a kernel;
+``span_basis`` returns the same canonical basis of a subspace given by
+spanning columns, so a space that is known from a spanning set (the
+hom spaces of permutation-form reps in ``repcat``) costs an elimination
+of that set, not of the system whose kernel it is.
 """
 
 from fractions import Fraction
@@ -525,3 +530,32 @@ def nullspace_basis(a):
         for i, v in col.items():
             out[i][idx] = v // g
     return Matrix(a.field, n, len(free), den=1, _normalized=True, nzrows=out)
+
+
+def span_basis(b):
+    """The column span of b as a basis in the canonical form of ``nullspace_basis``.
+
+    One elimination of the columns of b read from the bottom: the RREF of
+    b transposed, with its columns in reverse order.  Its pivots are the
+    positions where some vector of the span has its last nonzero entry,
+    which for a nullspace are the free columns of ``nullspace_basis``.
+    The RREF row of such a pivot f, reversed back, is the span vector with
+    entry 1 at f and 0 at every other pivot, as is ``nullspace_basis``'s
+    column for the free column f; made primitive over Q, the two agree.
+    So span_basis(nullspace_basis(a) . r) == nullspace_basis(a) for every
+    invertible r.
+    """
+    n = b.rows
+    p = b.field.char
+    rev = [{} for _ in range(b.cols)]
+    for i, row in enumerate(b.nzrows):
+        for k, v in row.items():
+            rev[k][n - 1 - i] = v
+    _, red, _ = _rref(rev, b.cols, n, b.field)
+    out = [{} for _ in range(n)]
+    # reversed pivots come in decreasing position, so reverse the rows
+    for idx, row in enumerate(reversed(red)):
+        g = 1 if p else gcd(*row.values())
+        for j, v in row.items():
+            out[n - 1 - j][idx] = v // g
+    return Matrix(b.field, n, len(red), den=1, _normalized=True, nzrows=out)

@@ -20,6 +20,7 @@ from .repcat import (
     Morphism,
     Rep,
     _perm_action_on_cosets,
+    _permute_rows,
     identity_mor,
     restrict,
     restrict_mor,
@@ -140,8 +141,9 @@ def ring_axiom_failures(ring):
 
 def coset_permutation_rep(cs, field):
     """The permutation representation on right cosets, basis {e_c}."""
-    d, perm = _perm_action_on_cosets(cs.group, cs.subgroup.elements, field)
-    return Rep(cs.group, field, perm, tag="k(cosets)", dim=d)
+    d, perm = _perm_action_on_cosets(cs.group, cs.subgroup.elements)
+    eye = Matrix.identity(field, d)
+    return Rep(cs.group, field, lambda g: _permute_rows(eye, perm(g)), tag="k(cosets)", dim=d)
 
 
 def standard_ring(cs, field):
@@ -186,21 +188,26 @@ def canonical_ring_iso(std, adj):
     Sends e_c to the indicator function of the coset c; in representative
     coordinates that matrix is the identity, but the morphism is still
     validated, for equivariance and as an isomorphism of ring objects.
+    Returns (iso, inv) with inv the inverse matrix of iso, computed here
+    once for ``transport_section`` and ``pi_as_monad_morphism``.
     """
     iso = Morphism(std.carrier, adj.carrier, Matrix.identity(std.field, std.dim))
     iso.require_valid()
-    failures = ring_iso_failures(std, adj, iso)
+    inv = mat_inverse(iso.matrix)
+    failures = ring_iso_failures(std, adj, iso, inv)
     if failures:
         names = ", ".join(f[0] for f in failures)
         raise RingAxiomError(f"canonical map is not a ring isomorphism: {names}", failures)
-    return iso
+    return iso, inv
 
 
-def ring_iso_failures(r1, r2, iso):
-    """Violations of 'iso intertwines multiplications and units'."""
+def ring_iso_failures(r1, r2, iso, inv):
+    """Violations of 'iso intertwines multiplications and units'.
+
+    ``inv`` is the inverse of iso's matrix, or None when that is singular.
+    """
     out = []
     f = iso.matrix
-    inv = mat_inverse(f)
     if inv is None:
         out.append(("invertibility", f, f))
         return out
@@ -214,14 +221,14 @@ def ring_iso_failures(r1, r2, iso):
     return out
 
 
-def transport_section(std, adj, iso):
+def transport_section(std, adj, iso, inv):
     """Carry the standard section to the adjunction ring along iso.
 
+    ``inv`` is the inverse of iso's matrix, None when it is singular.
     Returns a new RingObject with the transported section, fully
     revalidated; this is how the lax-structure ring acquires its
     separability witness.
     """
-    inv = mat_inverse(iso.matrix)
     if inv is None:
         raise RingAxiomError("cannot transport along a singular map")
     mat = mat_mul(mat_kron(iso.matrix, iso.matrix), mat_mul(std.section.matrix, inv))
@@ -352,15 +359,15 @@ class MonadMorphism:
         return f"<MonadMorphism {self.name}>"
 
 
-def pi_as_monad_morphism(std, iso, cs):
+def pi_as_monad_morphism(std, iso, iso_inv, cs):
     """The projection morphism as a map of monads A (x) (-) -> Coind Res.
 
     Component at x: pi at (1_H, x), precomposed with the canonical ring
     isomorphism ``iso`` out of ``std`` tensored with the identity, so the
-    source really is the standard ring's monad.
+    source really is the standard ring's monad.  ``iso_inv``, the inverse
+    matrix of iso, gives the closed-form inverse components.
     """
     field = std.field
-    iso_inv = mat_inverse(iso.matrix)
     src = monad_from_ring(std)
     tgt = monad_from_adjunction(cs)
     h = cs.subgroup

@@ -20,6 +20,15 @@ Two kinds of Rep share that storage:
   ``random_rep``'s permutation blocks act on the cosets that
   ``groups.right_coset_partition`` enumerates.
 
+A seeded ``random_rep`` also keeps its permutation form
+``perm_form = (U, U^-1, pi)``, with mat(g) = U P(pi(g)) U^-1; other reps
+have None.  ``hom_space_basis`` reads Hom(x, y) off the orbits on index
+pairs when both reps carry a form, and otherwise eliminates the stacked
+generator equations, the route kept for reps with no form: a dict rep
+(the ``rep_action`` corruption's), free-module carriers and split
+images.  ``rep_hom_sanity`` certifies every seeded rep and map against
+the matrices themselves, so a wrong form cannot pass silently.
+
 Constructors only build, with cheap structural checks.  A caller that
 must certify a law calls ``require_valid()``: ``Rep.require_valid`` fills
 the memo and checks the law on the walk (the ``rep_hom_sanity`` check
@@ -35,13 +44,13 @@ import random
 
 from .exactlin import (
     Matrix,
-    assemble,
     mat_add,
     mat_kron,
     mat_mul,
     mat_scale,
     mat_sub,
     nullspace_basis,
+    span_basis,
     vstack,
 )
 from .groups import generator_walk, right_coset_partition, subgroup_closure
@@ -57,7 +66,8 @@ class Rep:
     ``mats`` is either a complete dict element -> matrix, which becomes the
     memo, or a function of the element, which needs ``dim`` and fills the
     memo on demand.  ``require_valid`` checks the law on every walk edge,
-    and so builds every matrix of a derived rep first.
+    and so builds every matrix of a derived rep first.  ``perm_form`` is
+    None unless a constructor that knows one sets it (``random_rep``).
     """
 
     def __init__(self, carrier, field, mats, tag="", dim=None):
@@ -76,6 +86,7 @@ class Rep:
                 raise RepError("need exactly one matrix per carrier element")
             self._action = self.mats.__getitem__
             self.dim = self.mats[0].rows
+        self.perm_form = None
 
     def require_valid(self):
         """Raise RepError unless every matrix fits and the law holds on the walk."""
@@ -215,26 +226,39 @@ def _combination(coeffs, mats):
 def hom_space_basis(x, y):
     """A deterministic basis of the space of equivariant maps x -> y.
 
-    Solved as the nullspace of the stacked constraints
-    T * x.mat(g) - y.mat(g) * T = 0 over the carrier's generators: one
-    block kron(I_y, x(g)^T) - kron(y(g), I_x) per generator, acting on T
-    flattened row-major.  Each nullspace column is read back row-major.
-    The basis maps are not revalidated: each solves the stacked generator
-    equations exactly, and those equations are all that ``require_valid``
-    checks.
+    The basis is the nullspace of the stacked constraints
+    T * x.mat(g) - y.mat(g) * T = 0 over the carrier's generators, in the
+    canonical form of ``exactlin.nullspace_basis``, with T flattened
+    row-major; each basis column is read back row-major.  It is reached by
+    one of two routes, chosen by the reps themselves:
+
+    * when both reps carry a permutation form (seeded ``random_rep``s),
+      by ``_orbit_span``: one spanning map per orbit on index pairs, put
+      into that canonical form by ``exactlin.span_basis``;
+    * otherwise (a dict rep, a tensor product, a split image) by
+      eliminating the stacked system: one block
+      kron(I_y, x(g)^T) - kron(y(g), I_x) per generator.
+
+    Both routes give the same matrices.  The basis maps are not
+    revalidated: each lies in the solution space of the generator
+    equations, which are all that ``require_valid`` checks.  A wrong
+    permutation form cannot pass silently either: ``rep_hom_sanity``
+    certifies every seeded rep and map against its action matrices.
     """
     if x.carrier is not y.carrier or x.field != y.field:
         raise RepError("hom space needs a common carrier and field")
     field = x.field
-    if x.carrier.gens:
+    if not x.carrier.gens:
+        cols = Matrix.identity(field, y.dim * x.dim)
+    elif x.perm_form and y.perm_form:
+        cols = span_basis(_orbit_span(x, y))
+    else:
         eye_x = Matrix.identity(field, x.dim)
         eye_y = Matrix.identity(field, y.dim)
         cols = nullspace_basis(vstack(
             mat_sub(mat_kron(eye_y, x.mat(g).transpose()), mat_kron(y.mat(g), eye_x))
             for g in x.carrier.gens
         ))
-    else:
-        cols = Matrix.identity(field, y.dim * x.dim)
     # entry i of column k is entry divmod(i, x.dim) of map k
     maps = [[{} for _ in range(y.dim)] for _ in range(cols.cols)]
     for i, row in enumerate(cols.nzrows):
@@ -243,6 +267,43 @@ def hom_space_basis(x, y):
             maps[k][r][s] = v
     return [Morphism(x, y, Matrix(field, y.dim, x.dim, den=cols.den, nzrows=rows))
             for rows in maps]
+
+
+def _orbit_span(x, y):
+    """Flattened maps spanning Hom(x, y) for two reps with permutation forms.
+
+    With x(g) = U_x P_x(g) U_x^-1 and y(g) = U_y P_y(g) U_y^-1, T is
+    equivariant exactly when S = U_y^-1 T U_x has S P_x(g) = P_y(g) S, that
+    is, when S is constant on the orbits of the index pairs
+    (i, j) -> (pi_y(g) i, pi_x(g) j) over the generators: over every
+    field, the orbit indicators S_k are a basis of those S (the
+    Mackey basis of a hom space between permutation modules).  Returns
+    the y.dim * x.dim x k matrix whose column k is U_y S_k U_x^-1
+    flattened row-major, which is kron(U_y, (U_x^-1)^T) times the
+    flattened S_k.
+    """
+    _, ux_inv, perm_x = x.perm_form
+    uy, _, perm_y = y.perm_form
+    dx = x.dim
+    moves = [(perm_y(g), perm_x(g)) for g in x.carrier.gens]
+    orbit = [None] * (y.dim * dx)
+    k = 0
+    for start in range(len(orbit)):
+        if orbit[start] is not None:
+            continue
+        orbit[start] = k
+        stack = [start]
+        while stack:
+            i, j = divmod(stack.pop(), dx)
+            for py, px in moves:
+                t = py[i] * dx + px[j]
+                if orbit[t] is None:
+                    orbit[t] = k
+                    stack.append(t)
+        k += 1
+    indicators = Matrix(x.field, len(orbit), k, _normalized=True,
+                        nzrows=[{o: 1} for o in orbit])
+    return mat_mul(mat_kron(uy, ux_inv.transpose()), indicators)
 
 
 def random_hom(x, y, seed):
@@ -262,20 +323,28 @@ def random_hom(x, y, seed):
     return Morphism(x, y, _combination(coeffs, [b.matrix for b in basis]))
 
 
-def _perm_action_on_cosets(carrier, k_elems, field):
-    """(d, g -> matrix of the left action g . e_C = e_{C g^{-1}} on cosets of K)."""
+def _perm_action_on_cosets(carrier, k_elems):
+    """(d, g -> pi(g)) for the left action g . e_C = e_{C g^{-1}} on cosets of K.
+
+    pi(g)[c] is the index of the coset that g moves coset c to, so the
+    action matrix of g is ``_permute_rows`` of the identity by pi(g).
+    """
     cosets, coset_of = right_coset_partition(carrier.mul, carrier.elements, k_elems)
-    d = len(cosets)
     firsts = [members[0] for members in cosets]
 
-    def action(g):
+    def perm(g):
         ginv = carrier.inverse(g)
-        rows = [None] * d
-        for c, x in enumerate(firsts):
-            rows[coset_of[carrier.mul(x, ginv)]] = {c: 1}
-        return Matrix(field, d, d, _normalized=True, nzrows=rows)
+        return [coset_of[carrier.mul(x, ginv)] for x in firsts]
 
-    return d, action
+    return len(cosets), perm
+
+
+def _permute_rows(m, pi):
+    """P m for the permutation matrix P with 1 at (pi[c], c): row pi[c] is row c of m."""
+    rows = [None] * m.rows
+    for c, r in enumerate(pi):
+        rows[r] = m.nzrows[c]
+    return Matrix(m.field, m.rows, m.cols, den=m.den, _normalized=True, nzrows=rows)
 
 
 def _sheared_identity(field, n, shears):
@@ -301,6 +370,10 @@ def random_rep(carrier, field, seed, budget):
     never as a dense table.  Deterministic for a fixed (seed, budget,
     carrier, field).
 
+    The rep keeps its permutation form ``perm_form = (U, U^-1, pi)``, with
+    pi(g) the permutation of the summed coset bases: P(g) U^-1 is U^-1
+    with its rows moved by pi(g), so one product builds the matrix of g.
+
     A derived rep: the matrix of g is built on first read and is not
     validated here.  Its law holds by construction, since U P(g) U^-1
     conjugates a permutation action on right cosets by an exact inverse;
@@ -324,8 +397,8 @@ def random_rep(carrier, field, seed, budget):
                 break
         if chosen is None:
             chosen = elems
-        d, block = _perm_action_on_cosets(carrier, chosen, field)
-        blocks.append((total, d, block))
+        d, perm = _perm_action_on_cosets(carrier, chosen)
+        blocks.append((total, d, perm))
         total += d
     # Conjugate by a product of integer shears (determinant 1, so the
     # conjugator stays invertible over every field).  Its inverse undoes
@@ -339,9 +412,11 @@ def random_rep(carrier, field, seed, budget):
     umat = _sheared_identity(field, total, shears)
     uinv = _sheared_identity(field, total, [(i, j, -c) for i, j, c in reversed(shears)])
 
-    def action(g):
-        perm = assemble(field, total, total, [(off, off, block(g)) for off, _, block in blocks])
-        return mat_mul(umat, mat_mul(perm, uinv))
+    def perm(g):
+        return [off + r for off, _, block in blocks for r in block(g)]
 
     dims = "+".join(str(d) for _, d, _ in blocks)
-    return Rep(carrier, field, action, dim=total, tag=f"rand[{dims}|seed={seed}]")
+    rep = Rep(carrier, field, lambda g: mat_mul(umat, _permute_rows(uinv, perm(g))),
+              dim=total, tag=f"rand[{dims}|seed={seed}]")
+    rep.perm_form = (umat, uinv, perm)
+    return rep

@@ -337,6 +337,7 @@ class Ctx:
 
     @cached_property
     def iso(self):
+        """(iso, inverse matrix) of the canonical ring isomorphism."""
         return canonical_ring_iso(self.ring, self.ring_adj)
 
     @cached_property
@@ -579,7 +580,7 @@ def _check_projection_formula(ctx):
 
 
 def _check_monad_morphism(ctx):
-    mm = pi_as_monad_morphism(ctx.ring, ctx.iso, ctx.cs)
+    mm = pi_as_monad_morphism(ctx.ring, *ctx.iso, ctx.cs)
     out = []
     for x in ctx.mm_objs:
         out.extend(_from_failures("monad_morphism", f"at {x.tag}",
@@ -600,12 +601,12 @@ def _check_ring_axioms(ctx):
         out.append(_witness_from_error("ring_axioms", "adjunction ring", exc))
         return out
     try:
-        iso = ctx.iso
+        iso, iso_inv = ctx.iso
     except RingAxiomError as exc:
         out.append(_witness_from_error("ring_axioms", "canonical ring isomorphism", exc))
         return out
     try:
-        transport_section(std, adj, iso)
+        transport_section(std, adj, iso, iso_inv)
     except (RingAxiomError, ModuleAxiomError) as exc:
         out.append(_witness_from_error("ring_axioms", "transported section", exc))
     return out

@@ -25,6 +25,7 @@ from sepmonad.exactlin import (
     nullspace_basis,
     parse_field,
     solve_linear,
+    span_basis,
     vstack,
 )
 
@@ -647,7 +648,39 @@ def test_eliminations_leave_the_dense_view_unbuilt(p):
     square = rows({0: 1, 2: 1}, {1: 1}, {2: 1})
     b = rows({0: 1}, {2: 1}, {0: 1, 2: 1})
     results = [nullspace_basis(a), solve_linear(a, b), mat_inverse(square),
-               *column_factor(a)]
+               *column_factor(a), span_basis(b)]
     assert all(isinstance(m, Matrix) for m in results)
     for m in (a, square, b, *results):
         assert m._nums is None
+
+
+@st.composite
+def invertible(draw, field, k):
+    """A k x k matrix that is invertible over field: a row permutation of a
+    lower triangular matrix with units on its diagonal, over a den."""
+    perm = draw(st.permutations(range(k)))
+    lower = []
+    for i in range(k):
+        row = {j: draw(entries) for j in range(i)}
+        row[i] = draw(st.sampled_from([1, -1, 2, -2, 4, 5]))  # units over Q and GF(3)
+        lower.append(row)
+    den = draw(st.sampled_from([1, 2, 4]))
+    return Matrix(field, k, k, den=den, nzrows=[lower[perm[i]] for i in range(k)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([0, 3]))
+def test_span_basis_of_a_spanning_set_is_the_nullspace_basis(data, p):
+    """span_basis(nullspace_basis(a) . r) == nullspace_basis(a) for invertible r.
+
+    A dependent extra column, a combination of the others, changes nothing.
+    """
+    field = Field(p)
+    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 8))
+    a = _matrix(field, data.draw(sparse_rows(rows, cols)), cols)
+    ns = nullspace_basis(a)
+    spanning = mat_mul(ns, data.draw(invertible(field, ns.cols)))
+    assert span_basis(spanning) == ns
+    if ns.cols:
+        combo = Matrix(field, ns.cols, 1, nzrows=[{0: data.draw(entries)} for _ in range(ns.cols)])
+        assert span_basis(hstack([spanning, mat_mul(spanning, combo)])) == ns

@@ -95,7 +95,7 @@ def test_projection_formula_multiplies_each_pi_pair_once(monkeypatch, products):
 @FIELDS
 def test_monad_morphism_multiplies_each_component_with_its_inverse_once(field, products):
     cs, std = _setup("s3", field)
-    mm = pi_as_monad_morphism(std, canonical_ring_iso(std, ring_from_adjunction(cs, field)), cs)
+    mm = pi_as_monad_morphism(std, *canonical_ring_iso(std, ring_from_adjunction(cs, field)), cs)
     thetas, invs = [], []
     mm.at = _recording(thetas, mm.at)
     mm.inv_at = _recording(invs, mm.inv_at)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from sepmonad import monadring
 from sepmonad.exactlin import Field, GF, Matrix, mat_mul
 from sepmonad.groups import right_cosets, subgroup_generated
 from sepmonad.monadring import (
@@ -24,6 +25,7 @@ from sepmonad.monadring import (
 )
 from sepmonad.presets import load_preset, preset_names
 from sepmonad.repcat import random_rep, symmetry
+from sepmonad.suite import SuiteConfig, run_suite
 
 Q = Field(0)
 
@@ -101,19 +103,37 @@ def test_adjunction_ring_matches_standard(s3_cs):
     std = standard_ring(s3_cs, Q)
     adj = ring_from_adjunction(s3_cs, Q)
     assert ring_axiom_failures(adj) == []
-    iso = canonical_ring_iso(std, adj)
+    iso, inv = canonical_ring_iso(std, adj)
     assert iso.matrix.is_identity()
-    assert ring_iso_failures(std, adj, iso) == []
-    transported = transport_section(std, adj, iso)
+    assert inv.is_identity()
+    assert ring_iso_failures(std, adj, iso, inv) == []
+    transported = transport_section(std, adj, iso, inv)
     assert ring_axiom_failures(transported) == []
+
+
+def test_a_singular_iso_is_reported_and_refused(s3_cs):
+    std = standard_ring(s3_cs, Q)
+    adj = ring_from_adjunction(s3_cs, Q)
+    iso, _ = canonical_ring_iso(std, adj)
+    assert ring_iso_failures(std, adj, iso, None) == [("invertibility", iso.matrix, iso.matrix)]
+    with pytest.raises(RingAxiomError, match="cannot transport along a singular map"):
+        transport_section(std, adj, iso, None)
+
+
+def test_the_canonical_iso_is_inverted_once_per_case(monkeypatch):
+    calls = []
+    real = monadring.mat_inverse
+    monkeypatch.setattr(monadring, "mat_inverse", lambda a: calls.append(a) or real(a))
+    assert run_suite(SuiteConfig(group="s4", family_size=2)).passed
+    assert [(a.rows, a.is_identity()) for a in calls] == [(4, True)]
 
 
 def test_adjunction_ring_modular():
     cs, _ = _space("c4")
     std = standard_ring(cs, GF(2))
     adj = ring_from_adjunction(cs, GF(2))
-    iso = canonical_ring_iso(std, adj)
-    assert ring_iso_failures(std, adj, iso) == []
+    iso, inv = canonical_ring_iso(std, adj)
+    assert ring_iso_failures(std, adj, iso, inv) == []
 
 
 def test_monad_laws_both_monads(s3_cs, s3_ring):
@@ -149,8 +169,8 @@ def test_monad_from_invalid_ring_refused(s3_cs, s3_ring):
 
 
 def test_monad_morphism_diagrams(s3_cs, s3_ring):
-    iso = canonical_ring_iso(s3_ring, ring_from_adjunction(s3_cs, Q))
-    mm = pi_as_monad_morphism(s3_ring, iso, s3_cs)
+    iso, inv = canonical_ring_iso(s3_ring, ring_from_adjunction(s3_cs, Q))
+    mm = pi_as_monad_morphism(s3_ring, iso, inv, s3_cs)
     for seed in range(3):
         x = random_rep(s3_cs.group, Q, seed=seed, budget=2)
         assert monad_morphism_failures(mm, x) == []
@@ -159,7 +179,7 @@ def test_monad_morphism_diagrams(s3_cs, s3_ring):
 def test_monad_morphism_modular():
     cs, _ = _space("c4")
     std = standard_ring(cs, GF(2))
-    mm = pi_as_monad_morphism(std, canonical_ring_iso(std, ring_from_adjunction(cs, GF(2))), cs)
+    mm = pi_as_monad_morphism(std, *canonical_ring_iso(std, ring_from_adjunction(cs, GF(2))), cs)
     x = random_rep(cs.group, GF(2), seed=1, budget=2)
     assert monad_morphism_failures(mm, x) == []
 

@@ -1,11 +1,13 @@
 """Representations, tensor structure, and equivariant hom spaces."""
 
 import hashlib
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepmonad import exactlin, repcat, suite
 from sepmonad.exactlin import Field, GF, Matrix, mat_mul, parse_field
 from sepmonad.presets import load_preset, preset_names
 from sepmonad.repcat import (
@@ -26,6 +28,7 @@ from sepmonad.repcat import (
     zero_mor,
 )
 from sepmonad.groups import Subgroup, subgroup_generated
+from sepmonad.suite import SuiteConfig, _corrupt_rep, run_suite
 
 Q = Field(0)
 
@@ -243,3 +246,105 @@ def test_random_hom_is_equivariant(seed, budget):
     x = random_rep(s3, Q, seed=seed, budget=budget)
     f = random_hom(x, x, seed=seed)
     f.require_valid()
+
+
+# -- the two routes to a hom space ----------------------------------------
+
+
+def _formless(x):
+    """A copy of x without its permutation form: the same matrices, the stacked route."""
+    return Rep(x.carrier, x.field, x.mat, dim=x.dim)
+
+
+def _routes(x, y):
+    """The basis matrices of Hom(x, y) from the permutation form and from the stacked nullspace."""
+    orbit = [f.matrix for f in hom_space_basis(x, y)]
+    stacked = [f.matrix for f in hom_space_basis(_formless(x), _formless(y))]
+    return orbit, stacked
+
+
+def _s4_h_pair(field):
+    """H-reps 5 and 6 of the s4 case at seed 0, of budgets 8 and 12: its largest hom space."""
+    group, gens = load_preset("s4")
+    h = subgroup_generated(group, gens)
+    return random_rep(h, field, "0|h5", 8), random_rep(h, field, "0|h6", 12)
+
+
+FIELD_SPECS = ["q", "fp:2", "fp:3", "fp:5"]
+
+
+@pytest.mark.parametrize("spec", FIELD_SPECS)
+@pytest.mark.parametrize("side", ["G", "H"])
+@pytest.mark.parametrize("name", ["c2", "s3", "d4", "q8", "a4", "s4"])
+def test_hom_space_routes_agree(name, side, spec):
+    group, gens = load_preset(name)
+    carrier = group if side == "G" else subgroup_generated(group, gens)
+    field = parse_field(spec)
+    reps = [random_rep(carrier, field, seed, budget)
+            for seed, budget in enumerate((1, 2, 3, 4, 6))]
+    assert all(x.perm_form is not None for x in reps)
+    for x, y in product(reps, reps):
+        orbit, stacked = _routes(x, y)
+        assert orbit
+        assert orbit == stacked
+
+
+@pytest.mark.parametrize("spec", FIELD_SPECS)
+def test_hom_space_routes_agree_on_the_largest_s4_pair(spec):
+    x, y = _s4_h_pair(parse_field(spec))
+    for a, b in ((x, y), (y, x)):
+        orbit, stacked = _routes(a, b)
+        assert orbit == stacked
+
+
+def test_orbit_route_runs_one_small_elimination(monkeypatch):
+    shapes = []
+    real = exactlin._rref
+
+    def spy(rows_list, rows, cols, field):
+        shapes.append((rows, cols))
+        return real(rows_list, rows, cols, field)
+
+    monkeypatch.setattr(exactlin, "_rref", spy)
+    x, y = _s4_h_pair(Q)
+    assert len(hom_space_basis(x, y)) == 22
+    # one elimination of the 22 orbit maps, flattened to 12 * 8 = 96 entries
+    assert shapes == [(22, 96)]
+    shapes.clear()
+    hom_space_basis(_formless(x), _formless(y))
+    # the stacked system: 96 equations per generator of H
+    assert shapes == [(192, 96)]
+
+
+def test_corrupted_rep_takes_the_stacked_route(monkeypatch):
+    s3, _ = load_preset("s3")
+    x = random_rep(s3, Q, seed=1, budget=3)
+    bad = _corrupt_rep(x)
+    assert bad.perm_form is None
+    routes = []
+    for name in ("nullspace_basis", "span_basis"):
+        real = getattr(repcat, name)
+        monkeypatch.setattr(repcat, name,
+                            lambda a, name=name, real=real: routes.append(name) or real(a))
+    hom_space_basis(bad, x)
+    hom_space_basis(x, bad)
+    assert routes == ["nullspace_basis", "nullspace_basis"]
+    hom_space_basis(x, x)
+    assert routes[2:] == ["span_basis"]
+
+
+def test_a_wrong_permutation_form_is_caught_by_rep_hom_sanity(monkeypatch):
+    """The form only picks the route; the seeded maps are certified on the matrices."""
+
+    def lying(carrier, field, seed, budget):
+        rep = random_rep(carrier, field, seed, budget)
+        umat, uinv, perm = rep.perm_form
+        rep.perm_form = (umat, uinv, lambda g: perm(0))  # as if every g fixed every index
+        return rep
+
+    monkeypatch.setattr(suite, "random_rep", lying)
+    [check] = run_suite(SuiteConfig(group="s3", family_size=3,
+                                    checks=("rep_hom_sanity",))).checks
+    assert check.status == "fail"
+    assert check.witness == {"kind": "rep_hom_sanity",
+                             "context": "morphism 0: equivariance fails at generator 1"}
