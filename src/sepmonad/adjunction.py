@@ -28,7 +28,7 @@ one of its action matrices is read, so no caller shares endpoints with a
 map.
 """
 
-from .exactlin import Matrix, assemble, hstack, mat_kron, vstack
+from .exactlin import Matrix, assemble, block_diagonal, hstack, mat_kron, vstack
 from .repcat import (
     Morphism,
     Rep,
@@ -167,14 +167,10 @@ def projection_pi_inverse(y, x, cs):
 
 
 def _pi_blockdiag(y, x, cs, invert):
+    # kept as dy copies of each x(r), so pi . pi_inv multiplies each pair once
     g = cs.group
-    dx, dy = x.dim, y.dim
-    w = dy * dx
-    diag = []
-    for k, r in enumerate(cs.reps):
-        b = x.mat(g.inverse(r) if invert else r)
-        diag += ((off, off, b) for off in range(k * w, (k + 1) * w, dx))
-    mat = assemble(x.field, cs.index * w, cs.index * w, diag)
+    blocks = [(y.dim, x.mat(g.inverse(r) if invert else r)) for r in cs.reps]
+    mat = block_diagonal(x.field, blocks)
     src = tensor_obj(coind_obj(y, cs), x)
     tgt = coind_obj(tensor_obj(y, restrict(x, cs.subgroup)), cs)
     if invert:

@@ -26,7 +26,6 @@ isomorphism is not certified again.
 """
 
 import random
-from fractions import Fraction
 
 from .exactlin import (
     Matrix,
@@ -375,10 +374,9 @@ def _idempotent_from_basis(basis, field, seed):
     rng = random.Random(f"sepmonad|summand|{seed}")
     p = field.char
     if p == 0:
-        candidates = [Fraction(v) for v in (0, 1, -1, 2, -2, 3, -3)]
-        candidates += [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]
+        candidates = [(v, 1) for v in (0, 1, -1, 2, -2, 3, -3)] + [(1, 2), (-1, 2), (3, 2)]
     else:
-        candidates = list(range(p))
+        candidates = [(v, 1) for v in range(p)]
     eye = Matrix.identity(field, basis[0].matrix.rows)
     for _ in range(8):
         if p == 0:
@@ -389,7 +387,7 @@ def _idempotent_from_basis(basis, field, seed):
             continue
         bmat = _combination(coeffs, [b.matrix for b in basis])
         for c in candidates:
-            e_mat = _eigen_projector(mat_sub(bmat, mat_scale(eye, c)))
+            e_mat = _eigen_projector(mat_sub(bmat, mat_scale(eye, *c)))
             if e_mat is not None and mat_mul(e_mat, e_mat) == e_mat:
                 return e_mat
     return None

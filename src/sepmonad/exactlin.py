@@ -2,17 +2,23 @@
 
 Scalars are either arbitrary-precision rationals (stored in lowest terms
 with positive denominator, surfaced as ``fractions.Fraction``) or residues
-modulo a prime p (ints in 0..p-1).  A Matrix stores one thing: per row, a
-dict of its nonzero integer entries, over a single positive denominator,
-in one canonical form.  Dense entry lists are accepted as input and split
-into rows at once; the dense tuple ``Matrix.nums`` is only a view, built
-when ``hash`` or a witness reads it.
+modulo a prime p (ints in 0..p-1).  A Matrix is read as one thing: per
+row, a dict of its nonzero integer entries, over a single positive
+denominator, in one canonical form.  Dense entry lists are accepted as
+input and split into rows at once; the dense tuple ``Matrix.nums`` is only
+a view, built when ``hash`` or a witness reads it.
 
 The structure maps of the adjunction are block selections and block
 permutations, so almost every entry is zero.  They are built as rows of
 nonzeros, and products (Gustavson's row-by-row sparse product), Kronecker
 products, block assembly, identity tests and comparisons work on those
-rows, so they cost time per nonzero, not per entry.
+rows, so they cost time per nonzero, not per entry.  Kronecker products
+(``mat_kron``) and block diagonals (``block_diagonal``) go one step
+further and keep their factors: their rows are built only when something
+other than ``mat_mul`` first reads them.  ``mat_mul`` multiplies two of
+them factor by factor, (A (x) B)(C (x) D) = AC (x) BD (Van Loan 2000) and
+block by block, and multiplies one of them with any other matrix by
+Gustavson's product over the factors' rows.
 
 The column factorization, solve, inverse, nullspace and span basis pass
 those rows to the kernels of ``backend``, which eliminate on them and
@@ -25,7 +31,6 @@ hom spaces of permutation-form reps in ``repcat``) costs an elimination
 of that set, not of the system whose kernel it is.
 """
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
@@ -117,7 +122,7 @@ class Matrix:
     """Exact matrix: rows of nonzero entries over a common denominator.
 
     ``nzrows`` holds one dict {column: value} per row with only the
-    nonzero entries, and it is the only thing a matrix stores.  The values
+    nonzero entries, and it is the only form a reader sees.  The values
     are integers over the positive denominator ``den``: residues 1..p-1
     with den 1 over GF(p), and over Q integers whose common content is
     coprime to den.  So the row form is canonical, and two matrices are
@@ -130,9 +135,17 @@ class Matrix:
     says given rows are already canonical.  ``nums`` is also a read-only
     view: the flat tuple of all entries, built on first read for ``hash``
     and witnesses.
+
+    A Kronecker product or block diagonal is built by ``_factored`` and
+    stores only its factors in ``_form``, as (row builder, *factors); its
+    ``nzrows`` slot stays unset until it is first read, when
+    ``__getattr__`` builds every row at once.  ``mat_mul`` reads ``_form``
+    and multiplies the factors instead, so a factored product that only
+    products read never builds its rows; ``is_identity`` of a block
+    diagonal asks its blocks.
     """
 
-    __slots__ = ("field", "rows", "cols", "den", "nzrows", "_nums")
+    __slots__ = ("field", "rows", "cols", "den", "nzrows", "_nums", "_form")
 
     def __init__(self, field, rows, cols, nums=None, den=1, _normalized=False, nzrows=None):
         self.field = field
@@ -151,6 +164,24 @@ class Matrix:
         self.nzrows = nzrows
         self.den = den
         self._nums = None
+        self._form = None
+
+    @classmethod
+    def _factored(cls, field, rows, cols, den, form):
+        """A matrix known by ``form`` = (row builder, *factors); rows built on first read."""
+        m = object.__new__(cls)
+        m.field, m.rows, m.cols, m.den = field, rows, cols, den
+        m._nums = None
+        m._form = form
+        return m
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the rows of a factored matrix
+        if name != "nzrows" or self._form is None:
+            raise AttributeError(name)
+        build, *factors = self._form
+        self.nzrows = rows = list(build(*factors))
+        return rows
 
     @property
     def nums(self):
@@ -170,6 +201,8 @@ class Matrix:
     def from_rows(cls, field, rows_of_values):
         rows = len(rows_of_values)
         cols = len(rows_of_values[0]) if rows else 0
+        from fractions import Fraction
+
         fracs = []
         for row in rows_of_values:
             if len(row) != cols:
@@ -199,6 +232,8 @@ class Matrix:
     def entry(self, i, j):
         v = self.nzrows[i].get(j, 0)
         if self.field.char == 0:
+            from fractions import Fraction
+
             return Fraction(v, self.den)
         return v
 
@@ -209,6 +244,10 @@ class Matrix:
         n = self.rows
         if n != self.cols or self.den != 1:
             return False
+        if self._form and self._form[0] is _diag_rows:
+            # placed, not multiplied: a block off the identity, or not square,
+            # leaves some diagonal entry wrong
+            return all(m.is_identity() for count, m in self._form[1] if count)
         return all(len(row) == 1 and row.get(i) == 1 for i, row in enumerate(self.nzrows))
 
     def __eq__(self, other):
@@ -249,6 +288,8 @@ class Matrix:
     def trace(self):
         t = sum(row.get(i, 0) for i, row in enumerate(self.nzrows[: self.cols]))
         if self.field.char == 0:
+            from fractions import Fraction
+
             return Fraction(t, self.den)
         return t % self.field.char
 
@@ -284,14 +325,41 @@ def mat_mul(a, b):
     Row i of the product is the sum of the rows k of b weighted by the
     nonzeros a[i, k], accumulated in one dict; entries that cancel are
     dropped.  A row of a that selects one row of b reuses that row.
+
+    Factored operands are multiplied without building their rows: two
+    Kronecker products whose factors chain (A.cols == C.rows and
+    B.cols == D.rows) by the mixed-product rule (A (x) B)(C (x) D) =
+    AC (x) BD, two block diagonals of one layout block by block, and a
+    Kronecker product with any other matrix over the rows of its factors.
     """
     _check_same_field(a, b)
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    fa, fb = a._form, b._form
+    if fa and fb and fa[0] is fb[0] is _kron_rows:
+        _, x, y = fa
+        _, z, w = fb
+        if x.cols == z.rows and y.cols == w.rows:
+            return mat_kron(mat_mul(x, z), mat_mul(y, w))
+    if (fa and fb and fa[0] is fb[0] is _diag_rows
+            and [(n, x.cols) for n, x in fa[1]] == [(n, z.rows) for n, z in fb[1]]):
+        return block_diagonal(a.field, [(n, mat_mul(x, z))
+                                        for (n, x), (_, z) in zip(fa[1], fb[1])])
     p = a.field.char
-    brows = b.nzrows
+    if fb and fb[0] is _kron_rows:
+        out = _times_kron(a.nzrows, fb[1], fb[2], p)
+    elif fa and fa[0] is _kron_rows:
+        out = _row_products(_kron_rows(fa[1], fa[2]), b.nzrows, p)
+    else:
+        out = _row_products(a.nzrows, b.nzrows, p)
+    den = a.den * b.den
+    return Matrix(a.field, a.rows, b.cols, den=den, _normalized=den == 1, nzrows=out)
+
+
+def _row_products(arows, brows, p):
+    """The rows of a . b from the rows of a and b: Gustavson's product."""
     out = []
-    for arow in a.nzrows:
+    for arow in arows:
         if len(arow) == 1:
             ((k, v),) = arow.items()
             if v == 1:
@@ -310,8 +378,32 @@ def mat_mul(a, b):
             else:
                 row = {j: x for j, x in acc.items() if x}
         out.append(row)
-    den = a.den * b.den
-    return Matrix(a.field, a.rows, b.cols, den=den, _normalized=den == 1, nzrows=out)
+    return out
+
+
+def _times_kron(arows, f, g, p):
+    """The rows of a . kron(f, g) from the rows of a, f and g.
+
+    Row k of kron(f, g) is row k // g.rows of f (x) row k % g.rows of g;
+    Gustavson's product reads it off the two factor rows, unbuilt.
+    """
+    frows, grows = f.nzrows, g.nzrows
+    gr, gc = g.rows, g.cols
+    out = []
+    for arow in arows:
+        acc = {}
+        for k, v in arow.items():
+            i, t = divmod(k, gr)
+            grow = grows[t]
+            for j, u in frows[i].items():
+                off, vu = j * gc, v * u
+                for l, w in grow.items():
+                    acc[off + l] = acc.get(off + l, 0) + vu * w
+        if p:
+            out.append({j: r for j, x in acc.items() if (r := x % p)})
+        else:
+            out.append({j: x for j, x in acc.items() if x})
+    return out
 
 
 def inverse_composites(a, b):
@@ -328,26 +420,61 @@ def inverse_composites(a, b):
 
 
 def mat_kron(a, b):
-    """Kronecker product; entry (i*b.rows+k, j*b.cols+l) is a[i,j]*b[k,l]."""
+    """Kronecker product; entry (i*b.rows+k, j*b.cols+l) is a[i,j]*b[k,l].
+
+    With den 1 the product keeps a and b as its factors and builds its rows
+    when they are first read other than by ``mat_mul``.  A den other than
+    1 needs a normalization, so those rows are built at once.
+    """
     _check_same_field(a, b)
+    rows, cols = a.rows * b.rows, a.cols * b.cols
+    if a.den == b.den == 1:
+        return Matrix._factored(a.field, rows, cols, 1, (_kron_rows, a, b))
+    return Matrix(a.field, rows, cols, den=a.den * b.den, nzrows=list(_kron_rows(a, b)))
+
+
+def _kron_rows(a, b):
+    """The rows of kron(a, b), one at a time: row (i, k) is row k of b, shifted and scaled."""
     p = a.field.char
     bc = b.cols
     brows = b.nzrows
-    out = []
     for arow in a.nzrows:
         terms = [(j * bc, v) for j, v in arow.items()]
         if len(terms) == 1 and terms[0][1] == 1:  # a selection, as in kron(I, f)
             off = terms[0][0]
-            out.extend({off + l: w for l, w in brow.items()} for brow in brows)
+            yield from ({off + l: w for l, w in brow.items()} for brow in brows)
         elif p:
-            out.extend({o + l: v * w % p for o, v in terms for l, w in brow.items()}
-                       for brow in brows)
+            yield from ({o + l: v * w % p for o, v in terms for l, w in brow.items()}
+                        for brow in brows)
         else:
-            out.extend({o + l: v * w for o, v in terms for l, w in brow.items()}
-                       for brow in brows)
-    den = a.den * b.den
-    return Matrix(a.field, a.rows * b.rows, a.cols * bc, den=den, _normalized=den == 1,
-                  nzrows=out)
+            yield from ({o + l: v * w for o, v in terms for l, w in brow.items()}
+                        for brow in brows)
+
+
+def block_diagonal(field, blocks):
+    """The block diagonal of (count, block) pairs: each block count times in turn.
+
+    It keeps its blocks and builds its rows when they are first read other
+    than by ``mat_mul``, which multiplies two block diagonals of one
+    layout block by block: once per pair, however large its count.
+    """
+    blocks = tuple(blocks)
+    if any(m.field != field for _, m in blocks):
+        raise ValueError("field mismatch in block_diagonal")
+    rows = sum(n * m.rows for n, m in blocks)
+    cols = sum(n * m.cols for n, m in blocks)
+    den = lcm(*(m.den for n, m in blocks if n))
+    return Matrix._factored(field, rows, cols, den, (_diag_rows, blocks, den))
+
+
+def _diag_rows(blocks, den):
+    placed = []
+    r0 = c0 = 0
+    for n, m in blocks:
+        for _ in range(n):
+            placed.append((r0, c0, m))
+            r0, c0 = r0 + m.rows, c0 + m.cols
+    return _placed_rows(r0, placed, den)
 
 
 def mat_add(a, b):
@@ -374,9 +501,8 @@ def mat_neg(a):
 
 
 def mat_scale(a, num, den=1):
-    """Multiply by the exact scalar num/den."""
-    if isinstance(num, Fraction):
-        num, den = num.numerator, den * num.denominator
+    """Multiply by the exact scalar num/den; num may be an int or a Fraction."""
+    num, den = num.numerator, den * num.denominator
     out = [{j: num * v for j, v in row.items()} for row in a.nzrows]
     return Matrix(a.field, a.rows, a.cols, den=a.den * den, nzrows=out)
 
@@ -417,14 +543,20 @@ def assemble(field, rows, cols, blocks):
     reused as it is.
     """
     den = 1
-    for _, _, m in blocks:
+    for r0, c0, m in blocks:
         if m.field != field:
             raise ValueError("field mismatch in assemble")
-        den = lcm(den, m.den)
-    out = [None] * rows
-    for r0, c0, m in blocks:
         if r0 + m.rows > rows or c0 + m.cols > cols:
             raise ValueError("block exceeds target shape")
+        den = lcm(den, m.den)
+    return Matrix(field, rows, cols, den=den, _normalized=True,
+                  nzrows=_placed_rows(rows, blocks, den))
+
+
+def _placed_rows(rows, blocks, den):
+    """The rows of the placed blocks over their common denominator den."""
+    out = [None] * rows
+    for r0, c0, m in blocks:
         f = den // m.den
         for i, row in enumerate(m.nzrows, r0):
             if not row:
@@ -435,8 +567,7 @@ def assemble(field, rows, cols, blocks):
             out[i] = row if prev is None else prev | row
     # the scaled blocks stay canonical: for each prime q of den, the block
     # with the most factors q has an entry prime to q and is not scaled by q
-    return Matrix(field, rows, cols, den=den, _normalized=True,
-                  nzrows=[{} if row is None else row for row in out])
+    return [{} if row is None else row for row in out]
 
 
 def _rref(rows_list, rows, cols, field):

@@ -41,13 +41,12 @@ identity matrices, and (x (x) y) (x) z equals x (x) (y (x) z) entrywise.
 """
 
 import random
+from math import lcm
 
 from .exactlin import (
     Matrix,
-    mat_add,
     mat_kron,
     mat_mul,
-    mat_scale,
     mat_sub,
     nullspace_basis,
     span_basis,
@@ -214,13 +213,17 @@ def restrict_mor(f, h):
 
 
 def _combination(coeffs, mats):
-    """The sum of c * m over the nonzero coefficients, from the zero matrix."""
+    """The sum of c * m over integer coefficients c: one accumulation, one normalization."""
     m0 = mats[0]
-    total = Matrix.zeros(m0.field, m0.rows, m0.cols)
+    den = lcm(*(m.den for m in mats))
+    rows = [{} for _ in range(m0.rows)]
     for c, m in zip(coeffs, mats):
         if c:
-            total = mat_add(total, mat_scale(m, c))
-    return total
+            f = c * (den // m.den)
+            for acc, row in zip(rows, m.nzrows):
+                for j, v in row.items():
+                    acc[j] = acc.get(j, 0) + f * v
+    return Matrix(m0.field, m0.rows, m0.cols, den=den, nzrows=rows)
 
 
 def hom_space_basis(x, y):

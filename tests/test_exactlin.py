@@ -13,6 +13,7 @@ from sepmonad.exactlin import (
     GF,
     Matrix,
     assemble,
+    block_diagonal,
     column_factor,
     hstack,
     inverse_composites,
@@ -391,6 +392,12 @@ def test_sparse_kron_matches_entry_definition(data, p):
                 1 if p else data.draw(st.integers(1, 6)))
     b = _matrix(field, data.draw(sparse_rows(shape[2], shape[3])), shape[3],
                 1 if p else data.draw(st.integers(1, 6)))
+    assert mat_kron(a, b) == _kron_by_entries(a, b)
+
+
+def _kron_by_entries(a, b):
+    """kron(a, b) from its entry definition, as a plain row-built matrix."""
+    p = a.field.char
     R, C = a.rows * b.rows, a.cols * b.cols
     want = [0] * (R * C)
     for i in range(a.rows):
@@ -399,7 +406,7 @@ def test_sparse_kron_matches_entry_definition(data, p):
                 for l in range(b.cols):
                     v = a.entry(i, j) * b.entry(k, l)
                     want[(i * b.rows + k) * C + j * b.cols + l] = v % p if p else v
-    assert mat_kron(a, b) == _from_entries(field, R, C, want)
+    return _from_entries(a.field, R, C, want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -461,6 +468,17 @@ def _identity_cases():
 def test_is_identity_matches_entry_definition():
     for m in _identity_cases():
         assert m.is_identity() == _is_identity_loops(m), m
+
+
+def test_is_identity_of_a_block_diagonal_matches_its_rows():
+    cases = _identity_cases()
+    for a in cases:
+        for b in cases:
+            if a.field != b.field:
+                continue
+            for counts in ((1, 1), (2, 0), (0, 3)):
+                d = block_diagonal(a.field, zip(counts, (a, b)))
+                assert d.is_identity() == _is_identity_loops(_built(d)), (a, b, counts)
 
 
 def test_field_rejects_characteristic_beyond_proven_bound():
@@ -684,3 +702,143 @@ def test_span_basis_of_a_spanning_set_is_the_nullspace_basis(data, p):
     if ns.cols:
         combo = Matrix(field, ns.cols, 1, nzrows=[{0: data.draw(entries)} for _ in range(ns.cols)])
         assert span_basis(hstack([spanning, mat_mul(spanning, combo)])) == ns
+
+
+# -- factored products: Kronecker products and block diagonals keep factors --
+
+
+def _rows_built(m):
+    """Whether m's rows exist: a factored matrix leaves its nzrows slot unset until read."""
+    try:
+        Matrix.nzrows.__get__(m)
+    except AttributeError:
+        return False
+    return True
+
+
+def _built(m):
+    """The same matrix as a plain row-built one, with no factors to multiply."""
+    return Matrix(m.field, m.rows, m.cols, den=m.den, _normalized=True, nzrows=list(m.nzrows))
+
+
+@st.composite
+def _split(draw, n):
+    """(u, v) with u * v == n, both drawn when n is None (a free side)."""
+    if n is None:
+        return None, None
+    if n == 0:
+        other = draw(st.integers(0, 3))
+        return draw(st.sampled_from([(0, other), (other, 0)]))
+    u = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    return u, n // u
+
+
+@st.composite
+def operands(draw, field, rows=None, cols=None, depth=2):
+    """(m, reference) with the given rows or cols: m is plain rows, or a
+    Kronecker product of two such operands, nested up to depth; reference is
+    the same matrix from the entry definition.  Over Q a leaf may have den > 1."""
+    if depth and draw(st.booleans()):
+        (ru, rv), (cu, cv) = draw(_split(rows)), draw(_split(cols))
+        a, a_ref = draw(operands(field, ru, cu, depth - 1))
+        b, b_ref = draw(operands(field, rv, cv, depth - 1))
+        return mat_kron(a, b), _kron_by_entries(a_ref, b_ref)
+    r = draw(st.integers(0, 2)) if rows is None else rows
+    c = draw(st.integers(0, 2)) if cols is None else cols
+    den = 1 if field.char else draw(st.sampled_from([1, 2, 3]))
+    # dense leaves: a Kronecker product of sparse ones is mostly zero
+    m = _matrix(field, [[draw(st.integers(-3, 3)) for _ in range(c)] for _ in range(r)], c, den)
+    return m, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), fields)
+def test_factored_products_equal_products_of_built_copies(data, p):
+    """Every route of mat_mul gives the product of the entry-built operands,
+    in == and hash.
+
+    The operands are plain or (nested) Kronecker products whose inner
+    splits of n may or may not chain, n = 0 included.
+    """
+    field = Field(p)
+    n = data.draw(st.integers(0, 8))
+    a, a_ref = data.draw(operands(field, cols=n))
+    b, b_ref = data.draw(operands(field, rows=n))
+    got = mat_mul(a, b)
+    _assert_same(got, mat_mul(a_ref, b_ref))
+    _assert_canonical(got)
+    # and the rows the operands build when read are the entry definition's
+    _assert_same(a, a_ref)
+    _assert_same(b, b_ref)
+
+
+@st.composite
+def _diagonal_blocks(draw, field, shapes):
+    """(count, block) pairs of the given (count, rows, cols); over Q a block may have den > 1."""
+    blocks = []
+    for n, r, c in shapes:
+        den = 1 if field.char else draw(st.sampled_from([1, 2, 3]))
+        blocks.append((n, _matrix(field, draw(sparse_rows(r, c)), c, den)))
+    return blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), fields)
+def test_block_diagonal_products_equal_products_of_built_copies(data, p):
+    field = Field(p)
+    small = st.integers(0, 3)
+    layout = data.draw(st.lists(st.tuples(small, small, small, small), max_size=3))
+    a_blocks = data.draw(_diagonal_blocks(field, [(n, r, k) for n, r, k, _ in layout]))
+    b_blocks = data.draw(_diagonal_blocks(field, [(n, k, c) for n, _, k, c in layout]))
+    a, b = block_diagonal(field, a_blocks), block_diagonal(field, b_blocks)
+    placed, r0, c0 = [], 0, 0
+    for n, m in a_blocks:
+        for _ in range(n):
+            placed.append((r0, c0, m))
+            r0, c0 = r0 + m.rows, c0 + m.cols
+    assert a == assemble(field, a.rows, a.cols, placed)
+    got = mat_mul(a, b)
+    _assert_same(got, mat_mul(_built(a), _built(b)))
+    _assert_canonical(got)
+    # a plain operand, or a diagonal of another layout, takes the row route
+    other = _matrix(field, data.draw(sparse_rows(b.rows, 2)), 2)
+    _assert_same(mat_mul(a, other), mat_mul(_built(a), other))
+    single = block_diagonal(field, [(1, _built(b))])
+    _assert_same(mat_mul(a, single), mat_mul(_built(a), _built(b)))
+
+
+def test_kron_products_with_chaining_factors_stay_factored():
+    f = _matrix(Q, [[1, 2], [0, 3]], 2)
+    g = _matrix(Q, [[1, 0, 1], [2, 1, 0], [0, 0, 5]], 3)
+    chained = mat_mul(mat_kron(f, g), mat_kron(f, g))
+    assert not _rows_built(chained)
+    assert chained == _kron_by_entries(mat_mul(f, f), mat_mul(g, g))
+    # a den other than 1 needs a normalization: those rows are built at once
+    half = mat_scale(f, 1, 2)
+    assert _rows_built(mat_kron(half, g))
+    assert (mat_mul(mat_kron(half, g), mat_kron(f, g))
+            == _kron_by_entries(mat_mul(half, f), mat_mul(g, g)))
+    # inner splits 2 * 3 against 3 * 2: the factors do not chain
+    crossed = mat_mul(mat_kron(f, g), mat_kron(g, f))
+    assert _rows_built(crossed)
+    assert crossed == mat_mul(_built(mat_kron(f, g)), _built(mat_kron(g, f)))
+    # an empty inner dimension split 0 * 4 against 0 * 7, and 4 * 0 against
+    # 7 * 0: one pair of factors chains, the other does not
+    empty = [Matrix.zeros(Q, r, c) for r, c in ((2, 0), (3, 4), (0, 3), (7, 2))]
+    for x, y, z, w in (empty, [empty[1], empty[0], empty[3], empty[2]]):
+        assert mat_mul(mat_kron(x, y), mat_kron(z, w)) == Matrix.zeros(Q, 6, 6)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_a_kron_read_only_by_products_leaves_its_rows_unbuilt(p):
+    field = Field(p)
+    eye = Matrix.identity(field, 3)
+    f = _matrix(field, [[1, 2], [0, 1]], 2)
+    g = _matrix(field, [[(i * 7 + j * 3) % 5 - 2 for j in range(6)] for i in range(6)], 6)
+    k = mat_kron(eye, f)
+    d = block_diagonal(field, [(3, f)])
+    products = [mat_mul(g, k), mat_mul(k, g), mat_mul(k, k), mat_mul(d, d)]
+    assert not any(_rows_built(m) for m in (k, d, products[2], products[3]))
+    assert products[0] == mat_mul(g, _built(k)) and products[1] == mat_mul(_built(k), g)
+    assert products[2] == products[3] == mat_kron(eye, mat_mul(f, f))
+    assert k.nzrows == d.nzrows and _rows_built(k) and _rows_built(d)

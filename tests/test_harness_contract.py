@@ -10,7 +10,9 @@ all of it.
 
 ``perfbench`` also times a ``verify`` process's start-up (``setup_s``), so a
 second probe checks that the CLI loads no process pool, digest or
-dataclass machinery that a single verdict never runs.
+dataclass machinery that a single verdict never runs, and no ``fractions``
+(nor the ``decimal`` it pulls in): a matrix surfaces Fraction entries only
+when one is read, so ``exactlin`` imports it there.
 """
 
 import json
@@ -33,13 +35,14 @@ print(json.dumps([b.backend_name(), b.has_speed(), b._speed is None,
 # CLI adds on top of it is measured.
 _IMPORT_PROBE = """
 import sys
-import argparse, json, fractions, random, collections, functools, itertools, math
+import argparse, json, random, collections, functools, itertools, math
 before = set(sys.modules)
 import sepmonad.cli
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
-_NOT_AT_STARTUP = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "hashlib")
+_NOT_AT_STARTUP = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "hashlib",
+                   "fractions", "decimal")
 
 
 def _probe(code):

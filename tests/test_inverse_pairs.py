@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from sepmonad import eilenberg, exactlin, suite
+from sepmonad.adjunction import projection_pi, projection_pi_inverse
 from sepmonad.eilenberg import (
     EMError,
     em_counit_iso,
@@ -166,3 +167,26 @@ def test_non_square_unit_round_trip_is_checked_on_both_sides(monkeypatch, field)
     assert rhs == Matrix.identity(field, r + 1)
     # w1 . w2 is the identity on the true image and zero on the added line
     assert lhs.nzrows == [{i: 1} for i in range(r)] + [{}]
+
+
+def test_pi_pair_multiplies_each_block_pair_once(monkeypatch):
+    """c6's (12, 12) pair: pi . pi_inv is six 12 x 12 products x(r) . x(1/r), one per
+    representative, not one 864-row product nor dy = 12 copies of each."""
+    ctx = suite.Ctx(SuiteConfig(group="c6", family_size=2))
+    cs = ctx.cs
+    y, x = ctx.pi_pairs[-1]
+    pi, pinv = projection_pi(y, x, cs), projection_pi_inverse(y, x, cs)
+    assert (cs.index, y.dim, x.dim, pi.matrix.rows) == (6, 12, 12, 864)
+    rows_multiplied = []
+    for name in ("_row_products", "_times_kron"):
+        original = getattr(exactlin, name)
+
+        def spy(arows, *rest, _original=original):
+            arows = list(arows)
+            rows_multiplied.append(len(arows))
+            return _original(arows, *rest)
+
+        monkeypatch.setattr(exactlin, name, spy)
+    pi_pinv, pinv_pi = exactlin.inverse_composites(pi.matrix, pinv.matrix)
+    assert rows_multiplied == [12] * 6
+    assert pi_pinv.is_identity() and pinv_pi is pi_pinv

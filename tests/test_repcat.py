@@ -212,6 +212,42 @@ def test_seeded_random_reps_are_frozen(name, spec, side):
     assert digest.hexdigest() == _SEEDED_REP_DIGESTS[name, spec, side]
 
 
+# sha256 of random_hom(x, y, 7 i + j) over all ordered pairs of the seeded
+# reps at seeds 0, 1 and budgets 1, 3, 6: the seeded maps must not change
+# with the way their basis combination is summed.
+_SEEDED_HOM_DIGESTS = {
+    ("s3", "q", "G"): "c36c305bc84a0b34f7b7bcdffa76aed88046719a36901e0028379744e462c914",
+    ("s3", "q", "H"): "9b46bf109cd5874de6d585daf2f047a977f02685351fbc8d85453b8d7d9b14de",
+    ("s3", "fp:3", "G"): "e6e2107d0454d4cd2d4bd3413cb2ac50939fe264a1694748018ae49aa86e6be9",
+    ("s3", "fp:3", "H"): "37db9d01d33cb8d76c4bb31a76b357c37f35d859bef29da3b10a39aa2d5ae45a",
+    ("a4", "q", "G"): "ca30482ed4c5b1aa5b97e209b49a8ca60b9dc2780f2049675757119cf0d03569",
+    ("a4", "q", "H"): "5656d27a74e7ed35929299a0de890bec761c8c0b019fd23621f8deb0177aa5ae",
+    ("a4", "fp:3", "G"): "5ce06bc88cccbc40ffe286487e53e9a8e1c476c7a3e8fb0bd7c06b5401909831",
+    ("a4", "fp:3", "H"): "7d4a1544837fafed48420b17272975c2185cd4758f64aa3e112139cc1c785cd9",
+    ("q8", "q", "G"): "8c6b97c8898a25097f41160271f1ab10dfe44fed97d75b087236802b392b2215",
+    ("q8", "q", "H"): "66a7444755e9812da4a3f3cec1a6c037691c1db787d07e3076c60e63a63e74c9",
+    ("q8", "fp:3", "G"): "ab94ea0596a0fe50706912eade7e9767fe7b166161f5f9907e0b8b14f801a3e6",
+    ("q8", "fp:3", "H"): "83937742e7fbc3408e257287bf84d646f415bf833bf24a77328c2c077cae1490",
+}
+
+
+@pytest.mark.parametrize("name, spec, side", sorted(_SEEDED_HOM_DIGESTS))
+def test_seeded_random_homs_are_frozen(name, spec, side):
+    group, gens = load_preset(name)
+    carrier = group if side == "G" else subgroup_generated(group, gens)
+    field = parse_field(spec)
+    reps = [random_rep(carrier, field, seed, budget) for seed in (0, 1) for budget in (1, 3, 6)]
+    digest = hashlib.sha256()
+    nonzero = 0
+    for i, x in enumerate(reps):
+        for j, y in enumerate(reps):
+            m = random_hom(x, y, 7 * i + j).matrix
+            nonzero += not m.is_zero()
+            digest.update(repr((m.rows, m.cols, m.den, m.nums)).encode())
+    assert nonzero >= len(reps)
+    assert digest.hexdigest() == _SEEDED_HOM_DIGESTS[name, spec, side]
+
+
 def test_random_rep_modular():
     c4, _ = load_preset("c4")
     x = random_rep(c4, GF(2), seed=0, budget=3)
