@@ -13,6 +13,7 @@ from .exactlin import (
     GF,
     QQ,
     Field,
+    IdentityError,
     Matrix,
     column_factor,
     mat_add,

@@ -17,21 +17,25 @@ All round trips ship explicit invertible witnesses built from the
 adjunction's structure maps; nothing is certified by a search when a
 closed form exists.  This module is the one place each round trip is
 built and checked: ``em_unit_iso``, ``em_counit_iso`` and
-``extension_of_scalars_iso`` raise EMError with the failing
-(composite, identity) pair, which the suite reports as its witness; the
-second composite of a square pair follows from the first and is not
-formed (``exactlin.inverse_composites``).  Modules are validated when
-built, module maps by ``require_valid``, and the inverse of a certified
-isomorphism is not certified again.
+``extension_of_scalars_iso`` raise EMError, an ``exactlin.IdentityError``,
+whose failures are the failed (name, composite, identity) triples of
+``exactlin.inverse_failures``; the suite reports the first as its
+witness.  The second composite of a square pair follows from the first
+and is not formed.  Modules are validated when built, module maps by
+``require_valid``, and the inverse of a certified isomorphism is not
+certified again.
 """
 
 import random
 
 from .exactlin import (
+    IdentityError,
     Matrix,
+    _need,
+    _need_identity,
     column_factor,
     hstack,
-    inverse_composites,
+    inverse_failures,
     mat_inverse,
     mat_kron,
     mat_mul,
@@ -59,22 +63,17 @@ from .adjunction import (
     section_xi,
     unit_eta,
 )
-from .monadring import _need
 
 # Seeded free modules that find_idempotent_summand searches before it gives up.
 SUMMAND_TRIES = 6
 
 
-class ModuleAxiomError(ValueError):
-    def __init__(self, message, failures=None):
-        super().__init__(message)
-        self.failures = failures or []
+class ModuleAxiomError(IdentityError):
+    """A module refused on its failed axioms."""
 
 
-class EMError(ValueError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+class EMError(IdentityError):
+    """A module map, idempotent or round trip of the comparison refused."""
 
 
 class AModule:
@@ -89,10 +88,7 @@ class AModule:
         self.carrier = carrier
         self.action = action
         self.tag = tag
-        failures = module_axiom_failures(self)
-        if failures:
-            names = ", ".join(f[0] for f in failures)
-            raise ModuleAxiomError(f"module axioms fail: {names}", failures)
+        ModuleAxiomError.refuse("module axioms fail", module_axiom_failures(self))
 
     @property
     def dim(self):
@@ -117,7 +113,7 @@ def module_axiom_failures(mod):
         mat_mul(rho, mat_kron(mod.ring.mul.matrix, eye_x)),
         mat_mul(rho, mat_kron(eye_a, rho)),
     )
-    _need(out, "action_unitality", mat_mul(rho, mat_kron(mod.ring.unit.matrix, eye_x)), eye_x)
+    _need_identity(out, "action_unitality", mat_mul(rho, mat_kron(mod.ring.unit.matrix, eye_x)))
     for g in x.carrier.gens:
         _need(
             out, f"action_equivariance@{g}",
@@ -146,10 +142,10 @@ class AModMorphism:
         """Raise RepError unless equivariant, EMError unless A-linear."""
         self._carrier_map.require_valid()
         eye_a = Matrix.identity(self.matrix.field, self.source.ring.dim)
-        lhs = mat_mul(self.matrix, self.source.action.matrix)
-        rhs = mat_mul(self.target.action.matrix, mat_kron(eye_a, self.matrix))
-        if lhs != rhs:
-            raise EMError("map does not commute with the actions", (lhs, rhs))
+        out = []
+        _need(out, "A-linearity", mat_mul(self.matrix, self.source.action.matrix),
+              mat_mul(self.target.action.matrix, mat_kron(eye_a, self.matrix)))
+        EMError.refuse("map does not commute with the actions", out)
 
     def __repr__(self):
         return f"<AModMorphism {self.source.dim}->{self.target.dim}>"
@@ -191,8 +187,7 @@ def em_mor(f, cs, source, target):
     ``source`` and ``target`` are the comparison modules E(f.source) and
     E(f.target); the map is checked to be equivariant and A-linear.
     """
-    eye = Matrix.identity(f.matrix.field, cs.index)
-    ef = AModMorphism(source, target, mat_kron(eye, f.matrix))
+    ef = AModMorphism(source, target, coind_mor(f, cs).matrix)
     ef.require_valid()
     return ef
 
@@ -235,18 +230,11 @@ def em_inverse_split(mod, cs):
     e_mat = mat_mul(mod.action.matrix, mat_mul(pinv.matrix, xi.matrix))
     e = Morphism(rx, rx, e_mat, tag="e")
     e.require_valid()
-    e2 = mat_mul(e_mat, e_mat)
-    if e2 != e_mat:
-        raise EMError("module idempotent law e.e = e fails", (e2, e_mat))
+    out = []
+    _need(out, "e . e = e", mat_mul(e_mat, e_mat), e_mat)
+    EMError.refuse("module idempotent law fails", out)
     img, p, m = split_idempotent(e, rx)
     return img, p, m, e
-
-
-def _need_inverse(a, b, on_ab, on_ba):
-    """Raise EMError unless a . b = I = b . a: message on_ab or on_ba, witness (composite, I)."""
-    for message, composite in zip((on_ab, on_ba), inverse_composites(a, b)):
-        if not composite.is_identity():
-            raise EMError(message, (composite, Matrix.identity(composite.field, composite.rows)))
 
 
 def em_unit_iso(n, cs, ring):
@@ -262,8 +250,8 @@ def em_unit_iso(n, cs, ring):
     _, p, m, _ = em_inverse_split(mod, cs)
     w1 = compose(p, section_xi(n, cs))
     w2 = compose(counit_eps(n, cs), m)
-    _need_inverse(w2.matrix, w1.matrix, "unit round trip fails on n",
-                  "unit round trip fails on the image")
+    EMError.refuse("unit round trip fails",
+                   inverse_failures(w2.matrix, w1.matrix, "w2 . w1 = id_n", "w1 . w2 = id_image"))
     return mod, p, m, w1, w2
 
 
@@ -286,8 +274,9 @@ def em_counit_iso(mod, split, cs):
     eta = unit_eta(x, cs)
     cp = coind_mor(p, cs)
     psi_mat = mat_mul(cp.matrix, eta.matrix)
-    _need_inverse(phi_mat, psi_mat, "counit round trip fails on the module",
-                  "counit round trip fails on the comparison")
+    EMError.refuse("counit round trip fails",
+                   inverse_failures(phi_mat, psi_mat, "phi . psi = id_module",
+                                    "psi . phi = id_comparison"))
     phi = AModMorphism(en, mod, phi_mat)
     phi.require_valid()
     return phi, AModMorphism(mod, en, psi_mat)
@@ -305,8 +294,8 @@ def extension_of_scalars_iso(y, cs, ring):
     en = em_comparison(restrict(y, h), cs, ring)
     pi = projection_pi(one_h, y, cs)
     pinv = projection_pi_inverse(one_h, y, cs)
-    _need_inverse(pi.matrix, pinv.matrix, "pi . pi-inverse is not the identity",
-                  "pi-inverse . pi is not the identity")
+    EMError.refuse("extension of scalars round trip fails",
+                   inverse_failures(pi.matrix, pinv.matrix, "pi . pi_inv = id", "pi_inv . pi = id"))
     phi = AModMorphism(free, en, pi.matrix)
     phi.require_valid()
     return phi, AModMorphism(en, free, pinv.matrix)

@@ -285,14 +285,6 @@ class Matrix:
         out = [{t: row[j] for t, j in enumerate(col_idx) if j in row} for row in rows]
         return Matrix(self.field, self.rows, len(col_idx), den=self.den, nzrows=out)
 
-    def trace(self):
-        t = sum(row.get(i, 0) for i, row in enumerate(self.nzrows[: self.cols]))
-        if self.field.char == 0:
-            from fractions import Fraction
-
-            return Fraction(t, self.den)
-        return t % self.field.char
-
 
 def _normalize_rows(field, rows, den):
     """Rows and den in the canonical form of ``Matrix``: reduced, no zeros."""
@@ -406,17 +398,44 @@ def _times_kron(arows, f, g, p):
     return out
 
 
-def inverse_composites(a, b):
-    """The composites (a . b, b . a) of a candidate inverse b of a.
+class IdentityError(ValueError):
+    """A construction refused on failed identities, each kept as (name, lhs, rhs)."""
+
+    def __init__(self, message, failures=()):
+        super().__init__(message)
+        self.failures = list(failures)
+
+    @classmethod
+    def refuse(cls, refusal, failures):
+        """Raise cls, message ``refusal: <names>``, when ``failures`` is not empty."""
+        if failures:
+            raise cls(f"{refusal}: {', '.join(f[0] for f in failures)}", failures)
+
+
+def _need(out, name, lhs, rhs):
+    """Record the identity ``name`` in ``out`` as (name, lhs, rhs) when lhs != rhs."""
+    if lhs != rhs:
+        out.append((name, lhs, rhs))
+
+
+def _need_identity(out, name, m):
+    """Record ``name`` in ``out`` as (name, m, I) when m is not the identity."""
+    if not m.is_identity():
+        out.append((name, m, Matrix.identity(m.field, m.rows)))
+
+
+def inverse_failures(a, b, on_ab, on_ba):
+    """The failed identities of 'b inverts a': (on_ab, a . b, I), (on_ba, b . a, I).
 
     Over a field a square a with a . b = I has b . a = I, which is then
-    returned without a second product.  Otherwise b . a is formed: a
-    one-sided inverse of a non-square map is not two-sided.
+    not formed.  Otherwise b . a is formed: a one-sided inverse of a
+    non-square map is not two-sided.
     """
-    ab = mat_mul(a, b)
-    if a.rows == a.cols and ab.is_identity():
-        return ab, ab
-    return ab, mat_mul(b, a)
+    out = []
+    _need_identity(out, on_ab, mat_mul(a, b))
+    if out or a.rows != a.cols:
+        _need_identity(out, on_ba, mat_mul(b, a))
+    return out
 
 
 def mat_kron(a, b):

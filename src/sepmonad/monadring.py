@@ -15,7 +15,16 @@ them; the diagram checks live alongside the constructors.
 
 from functools import cached_property
 
-from .exactlin import Matrix, inverse_composites, mat_inverse, mat_kron, mat_mul
+from .exactlin import (
+    IdentityError,
+    Matrix,
+    _need,
+    _need_identity,
+    inverse_failures,
+    mat_inverse,
+    mat_kron,
+    mat_mul,
+)
 from .repcat import (
     Morphism,
     Rep,
@@ -42,10 +51,8 @@ from .adjunction import (
 )
 
 
-class RingAxiomError(ValueError):
-    def __init__(self, message, failures=None):
-        super().__init__(message)
-        self.failures = failures or []
+class RingAxiomError(IdentityError):
+    """A ring object, ring isomorphism or transport refused on its failed identities."""
 
 
 class RingObject:
@@ -77,9 +84,7 @@ class RingObject:
 
     def require_valid(self, refusal):
         """Raise RingAxiomError, message ``refusal: <names>``, when an axiom fails."""
-        if self.failures:
-            names = ", ".join(f[0] for f in self.failures)
-            raise RingAxiomError(f"{refusal}: {names}", self.failures)
+        RingAxiomError.refuse(refusal, self.failures)
 
     @property
     def dim(self):
@@ -92,12 +97,6 @@ class RingObject:
     def __repr__(self):
         sec = "with section" if self.section is not None else "no section"
         return f"<RingObject dim {self.dim} over {self.field}, {sec}>"
-
-
-def _need(out, name, lhs, rhs):
-    """Record the identity ``name`` in ``out`` as (name, lhs, rhs) when lhs != rhs."""
-    if lhs != rhs:
-        out.append((name, lhs, rhs))
 
 
 def ring_axiom_failures(ring):
@@ -115,8 +114,8 @@ def ring_axiom_failures(ring):
     u = ring.unit.matrix
     out = []
     _need(out, "associativity", mat_mul(m, mat_kron(m, eye)), mat_mul(m, mat_kron(eye, m)))
-    _need(out, "unit_left", mat_mul(m, mat_kron(u, eye)), eye)
-    _need(out, "unit_right", mat_mul(m, mat_kron(eye, u)), eye)
+    _need_identity(out, "unit_left", mat_mul(m, mat_kron(u, eye)))
+    _need_identity(out, "unit_right", mat_mul(m, mat_kron(eye, u)))
     tau = symmetry(a, a).matrix
     _need(out, "commutativity", mat_mul(m, tau), m)
     for g in a.carrier.gens:
@@ -133,7 +132,7 @@ def ring_axiom_failures(ring):
     if ring.section is not None:
         s = ring.section.matrix
         sm = mat_mul(s, m)
-        _need(out, "separability_retract", mat_mul(m, s), eye)
+        _need_identity(out, "separability_retract", mat_mul(m, s))
         _need(out, "separability_left", mat_mul(mat_kron(m, eye), mat_kron(eye, s)), sm)
         _need(out, "separability_right", mat_mul(mat_kron(eye, m), mat_kron(s, eye)), sm)
     return out
@@ -194,10 +193,8 @@ def canonical_ring_iso(std, adj):
     iso = Morphism(std.carrier, adj.carrier, Matrix.identity(std.field, std.dim))
     iso.require_valid()
     inv = mat_inverse(iso.matrix)
-    failures = ring_iso_failures(std, adj, iso, inv)
-    if failures:
-        names = ", ".join(f[0] for f in failures)
-        raise RingAxiomError(f"canonical map is not a ring isomorphism: {names}", failures)
+    RingAxiomError.refuse("canonical map is not a ring isomorphism",
+                          ring_iso_failures(std, adj, iso, inv))
     return iso, inv
 
 
@@ -206,18 +203,13 @@ def ring_iso_failures(r1, r2, iso, inv):
 
     ``inv`` is the inverse of iso's matrix, or None when that is singular.
     """
-    out = []
     f = iso.matrix
     if inv is None:
-        out.append(("invertibility", f, f))
-        return out
-    lhs = mat_mul(f, r1.mul.matrix)
-    rhs = mat_mul(r2.mul.matrix, mat_kron(f, f))
-    if lhs != rhs:
-        out.append(("multiplication_transport", lhs, rhs))
-    lu = mat_mul(f, r1.unit.matrix)
-    if lu != r2.unit.matrix:
-        out.append(("unit_transport", lu, r2.unit.matrix))
+        return [("invertibility", f, f)]
+    out = []
+    _need(out, "multiplication_transport",
+          mat_mul(f, r1.mul.matrix), mat_mul(r2.mul.matrix, mat_kron(f, f)))
+    _need(out, "unit_transport", mat_mul(f, r1.unit.matrix), r2.unit.matrix)
     return out
 
 
@@ -304,15 +296,14 @@ def monad_law_failures(monad, x):
     ax = monad.on_obj(x)
     mu_x = monad.mu_at(x)
     eta_x = monad.eta_at(x)
-    eye = Matrix.identity(x.field, ax.dim)
     out = []
     _need(
         out, "mu_associativity",
         mat_mul(mu_x.matrix, monad.on_mor(mu_x).matrix),
         mat_mul(mu_x.matrix, monad.mu_at(ax).matrix),
     )
-    _need(out, "mu_unit_left", mat_mul(mu_x.matrix, monad.on_mor(eta_x).matrix), eye)
-    _need(out, "mu_unit_right", mat_mul(mu_x.matrix, monad.eta_at(ax).matrix), eye)
+    _need_identity(out, "mu_unit_left", mat_mul(mu_x.matrix, monad.on_mor(eta_x).matrix))
+    _need_identity(out, "mu_unit_right", mat_mul(mu_x.matrix, monad.eta_at(ax).matrix))
     return out
 
 
@@ -327,10 +318,9 @@ def monad_separability_failures(cs, monad, x):
     ax = monad.on_obj(x)
     s_x = monad_section_at(cs, x)
     mu_x = monad.mu_at(x)
-    eye = Matrix.identity(x.field, ax.dim)
     smu = mat_mul(s_x.matrix, mu_x.matrix)
     out = []
-    _need(out, "section_retract", mat_mul(mu_x.matrix, s_x.matrix), eye)
+    _need_identity(out, "section_retract", mat_mul(mu_x.matrix, s_x.matrix))
     _need(out, "section_left_linear",
           mat_mul(monad.mu_at(ax).matrix, monad.on_mor(s_x).matrix), smu)
     _need(
@@ -395,7 +385,7 @@ def monad_morphism_failures(mm, x):
     Verifies the unit triangle, the multiplication square against the
     two-fold component, and that the closed-form inverse inverts the
     component on both sides: the left composite is formed, and the right
-    one only when it does not follow (``exactlin.inverse_composites``).
+    one only when it does not follow (``exactlin.inverse_failures``).
     """
     theta_x = mm.at(x)
     src, tgt = mm.source, mm.target
@@ -415,8 +405,6 @@ def monad_morphism_failures(mm, x):
         mat_mul(theta_x.matrix, src.mu_at(x).matrix),
         mat_mul(tgt.mu_at(x).matrix, theta2),
     )
-    left, right = inverse_composites(mm.inv_at(x), theta_x.matrix)
-    eye = Matrix.identity(x.field, theta_x.matrix.rows)
-    _need(out, "component_left_inverse", left, eye)
-    _need(out, "component_right_inverse", right, eye)
+    out += inverse_failures(mm.inv_at(x), theta_x.matrix,
+                            "component_left_inverse", "component_right_inverse")
     return out

@@ -114,15 +114,6 @@ class Rep:
         return f"<Rep dim {self.dim} over {self.field} ({kind}-side{': ' + self.tag if self.tag else ''})>"
 
 
-def rep_equal(a, b):
-    return (
-        a.carrier is b.carrier
-        and a.field == b.field
-        and a.dim == b.dim
-        and all(a.mat(i) == b.mat(i) for i in a.carrier.elements)
-    )
-
-
 class Morphism:
     """An equivariant matrix between the spaces of two representations."""
 

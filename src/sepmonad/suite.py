@@ -15,7 +15,7 @@ from functools import cached_property
 
 from ._version import __version__
 from .backend import backend_name
-from .exactlin import Matrix, inverse_composites, mat_kron, mat_mul, parse_field
+from .exactlin import IdentityError, Matrix, inverse_failures, mat_kron, mat_mul, parse_field
 from .groups import (
     GroupError,
     group_from_cayley_table,
@@ -67,7 +67,6 @@ from .monadring import (
     transport_section,
 )
 from .eilenberg import (
-    EMError,
     ModuleAxiomError,
     em_comparison,
     em_counit_iso,
@@ -85,7 +84,7 @@ WORKERS_ENV = "SEPMONAD_WORKERS"
 
 CORRUPTIONS = ("ring_mul", "xi_block", "rep_action")
 
-_DOMAIN_ERRORS = (GroupError, RepError, RingAxiomError, ModuleAxiomError, EMError)
+_DOMAIN_ERRORS = (GroupError, RepError, IdentityError)
 
 # Matrices above this entry count are reported by digest, not by value.
 _WITNESS_ENTRY_CAP = 4096
@@ -173,14 +172,9 @@ def _witness(kind, context, lhs=None, rhs=None, **extra):
 def _witness_from_error(kind, context, exc):
     if isinstance(exc, GroupError):
         return _witness(kind, f"{context}: {exc}", violations=exc.violations[:8])
-    failures = getattr(exc, "failures", None)
-    if failures:
-        name, lhs, rhs = failures[0]
-        return _witness(kind, f"{context}: {exc} [{name}]", lhs, rhs)
-    pair = getattr(exc, "witness", None)
-    if isinstance(pair, tuple) and len(pair) == 2:
-        return _witness(kind, f"{context}: {exc}", pair[0], pair[1])
-    return _witness(kind, f"{context}: {exc}")
+    # the message names every failed identity; the first one is the witness
+    _, lhs, rhs = (getattr(exc, "failures", None) or [(None, None, None)])[0]
+    return _witness(kind, f"{context}: {exc}", lhs, rhs)
 
 
 def _from_failures(kind, context, failures):
@@ -462,15 +456,13 @@ def _check_triangle_identities(ctx):
         cxi = coind_mor(section_xi(n, cs), cs)
         _need_identity(out, "triangle_ind", f"c . Coind(xi) at {n.tag}",
                        mat_mul(c_cn.matrix, cxi.matrix))
-    eye = Matrix.identity(ctx.field, cs.index)
     for i, f in enumerate(ctx.gmors):
-        rf = restrict_mor(f, h)
-        lhs = mat_mul(mat_kron(eye, rf.matrix), etas[i].matrix)
+        lhs = mat_mul(coind_mor(restrict_mor(f, h), cs).matrix, etas[i].matrix)
         rhs = mat_mul(etas[(i + 1) % len(etas)].matrix, f.matrix)
         _need(out, "unit_naturality", f"gmor {i}", lhs, rhs)
     for i, f in enumerate(ctx.hmors):
         m, n = f.source, f.target
-        lhs = mat_mul(counit_eps(n, cs).matrix, mat_kron(eye, f.matrix))
+        lhs = mat_mul(counit_eps(n, cs).matrix, coind_mor(f, cs).matrix)
         rhs = mat_mul(f.matrix, counit_eps(m, cs).matrix)
         _need(out, "counit_naturality", f"hmor {i}", lhs, rhs)
     return out
@@ -479,7 +471,6 @@ def _check_triangle_identities(ctx):
 def _check_counit_section(ctx):
     out = []
     cs = ctx.cs
-    eye = Matrix.identity(ctx.field, cs.index)
     xis = []
     for i, n in enumerate(ctx.hreps):
         xi = section_xi(n, cs)
@@ -490,7 +481,7 @@ def _check_counit_section(ctx):
                        mat_mul(eps.matrix, xi.matrix))
         xis.append(xi)
     for i, f in enumerate(ctx.hmors):
-        lhs = mat_mul(mat_kron(eye, f.matrix), xis[i].matrix)
+        lhs = mat_mul(coind_mor(f, cs).matrix, xis[i].matrix)
         rhs = mat_mul(xis[(i + 1) % len(xis)].matrix, f.matrix)
         _need(out, "section_naturality", f"hmor {i}", lhs, rhs)
     return out
@@ -520,7 +511,7 @@ def _check_lambda_laws(ctx):
         cy = coind_obj(y, cs)
         tau_top = symmetry(cx, cy)
         tau_low = symmetry(x, y)
-        lhs = mat_mul(mat_kron(Matrix.identity(field, cs.index), tau_low.matrix), lam.matrix)
+        lhs = mat_mul(coind_mor(tau_low, cs).matrix, lam.matrix)
         rhs = mat_mul(lam_yx.matrix, tau_top.matrix)
         _need(out, "lambda_symmetry", f"pair ({x.tag},{y.tag})", lhs, rhs)
     x, y, z = reps[0], reps[1 % n], reps[2 % n]
@@ -537,14 +528,13 @@ def _check_lambda_laws(ctx):
         mat_kron(Matrix.identity(field, cxd), lam_yz.matrix),
     )
     _need(out, "lambda_associativity", f"triple ({x.tag},{y.tag},{z.tag})", lhs, rhs)
-    eye = Matrix.identity(field, cs.index)
     for i, f in enumerate(ctx.lam_homs):
         g = ctx.lam_homs[(i + 1) % n]
         # f: reps[i] -> reps[i+1], g: reps[i+1] -> reps[i+2]
         lam_src = lax_lambda(f.source, g.source, cs)
         lam_tgt = lax_lambda(f.target, g.target, cs)
-        lhs = mat_mul(lam_tgt.matrix, mat_kron(mat_kron(eye, f.matrix), mat_kron(eye, g.matrix)))
-        rhs = mat_mul(mat_kron(eye, mat_kron(f.matrix, g.matrix)), lam_src.matrix)
+        lhs = mat_mul(lam_tgt.matrix, tensor_mor(coind_mor(f, cs), coind_mor(g, cs)).matrix)
+        rhs = mat_mul(coind_mor(tensor_mor(f, g), cs).matrix, lam_src.matrix)
         _need(out, "lambda_naturality", f"homs ({i},{(i + 1) % n})", lhs, rhs)
     return out
 
@@ -557,9 +547,9 @@ def _check_projection_formula(ctx):
     for k, (y, x) in enumerate(ctx.pi_pairs):
         pi = projection_pi(y, x, cs)
         pinv = projection_pi_inverse(y, x, cs)
-        pi_pinv, pinv_pi = inverse_composites(pi.matrix, pinv.matrix)
-        _need_identity(out, "projection_invertible", f"pi . pi_inv at pair {k}", pi_pinv)
-        _need_identity(out, "projection_invertible", f"pi_inv . pi at pair {k}", pinv_pi)
+        for name, lhs, rhs in inverse_failures(pi.matrix, pinv.matrix,
+                                               "pi . pi_inv", "pi_inv . pi"):
+            out.append(_witness("projection_invertible", f"{name} at pair {k}", lhs, rhs))
         if index ** 3 * (y.dim * x.dim) ** 2 <= 1_500_000:
             # the defining composite lambda . (id (x) eta), from the library's maps
             composite = compose(lax_lambda(y, restrict(x, h), cs),
@@ -689,7 +679,6 @@ def _check_extension_of_scalars(ctx):
     out = []
     cs, h = ctx.cs, ctx.h
     eye_a = Matrix.identity(ctx.field, ctx.ring.dim)
-    eye = Matrix.identity(ctx.field, cs.index)
     phis = []
     for y in ctx.ext_reps:
         try:
@@ -701,8 +690,7 @@ def _check_extension_of_scalars(ctx):
         j = (i + 1) % len(ctx.ext_reps)
         if phis[i] is None or phis[j] is None:
             continue
-        rf = restrict_mor(f, h)
-        lhs = mat_mul(mat_kron(eye, rf.matrix), phis[i].matrix)
+        lhs = mat_mul(coind_mor(restrict_mor(f, h), cs).matrix, phis[i].matrix)
         rhs = mat_mul(phis[j].matrix, mat_kron(eye_a, f.matrix))
         _need(out, "extension_naturality", f"gmor {i}", lhs, rhs)
     return out

@@ -112,9 +112,10 @@ def test_em_unit_iso_refuses_a_module_whose_idempotent_is_not_one():
     # split_idempotent trusts e; em_inverse_split is where e . e = e is checked
     cs, ring = _setup("c2")
     n = Rep(cs.subgroup, Q, {0: Matrix.from_rows(Q, [[2]])}, tag="doubled")
-    with pytest.raises(EMError, match=r"^module idempotent law e\.e = e fails$") as info:
+    with pytest.raises(EMError, match=r"^module idempotent law fails: e \. e = e$") as info:
         em_unit_iso(n, cs, ring)
-    e2, e = info.value.witness
+    [(name, e2, e)] = info.value.failures
+    assert name == "e . e = e"
     assert e == Matrix.from_rows(Q, [[2, 0], [0, 0]])
     assert e2 == mat_mul(e, e) == Matrix.from_rows(Q, [[4, 0], [0, 0]])
 
@@ -193,11 +194,14 @@ def _zeroed(fn):
 
 @pytest.mark.parametrize("field", [Q, GF(2)], ids=["q", "fp2"])
 @pytest.mark.parametrize("iso,corrupt,message", [
-    pytest.param("em_unit_iso", "counit_eps", "unit round trip fails on n", id="unit"),
-    pytest.param("em_counit_iso", "unit_eta", "counit round trip fails on the module",
+    pytest.param("em_unit_iso", "counit_eps",
+                 r"^unit round trip fails: w2 \. w1 = id_n, w1 \. w2 = id_image$", id="unit"),
+    pytest.param("em_counit_iso", "unit_eta",
+                 r"^counit round trip fails: phi \. psi = id_module, psi \. phi = id_comparison$",
                  id="counit"),
     pytest.param("extension_of_scalars_iso", "projection_pi_inverse",
-                 r"pi \. pi-inverse is not the identity", id="extension"),
+                 r"^extension of scalars round trip fails: pi \. pi_inv = id, pi_inv \. pi = id$",
+                 id="extension"),
 ])
 def test_round_trip_witness_is_the_composite_against_identity(monkeypatch, field, iso, corrupt,
                                                               message):
@@ -211,18 +215,23 @@ def test_round_trip_witness_is_the_composite_against_identity(monkeypatch, field
     monkeypatch.setattr(eilenberg, corrupt, _zeroed(getattr(eilenberg, corrupt)))
     with pytest.raises(EMError, match=message) as err:
         getattr(eilenberg, iso)(*args)
-    lhs, rhs = err.value.witness
-    assert (lhs.rows, lhs.cols) == (rhs.rows, rhs.cols)
-    assert lhs.is_zero() and rhs.is_identity()
+    # a zero map fails both composites, each recorded against the identity
+    assert len(err.value.failures) == 2
+    for _, lhs, rhs in err.value.failures:
+        assert (lhs.rows, lhs.cols) == (rhs.rows, rhs.cols)
+        assert lhs.is_zero() and rhs.is_identity()
 
 
 @pytest.mark.parametrize("field", ["q", "fp:2"])
 def test_suite_reports_the_library_round_trip_witness(monkeypatch, field):
     """Each EM check fails under its own kind with the library's (0, I) pair."""
     for corrupt, cid, message in (
-        ("counit_eps", "em_unit_roundtrip", "unit round trip fails on n"),
-        ("unit_eta", "em_counit_roundtrip", "counit round trip fails on the module"),
-        ("projection_pi_inverse", "extension_of_scalars", "pi . pi-inverse is not the identity"),
+        ("counit_eps", "em_unit_roundtrip",
+         ": unit round trip fails: w2 . w1 = id_n, w1 . w2 = id_image"),
+        ("unit_eta", "em_counit_roundtrip",
+         ": counit round trip fails: phi . psi = id_module, psi . phi = id_comparison"),
+        ("projection_pi_inverse", "extension_of_scalars",
+         ": extension of scalars round trip fails: pi . pi_inv = id, pi_inv . pi = id"),
     ):
         with monkeypatch.context() as patch:
             patch.setattr(eilenberg, corrupt, _zeroed(getattr(eilenberg, corrupt)))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepmonad import backend
+from sepmonad import backend, exactlin
 from sepmonad.exactlin import (
     Field,
     GF,
@@ -16,7 +16,7 @@ from sepmonad.exactlin import (
     block_diagonal,
     column_factor,
     hstack,
-    inverse_composites,
+    inverse_failures,
     mat_add,
     mat_inverse,
     mat_kron,
@@ -109,23 +109,33 @@ def test_inverse_mod_p():
     assert mat_mul(a, inv).is_identity()
 
 
-def test_inverse_composites_of_a_square_pair_form_one_product():
+@pytest.fixture
+def products(monkeypatch):
+    """The operand pairs of every product ``exactlin`` forms."""
+    calls = []
+    original = exactlin.mat_mul
+    monkeypatch.setattr(exactlin, "mat_mul", lambda a, b: calls.append((a, b)) or original(a, b))
+    return calls
+
+
+def test_inverse_failures_of_a_square_pair_form_one_product(products):
     a = M(Q, [[1, 1], [0, 2]])
     b = mat_inverse(a)
-    ab, ba = inverse_composites(a, b)
-    assert ab.is_identity() and ba is ab
+    assert inverse_failures(a, b, "ab", "ba") == []
+    assert products == [(a, b)]
     # the identity is not a's inverse, so the second product is formed
-    ab, ba = inverse_composites(a, M(Q, [[1, 0], [0, 1]]))
-    assert ab == a and ba == a
+    eye = M(Q, [[1, 0], [0, 1]])
+    assert inverse_failures(a, eye, "ab", "ba") == [("ab", a, eye), ("ba", a, eye)]
+    assert products[1:] == [(a, eye), (eye, a)]
 
 
-def test_inverse_composites_of_a_non_square_pair_form_both_products():
+def test_inverse_failures_of_a_non_square_pair_form_both_products(products):
     # a . b = I_1, but b . a is a rank-one idempotent, not I_2
     a = M(GF(3), [[1, 0]])
     b = M(GF(3), [[1], [2]])
-    ab, ba = inverse_composites(a, b)
-    assert ab.is_identity()
-    assert ba == M(GF(3), [[1, 0], [2, 0]])
+    assert inverse_failures(a, b, "ab", "ba") == [
+        ("ba", M(GF(3), [[1, 0], [2, 0]]), M(GF(3), [[1, 0], [0, 1]]))]
+    assert products == [(a, b), (b, a)]
 
 
 def test_nullspace_hand_case():

@@ -1,0 +1,156 @@
+"""Every refused construction raises one error type with named failure records.
+
+A failed identity is a (name, lhs, rhs) triple.  Each refusal site raises
+a subclass of ``exactlin.IdentityError`` whose ``failures`` hold those
+triples and whose message is ``<refusal>: <names>``.  The suite reports
+the first record as its witness; the mutation-smoke reports are pinned
+by digest, so a change of the witness format is a deliberate one.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from sepmonad import cli, eilenberg
+from sepmonad.eilenberg import (
+    AModMorphism,
+    AModule,
+    EMError,
+    ModuleAxiomError,
+    em_comparison,
+    em_inverse_split,
+    free_module,
+)
+from sepmonad.exactlin import Field, IdentityError, Matrix
+from sepmonad.groups import right_cosets, subgroup_generated
+from sepmonad.monadring import (
+    RingAxiomError,
+    canonical_ring_iso,
+    ring_from_adjunction,
+    standard_ring,
+)
+from sepmonad.presets import load_preset
+from sepmonad.repcat import Morphism, Rep, random_rep, unit_rep, zero_mor
+from sepmonad.suite import _corrupt_ring
+
+Q = Field(0)
+
+
+def _setup(name):
+    group, default = load_preset(name)
+    cs = right_cosets(group, subgroup_generated(group, default))
+    return cs, standard_ring(cs, Q)
+
+
+def _zero(monkeypatch, name):
+    """Replace the structure map ``eilenberg.<name>`` by the zero map between its reps."""
+    real = getattr(eilenberg, name)
+
+    def zeroed(*args):
+        f = real(*args)
+        return zero_mor(f.source, f.target)
+
+    monkeypatch.setattr(eilenberg, name, zeroed)
+
+
+def _ring_object(monkeypatch):
+    _, ring = _setup("s3")
+    _corrupt_ring(ring).require_valid("ring axioms fail")
+
+
+def _canonical_ring_iso(monkeypatch):
+    cs, ring = _setup("s3")
+    canonical_ring_iso(_corrupt_ring(ring), ring_from_adjunction(cs, Q))
+
+
+def _module_action(monkeypatch):
+    cs, ring = _setup("s3")
+    free = free_module(ring, random_rep(cs.group, Q, seed=3, budget=2))
+    rho = free.action.matrix
+    rows = list(rho.nzrows)
+    rows[0] = {**rows[0], 0: rows[0].get(0, 0) + rho.den}
+    bad = Morphism(free.action.source, free.action.target,
+                   Matrix(Q, rho.rows, rho.cols, den=rho.den, nzrows=rows))
+    AModule(ring, free.carrier, bad)
+
+
+def _module_map(monkeypatch):
+    # the all-ones map of A = k(G/H) is equivariant but not A-linear
+    cs, ring = _setup("s3")
+    free = free_module(ring, unit_rep(cs.group, Q))
+    d = free.dim
+    AModMorphism(free, free, Matrix.from_rows(Q, [[1] * d] * d)).require_valid()
+
+
+def _idempotent(monkeypatch):
+    # the identity of H acting by 2 makes the module's e equal to 2 e_0
+    cs, ring = _setup("c2")
+    n = Rep(cs.subgroup, Q, {0: Matrix.from_rows(Q, [[2]])}, tag="doubled")
+    em_inverse_split(em_comparison(n, cs, ring), cs)
+
+
+def _unit_round_trip(monkeypatch):
+    cs, ring = _setup("s3")
+    _zero(monkeypatch, "counit_eps")
+    eilenberg.em_unit_iso(random_rep(cs.subgroup, Q, seed=0, budget=2), cs, ring)
+
+
+def _counit_round_trip(monkeypatch):
+    cs, ring = _setup("s3")
+    free = free_module(ring, random_rep(cs.group, Q, seed=1, budget=2))
+    split = em_inverse_split(free, cs)
+    _zero(monkeypatch, "unit_eta")
+    eilenberg.em_counit_iso(free, split, cs)
+
+
+def _extension_round_trip(monkeypatch):
+    cs, ring = _setup("s3")
+    _zero(monkeypatch, "projection_pi_inverse")
+    eilenberg.extension_of_scalars_iso(random_rep(cs.group, Q, seed=1, budget=2), cs, ring)
+
+
+@pytest.mark.parametrize("refuse,error,refusal", [
+    pytest.param(_ring_object, RingAxiomError, "ring axioms fail", id="ring_object"),
+    pytest.param(_canonical_ring_iso, RingAxiomError, "canonical map is not a ring isomorphism",
+                 id="canonical_ring_iso"),
+    pytest.param(_module_action, ModuleAxiomError, "module axioms fail", id="module_action"),
+    pytest.param(_module_map, EMError, "map does not commute with the actions", id="module_map"),
+    pytest.param(_idempotent, EMError, "module idempotent law fails", id="idempotent"),
+    pytest.param(_unit_round_trip, EMError, "unit round trip fails", id="unit_round_trip"),
+    pytest.param(_counit_round_trip, EMError, "counit round trip fails",
+                 id="counit_round_trip"),
+    pytest.param(_extension_round_trip, EMError, "extension of scalars round trip fails",
+                 id="extension_round_trip"),
+])
+def test_a_refusal_names_every_failed_identity_in_its_message(monkeypatch, refuse, error,
+                                                              refusal):
+    with pytest.raises(error) as err:
+        refuse(monkeypatch)
+    exc = err.value
+    assert isinstance(exc, IdentityError)
+    assert exc.failures
+    for name, lhs, rhs in exc.failures:
+        assert isinstance(name, str) and isinstance(lhs, Matrix) and isinstance(rhs, Matrix)
+        assert lhs != rhs
+    assert str(exc) == f"{refusal}: {', '.join(name for name, _, _ in exc.failures)}"
+
+
+def _strip_ms(x):
+    if isinstance(x, dict):
+        return {k: _strip_ms(v) for k, v in x.items() if k != "ms"}
+    if isinstance(x, list):
+        return [_strip_ms(v) for v in x]
+    return x
+
+
+@pytest.mark.parametrize("group,field,digest", [
+    ("s3", "q", "9f283f4ee3f812e550c86bb505770aecab7ca5167f5cb60ec9e5796e6b6f540c"),
+    ("q8", "fp:2", "7e1a322698d583729ee9628de236569688042e6822e3729ca8b143980dc28322"),
+])
+def test_mutation_smoke_report_is_pinned(capsys, group, field, digest):
+    """The sha256 of ``verify --group G --field F --mutation-smoke --report json``, ms stripped."""
+    assert cli.main(["--group", group, "--field", field, "--mutation-smoke",
+                     "--report", "json"]) == 0
+    report = _strip_ms(json.loads(capsys.readouterr().out))
+    assert hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest() == digest

@@ -116,7 +116,7 @@ def test_a_failed_split_is_reported_by_both_module_checks(monkeypatch):
 
     def split(mod, cs):
         if mod.tag == "summand":
-            raise EMError("module idempotent law e.e = e fails")
+            raise EMError("module idempotent law fails: e . e = e")
         return real(mod, cs)
 
     monkeypatch.setattr(suite, "em_inverse_split", split)
@@ -125,7 +125,7 @@ def test_a_failed_split_is_reported_by_both_module_checks(monkeypatch):
     assert (idem.status, idem.witness["kind"]) == ("fail", "module_idempotent")
     assert (counit.status, counit.witness["kind"]) == ("fail", "em_counit_roundtrip")
     assert idem.witness["context"] == counit.witness["context"] == (
-        "module summand: module idempotent law e.e = e fails")
+        "module summand: module idempotent law fails: e . e = e")
 
 
 def test_unknown_group_is_config_error():
