@@ -8,6 +8,7 @@ from .presets import preset_names
 from .suite import (
     CHECK_IDS,
     CORRUPTIONS,
+    REPORT_VERSION,
     ConfigError,
     InternalError,
     SuiteConfig,
@@ -86,7 +87,7 @@ def _run_mutation(cfg, fmt):
         )
     ok = all(r["detected"] for r in rows)
     if fmt == "json":
-        print(json.dumps({"version": 1, "mutation_smoke": rows}, indent=2))
+        print(json.dumps({"version": REPORT_VERSION, "mutation_smoke": rows}, indent=2))
     else:
         for r in rows:
             mark = "detected" if r["detected"] else "MISSED"

@@ -2,15 +2,17 @@
 
 Builds seeded families of representations, morphisms, modules, and monads
 and machine-checks every structural identity as exact matrix equality, in
-dependency order: group axioms first, the module equivalence last.  Every
-failing check carries a serialized witness.  Reports are deterministic for
-a fixed configuration and tool version; only the timing fields vary.
+dependency order: group axioms first, the module equivalence last.  A check
+stops at its first failed identity and carries it as a serialized witness.
+Reports are deterministic for a fixed configuration and tool version; only
+the timing fields vary.
 """
 
 import json
 import os
 import time
 from collections import namedtuple
+from contextlib import contextmanager
 from functools import cached_property
 
 from ._version import __version__
@@ -53,7 +55,6 @@ from .adjunction import (
     unit_eta,
 )
 from .monadring import (
-    RingAxiomError,
     RingObject,
     canonical_ring_iso,
     monad_from_adjunction,
@@ -67,7 +68,6 @@ from .monadring import (
     transport_section,
 )
 from .eilenberg import (
-    ModuleAxiomError,
     em_comparison,
     em_counit_iso,
     em_inverse_split,
@@ -96,6 +96,14 @@ class ConfigError(ValueError):
 
 class InternalError(RuntimeError):
     """A check crashed in a way that is a bug, not a failed identity."""
+
+
+class _Failed(Exception):
+    """The first failed identity of a check, carrying its witness."""
+
+    def __init__(self, witness):
+        super().__init__(witness["context"])
+        self.witness = witness
 
 
 # Named tuples, not dataclasses: a verdict then never imports ``dataclasses``
@@ -175,13 +183,6 @@ def _witness_from_error(kind, context, exc):
     # the message names every failed identity; the first one is the witness
     _, lhs, rhs = (getattr(exc, "failures", None) or [(None, None, None)])[0]
     return _witness(kind, f"{context}: {exc}", lhs, rhs)
-
-
-def _from_failures(kind, context, failures):
-    out = []
-    for name, lhs, rhs in failures:
-        out.append(_witness(kind, f"{context}: {name}", lhs, rhs))
-    return out
 
 
 class Ctx:
@@ -384,92 +385,99 @@ def _corrupt_ring(ring):
     return RingObject(ring.carrier, mul, ring.unit, ring.section)
 
 
-def _need(out, kind, context, lhs, rhs):
+def _need(kind, context, lhs, rhs):
     if lhs != rhs:
-        out.append(_witness(kind, context, lhs, rhs))
+        raise _Failed(_witness(kind, context, lhs, rhs))
 
 
-def _need_identity(out, kind, context, mat):
+def _need_identity(kind, context, mat):
     if not mat.is_identity():
-        out.append(_witness(kind, context, mat, Matrix.identity(mat.field, mat.rows)))
+        raise _Failed(_witness(kind, context, mat, Matrix.identity(mat.field, mat.rows)))
+
+
+def _need_none(kind, before, failures, after=""):
+    """Fail on the first (name, lhs, rhs) of a library failure list.
+
+    Its witness context is ``before + name + after``.
+    """
+    if failures:
+        name, lhs, rhs = failures[0]
+        raise _Failed(_witness(kind, f"{before}{name}{after}", lhs, rhs))
+
+
+@contextmanager
+def _as_failure(kind, context):
+    """A domain error raised in the block is the check's failed identity."""
+    try:
+        yield
+    except _DOMAIN_ERRORS as exc:
+        raise _Failed(_witness_from_error(kind, context, exc)) from exc
 
 
 # ---- the thirteen checks ----
+# Each returns when every identity holds and raises _Failed at the first
+# one that does not.
 
 
 def _check_group_axioms(ctx):
-    out = []
     g, h, cs = ctx.group, ctx.h, ctx.cs
-    try:
+    with _as_failure("group_axioms", "multiplication table"):
         group_from_cayley_table(g.table, g.labels)
-    except GroupError as exc:
-        out.append(_witness_from_error("group_axioms", "multiplication table", exc))
     for a in h.elements:
         if h.inverse(a) not in h:
-            out.append(_witness("group_axioms", f"subgroup not closed under inverse at {a}"))
+            raise _Failed(_witness("group_axioms", f"subgroup not closed under inverse at {a}"))
         for b in h.elements:
             if h.mul(a, b) not in h:
-                out.append(_witness("group_axioms", f"subgroup not closed at ({a},{b})"))
+                raise _Failed(_witness("group_axioms", f"subgroup not closed at ({a},{b})"))
     # CosetSpace already refuses a bad partition; recount |H| independently.
     if cs.index * len(subgroup_closure(g.mul, h.gens)) != g.order:
-        out.append(_witness("group_axioms", "index * |H| != |G|"))
-    return out
+        raise _Failed(_witness("group_axioms", "index * |H| != |G|"))
 
 
 def _check_rep_hom_sanity(ctx):
-    out = []
     for rep in ctx.hreps + ctx.greps:
-        try:
+        with _as_failure("rep_hom_sanity", f"rep {rep.tag}"):
             rep.require_valid()
-        except RepError as exc:
-            out.append(_witness_from_error("rep_hom_sanity", f"rep {rep.tag}", exc))
     for i, f in enumerate(ctx.hmors + ctx.gmors):
-        try:
+        with _as_failure("rep_hom_sanity", f"morphism {i}"):
             f.require_valid()
-        except RepError as exc:
-            out.append(_witness_from_error("rep_hom_sanity", f"morphism {i}", exc))
-    return out
 
 
 def _check_triangle_identities(ctx):
-    out = []
     cs, h = ctx.cs, ctx.h
     etas = []
     for x in ctx.greps:
         rx = restrict(x, h)
         eta = unit_eta(x, cs)
         eps = counit_eps(rx, cs)
-        _need_identity(out, "triangle_counit_unit", f"eps . Res(eta) at {x.tag}",
+        _need_identity("triangle_counit_unit", f"eps . Res(eta) at {x.tag}",
                        mat_mul(eps.matrix, eta.matrix))
         c = ind_counit(x, cs)
         xi = section_xi(rx, cs)
-        _need_identity(out, "triangle_ind", f"Res(c) . xi at {x.tag}",
-                       mat_mul(c.matrix, xi.matrix))
+        _need_identity("triangle_ind", f"Res(c) . xi at {x.tag}", mat_mul(c.matrix, xi.matrix))
         etas.append(eta)
     for n in ctx.hreps:
         cn = coind_obj(n, cs)
         ceps = coind_mor(counit_eps(n, cs), cs)
         eta_cn = unit_eta(cn, cs)
-        _need_identity(out, "triangle_unit_counit", f"Coind(eps) . eta at {n.tag}",
+        _need_identity("triangle_unit_counit", f"Coind(eps) . eta at {n.tag}",
                        mat_mul(ceps.matrix, eta_cn.matrix))
         c_cn = ind_counit(cn, cs)
         cxi = coind_mor(section_xi(n, cs), cs)
-        _need_identity(out, "triangle_ind", f"c . Coind(xi) at {n.tag}",
+        _need_identity("triangle_ind", f"c . Coind(xi) at {n.tag}",
                        mat_mul(c_cn.matrix, cxi.matrix))
     for i, f in enumerate(ctx.gmors):
         lhs = mat_mul(coind_mor(restrict_mor(f, h), cs).matrix, etas[i].matrix)
         rhs = mat_mul(etas[(i + 1) % len(etas)].matrix, f.matrix)
-        _need(out, "unit_naturality", f"gmor {i}", lhs, rhs)
+        _need("unit_naturality", f"gmor {i}", lhs, rhs)
     for i, f in enumerate(ctx.hmors):
         m, n = f.source, f.target
         lhs = mat_mul(counit_eps(n, cs).matrix, coind_mor(f, cs).matrix)
         rhs = mat_mul(f.matrix, counit_eps(m, cs).matrix)
-        _need(out, "counit_naturality", f"hmor {i}", lhs, rhs)
-    return out
+        _need("counit_naturality", f"hmor {i}", lhs, rhs)
 
 
 def _check_counit_section(ctx):
-    out = []
     cs = ctx.cs
     xis = []
     for i, n in enumerate(ctx.hreps):
@@ -477,18 +485,15 @@ def _check_counit_section(ctx):
         if ctx.corruption == "xi_block" and i == 0:
             xi = Morphism(xi.source, xi.target, _with_first_entry(xi.matrix, 0))
         eps = counit_eps(n, cs)
-        _need_identity(out, "counit_section", f"eps . xi at {n.tag}",
-                       mat_mul(eps.matrix, xi.matrix))
+        _need_identity("counit_section", f"eps . xi at {n.tag}", mat_mul(eps.matrix, xi.matrix))
         xis.append(xi)
     for i, f in enumerate(ctx.hmors):
         lhs = mat_mul(coind_mor(f, cs).matrix, xis[i].matrix)
         rhs = mat_mul(xis[(i + 1) % len(xis)].matrix, f.matrix)
-        _need(out, "section_naturality", f"hmor {i}", lhs, rhs)
-    return out
+        _need("section_naturality", f"hmor {i}", lhs, rhs)
 
 
 def _check_lambda_laws(ctx):
-    out = []
     cs = ctx.cs
     field = ctx.field
     reps = ctx.lam_reps
@@ -499,13 +504,13 @@ def _check_lambda_laws(ctx):
         y = reps[(i + 1) % n]
         lam = lax_lambda(x, y, cs)
         comp = lax_lambda_composite(x, y, cs)
-        _need(out, "lambda_closed_form", f"pair ({x.tag},{y.tag})", lam.matrix, comp.matrix)
+        _need("lambda_closed_form", f"pair ({x.tag},{y.tag})", lam.matrix, comp.matrix)
         cx = coind_obj(x, cs)
         eye_cx = Matrix.identity(field, cx.dim)
         left_unit = mat_mul(lax_lambda(one_h, x, cs).matrix, mat_kron(iota.matrix, eye_cx))
-        _need_identity(out, "lambda_left_unit", f"at {x.tag}", left_unit)
+        _need_identity("lambda_left_unit", f"at {x.tag}", left_unit)
         right_unit = mat_mul(lax_lambda(x, one_h, cs).matrix, mat_kron(eye_cx, iota.matrix))
-        _need_identity(out, "lambda_right_unit", f"at {x.tag}", right_unit)
+        _need_identity("lambda_right_unit", f"at {x.tag}", right_unit)
         # symmetry square: Coind(swap) . lambda = lambda' . swap
         lam_yx = lax_lambda(y, x, cs)
         cy = coind_obj(y, cs)
@@ -513,7 +518,7 @@ def _check_lambda_laws(ctx):
         tau_low = symmetry(x, y)
         lhs = mat_mul(coind_mor(tau_low, cs).matrix, lam.matrix)
         rhs = mat_mul(lam_yx.matrix, tau_top.matrix)
-        _need(out, "lambda_symmetry", f"pair ({x.tag},{y.tag})", lhs, rhs)
+        _need("lambda_symmetry", f"pair ({x.tag},{y.tag})", lhs, rhs)
     x, y, z = reps[0], reps[1 % n], reps[2 % n]
     lam_xy = lax_lambda(x, y, cs)
     lam_yz = lax_lambda(y, z, cs)
@@ -527,7 +532,7 @@ def _check_lambda_laws(ctx):
         lax_lambda(x, tensor_obj(y, z), cs).matrix,
         mat_kron(Matrix.identity(field, cxd), lam_yz.matrix),
     )
-    _need(out, "lambda_associativity", f"triple ({x.tag},{y.tag},{z.tag})", lhs, rhs)
+    _need("lambda_associativity", f"triple ({x.tag},{y.tag},{z.tag})", lhs, rhs)
     for i, f in enumerate(ctx.lam_homs):
         g = ctx.lam_homs[(i + 1) % n]
         # f: reps[i] -> reps[i+1], g: reps[i+1] -> reps[i+2]
@@ -535,165 +540,113 @@ def _check_lambda_laws(ctx):
         lam_tgt = lax_lambda(f.target, g.target, cs)
         lhs = mat_mul(lam_tgt.matrix, tensor_mor(coind_mor(f, cs), coind_mor(g, cs)).matrix)
         rhs = mat_mul(coind_mor(tensor_mor(f, g), cs).matrix, lam_src.matrix)
-        _need(out, "lambda_naturality", f"homs ({i},{(i + 1) % n})", lhs, rhs)
-    return out
+        _need("lambda_naturality", f"homs ({i},{(i + 1) % n})", lhs, rhs)
 
 
 def _check_projection_formula(ctx):
-    out = []
     cs, h = ctx.cs, ctx.h
     field = ctx.field
     index = cs.index
     for k, (y, x) in enumerate(ctx.pi_pairs):
         pi = projection_pi(y, x, cs)
         pinv = projection_pi_inverse(y, x, cs)
-        for name, lhs, rhs in inverse_failures(pi.matrix, pinv.matrix,
-                                               "pi . pi_inv", "pi_inv . pi"):
-            out.append(_witness("projection_invertible", f"{name} at pair {k}", lhs, rhs))
+        _need_none("projection_invertible", "",
+                   inverse_failures(pi.matrix, pinv.matrix, "pi . pi_inv", "pi_inv . pi"),
+                   f" at pair {k}")
         if index ** 3 * (y.dim * x.dim) ** 2 <= 1_500_000:
             # the defining composite lambda . (id (x) eta), from the library's maps
             composite = compose(lax_lambda(y, restrict(x, h), cs),
                                 tensor_mor(identity_mor(coind_obj(y, cs)), unit_eta(x, cs)))
-            _need(out, "projection_closed_form", f"pair {k}", pi.matrix, composite.matrix)
+            _need("projection_closed_form", f"pair {k}", pi.matrix, composite.matrix)
         if y.dim * x.dim <= 6:
-            try:
+            with _as_failure("projection_equivariance", f"pair {k}"):
                 pi.require_valid()
-            except RepError as exc:
-                out.append(_witness_from_error("projection_equivariance", f"pair {k}", exc))
     for n in ctx.lam_reps[:2]:
         strict = coind_obj(tensor_obj(unit_rep(h, field), n), cs)
         plain = coind_obj(n, cs)
         for g in ctx.group.gens:
-            _need(out, "projection_strictness", f"Coind(1 (x) n) = Coind(n) at {n.tag}, g={g}",
+            _need("projection_strictness", f"Coind(1 (x) n) = Coind(n) at {n.tag}, g={g}",
                   strict.mat(g), plain.mat(g))
-    return out
 
 
 def _check_monad_morphism(ctx):
     mm = pi_as_monad_morphism(ctx.ring, *ctx.iso, ctx.cs)
-    out = []
     for x in ctx.mm_objs:
-        out.extend(_from_failures("monad_morphism", f"at {x.tag}",
-                                  monad_morphism_failures(mm, x)))
-    return out
+        _need_none("monad_morphism", f"at {x.tag}: ", monad_morphism_failures(mm, x))
 
 
 def _check_ring_axioms(ctx):
-    out = []
     cs = ctx.cs
     std = ctx.ring
-    out.extend(_from_failures("ring_axioms", "standard ring", std.failures))
+    _need_none("ring_axioms", "standard ring: ", std.failures)
     if std.dim != cs.index:
-        out.append(_witness("ring_axioms", f"ring dimension {std.dim} != index {cs.index}"))
-    try:
+        raise _Failed(_witness("ring_axioms", f"ring dimension {std.dim} != index {cs.index}"))
+    with _as_failure("ring_axioms", "adjunction ring"):
         adj = ctx.ring_adj
-    except RingAxiomError as exc:
-        out.append(_witness_from_error("ring_axioms", "adjunction ring", exc))
-        return out
-    try:
+    with _as_failure("ring_axioms", "canonical ring isomorphism"):
         iso, iso_inv = ctx.iso
-    except RingAxiomError as exc:
-        out.append(_witness_from_error("ring_axioms", "canonical ring isomorphism", exc))
-        return out
-    try:
+    with _as_failure("ring_axioms", "transported section"):
         transport_section(std, adj, iso, iso_inv)
-    except (RingAxiomError, ModuleAxiomError) as exc:
-        out.append(_witness_from_error("ring_axioms", "transported section", exc))
-    return out
 
 
 def _check_monad_laws(ctx):
-    out = []
     cs = ctx.cs
     mon_adj = monad_from_adjunction(cs)
-    try:
+    with _as_failure("monad_laws", "tensor monad"):
         mon_ring = monad_from_ring(ctx.ring)
-    except RingAxiomError as exc:
-        out.append(_witness_from_error("monad_laws", "tensor monad", exc))
-        mon_ring = None
     for x in ctx.monad_objs:
-        out.extend(_from_failures("monad_laws", f"coinduction monad at {x.tag}",
-                                  monad_law_failures(mon_adj, x)))
-        if mon_ring is not None:
-            out.extend(_from_failures("monad_laws", f"tensor monad at {x.tag}",
-                                      monad_law_failures(mon_ring, x)))
-        out.extend(_from_failures("monad_separability", f"at {x.tag}",
-                                  monad_separability_failures(cs, mon_adj, x)))
-    return out
+        _need_none("monad_laws", f"coinduction monad at {x.tag}: ",
+                   monad_law_failures(mon_adj, x))
+        _need_none("monad_laws", f"tensor monad at {x.tag}: ", monad_law_failures(mon_ring, x))
+        _need_none("monad_separability", f"at {x.tag}: ",
+                   monad_separability_failures(cs, mon_adj, x))
 
 
 def _check_module_idempotent(ctx):
-    out = []
     for mod, split in zip(ctx.modules, ctx.splits):
         if isinstance(split, Exception):
-            out.append(_witness_from_error("module_idempotent", f"module {mod.tag}", split))
-            continue
+            raise _Failed(_witness_from_error("module_idempotent", f"module {mod.tag}", split))
         _, p, m, e = split
-        _need_identity(out, "module_idempotent", f"p . m at {mod.tag}",
-                       mat_mul(p.matrix, m.matrix))
-        _need(out, "module_idempotent", f"m . p = e at {mod.tag}",
+        _need_identity("module_idempotent", f"p . m at {mod.tag}", mat_mul(p.matrix, m.matrix))
+        _need("module_idempotent", f"m . p = e at {mod.tag}",
               mat_mul(m.matrix, p.matrix), e.matrix)
-    return out
 
 
 def _check_em_unit_roundtrip(ctx):
-    out = []
     cs = ctx.cs
     data = []
     for n in ctx.hreps:
-        try:
+        with _as_failure("em_unit_roundtrip", f"rep {n.tag}"):
             data.append(em_unit_iso(n, cs, ctx.ring))
-        except _DOMAIN_ERRORS as exc:
-            out.append(_witness_from_error("em_unit_roundtrip", f"rep {n.tag}", exc))
-            data.append(None)
     for i, f in enumerate(ctx.hmors):
-        j = (i + 1) % len(ctx.hreps)
-        if data[i] is None or data[j] is None:
-            continue
         mod_i, _, m_i, w1_i, _ = data[i]
-        mod_j, p_j, _, w1_j, _ = data[j]
-        try:
+        mod_j, p_j, _, w1_j, _ = data[(i + 1) % len(data)]
+        with _as_failure("em_unit_roundtrip", f"E on hmor {i}"):
             ef = em_mor(f, cs, mod_i, mod_j)
-        except _DOMAIN_ERRORS as exc:
-            out.append(_witness_from_error("em_unit_roundtrip", f"E on hmor {i}", exc))
-            continue
         through = mat_mul(p_j.matrix, mat_mul(ef.matrix, m_i.matrix))
-        _need(out, "em_unit_naturality", f"hmor {i}",
+        _need("em_unit_naturality", f"hmor {i}",
               mat_mul(w1_j.matrix, f.matrix), mat_mul(through, w1_i.matrix))
-    return out
 
 
 def _check_em_counit_roundtrip(ctx):
-    out = []
     for mod, split in zip(ctx.modules, ctx.splits):
-        try:
+        with _as_failure("em_counit_roundtrip", f"module {mod.tag}"):
             if isinstance(split, Exception):
                 raise split
             em_counit_iso(mod, split, ctx.cs)
-        except _DOMAIN_ERRORS as exc:
-            out.append(_witness_from_error("em_counit_roundtrip", f"module {mod.tag}", exc))
-    return out
 
 
 def _check_extension_of_scalars(ctx):
-    out = []
     cs, h = ctx.cs, ctx.h
     eye_a = Matrix.identity(ctx.field, ctx.ring.dim)
     phis = []
     for y in ctx.ext_reps:
-        try:
+        with _as_failure("extension_of_scalars", f"rep {y.tag}"):
             phis.append(extension_of_scalars_iso(y, cs, ctx.ring)[0])
-        except _DOMAIN_ERRORS as exc:
-            out.append(_witness_from_error("extension_of_scalars", f"rep {y.tag}", exc))
-            phis.append(None)
     for i, f in enumerate(ctx.ext_homs):
-        j = (i + 1) % len(ctx.ext_reps)
-        if phis[i] is None or phis[j] is None:
-            continue
         lhs = mat_mul(coind_mor(restrict_mor(f, h), cs).matrix, phis[i].matrix)
-        rhs = mat_mul(phis[j].matrix, mat_kron(eye_a, f.matrix))
-        _need(out, "extension_naturality", f"gmor {i}", lhs, rhs)
-    return out
+        rhs = mat_mul(phis[(i + 1) % len(phis)].matrix, mat_kron(eye_a, f.matrix))
+        _need("extension_naturality", f"gmor {i}", lhs, rhs)
 
 
 # In dependency order; later checks assume the structures the earlier ones
@@ -725,17 +678,19 @@ def run_suite(cfg):
         if not ctx.enabled(cid):
             continue
         t0 = time.perf_counter()
+        witness = None
         try:
-            witnesses = fn(ctx)
+            fn(ctx)
+        except _Failed as failed:
+            witness = failed.witness
         except _DOMAIN_ERRORS as exc:
-            witnesses = [_witness_from_error(cid, "while preparing the check", exc)]
+            witness = _witness_from_error(cid, "while preparing the check", exc)
         except (ConfigError, InternalError):
             raise
         except Exception as exc:
             raise InternalError(f"check {cid} crashed: {exc!r}") from exc
         ms = round((time.perf_counter() - t0) * 1000.0, 3)
-        status = "pass" if not witnesses else "fail"
-        results.append(CheckResult(cid, status, witnesses[0] if witnesses else None, ms))
+        results.append(CheckResult(cid, "pass" if witness is None else "fail", witness, ms))
     return SuiteReport(ctx.env(), results)
 
 

@@ -8,7 +8,7 @@ from sepmonad import adjunction, eilenberg, suite
 from sepmonad.cli import main
 from sepmonad.eilenberg import EMError
 from sepmonad.exactlin import GF, QQ, Matrix
-from sepmonad.repcat import Morphism
+from sepmonad.repcat import Morphism, RepError
 from sepmonad.suite import (
     CHECK_IDS,
     CORRUPTIONS,
@@ -329,6 +329,7 @@ def test_moved_lambda_entry_is_caught_by_lambda_laws(monkeypatch, field):
     [check] = run_suite(small_cfg(field=field, checks=("lambda_laws",))).checks
     assert check.status == "fail"
     assert check.witness["kind"] == "lambda_closed_form"
+    assert check.witness["context"] == "pair (rand[1|seed=0|l0],rand[2|seed=0|l1])"
     # the witness serializes the row-built matrix exactly as its dense twin
     assert all(_mat_payload(bad) == _mat_payload(dense) for bad, dense in made)
     assert check.witness["lhs"] in [_mat_payload(dense) for _, dense in made]
@@ -357,6 +358,8 @@ def test_changed_pi_block_entry_is_caught_by_projection_formula(monkeypatch, fie
     [check] = run_suite(small_cfg(field=field, checks=("projection_formula",))).checks
     assert check.status == "fail"
     assert check.witness["kind"] == "projection_invertible"
+    # the identity's name leads; "<name> at pair k", not "pair k: <name>"
+    assert check.witness["context"] == "pi . pi_inv at pair 0"
 
 
 @pytest.mark.parametrize("field", ["q", "fp:2"])
@@ -379,7 +382,38 @@ def test_changed_pi_component_is_caught_by_monad_morphism(monkeypatch, field):
     [check] = run_suite(small_cfg(field=field, checks=("monad_morphism",))).checks
     assert check.status == "fail"
     assert check.witness["kind"] == "monad_morphism"
-    assert check.witness["context"].endswith((": unit_triangle", ": multiplication_square"))
+    assert check.witness["context"] == "at rand[1|seed=0|mm0]: unit_triangle"
+
+
+# -- a check ends at its first failed identity ----------------------------
+
+
+def test_a_check_stops_at_its_first_failed_identity(monkeypatch):
+    real = suite.coind_mor
+    calls = []
+    monkeypatch.setattr(suite, "coind_mor", lambda *args: calls.append(args) or real(*args))
+    [check] = run_suite(small_cfg(checks=("counit_section",), corruption="xi_block")).checks
+    assert (check.status, check.witness["kind"]) == ("fail", "counit_section")
+    assert check.witness["context"] == "eps . xi at rand[1|seed=0|h0]"
+    # the naturality squares after the failed section are never formed
+    assert calls == []
+
+
+def test_a_later_domain_error_does_not_replace_the_first_failure(monkeypatch):
+    real = suite.unit_eta
+
+    def wrong_eta(x, cs):
+        eta = real(x, cs)
+        return Morphism(eta.source, eta.target, _changed_first_entry(eta.matrix), tag=eta.tag)
+
+    def refused(x, cs):
+        raise RepError("ind_counit refused")
+
+    monkeypatch.setattr(suite, "unit_eta", wrong_eta)
+    monkeypatch.setattr(suite, "ind_counit", refused)
+    [check] = run_suite(small_cfg(checks=("triangle_identities",))).checks
+    assert (check.status, check.witness["kind"]) == ("fail", "triangle_counit_unit")
+    assert check.witness["context"] == "eps . Res(eta) at rand[1|seed=0|g0]"
 
 
 def test_row_built_witness_payload_matches_dense_twin():
