@@ -21,7 +21,6 @@ from .exactlin import (
     _need,
     _need_identity,
     inverse_failures,
-    mat_inverse,
     mat_kron,
     mat_mul,
 )
@@ -184,48 +183,35 @@ def ring_from_adjunction(cs, field):
 def canonical_ring_iso(std, adj):
     """The ring isomorphism from the standard ring to the adjunction ring.
 
-    Sends e_c to the indicator function of the coset c; in representative
-    coordinates that matrix is the identity, but the morphism is still
-    validated, for equivariance and as an isomorphism of ring objects.
-    Returns (iso, inv) with inv the inverse matrix of iso, computed here
-    once for ``transport_section`` and ``pi_as_monad_morphism``.
+    Sends e_c to the indicator function of the coset c.  In representative
+    coordinates that matrix is the identity, so it is certified as
+    equalities: its equivariance checks that the two carriers act alike,
+    and ``ring_iso_failures`` that the two rings share their
+    multiplication and unit.  Returns the identity morphism.
     """
     iso = Morphism(std.carrier, adj.carrier, Matrix.identity(std.field, std.dim))
     iso.require_valid()
-    inv = mat_inverse(iso.matrix)
-    RingAxiomError.refuse("canonical map is not a ring isomorphism",
-                          ring_iso_failures(std, adj, iso, inv))
-    return iso, inv
+    RingAxiomError.refuse("canonical map is not a ring isomorphism", ring_iso_failures(std, adj))
+    return iso
 
 
-def ring_iso_failures(r1, r2, iso, inv):
-    """Violations of 'iso intertwines multiplications and units'.
-
-    ``inv`` is the inverse of iso's matrix, or None when that is singular.
-    """
-    f = iso.matrix
-    if inv is None:
-        return [("invertibility", f, f)]
+def ring_iso_failures(r1, r2):
+    """Violations of 'the identity intertwines multiplications and units'."""
     out = []
-    _need(out, "multiplication_transport",
-          mat_mul(f, r1.mul.matrix), mat_mul(r2.mul.matrix, mat_kron(f, f)))
-    _need(out, "unit_transport", mat_mul(f, r1.unit.matrix), r2.unit.matrix)
+    _need(out, "multiplication_transport", r1.mul.matrix, r2.mul.matrix)
+    _need(out, "unit_transport", r1.unit.matrix, r2.unit.matrix)
     return out
 
 
-def transport_section(std, adj, iso, inv):
-    """Carry the standard section to the adjunction ring along iso.
+def transport_section(std, adj):
+    """Carry the standard section to the adjunction ring along the identity.
 
-    ``inv`` is the inverse of iso's matrix, None when it is singular.
-    Returns a new RingObject with the transported section, fully
-    revalidated; this is how the lax-structure ring acquires its
-    separability witness.
+    Returns a new RingObject with the standard section, fully revalidated;
+    this is how the lax-structure ring acquires its separability witness.
     """
-    if inv is None:
-        raise RingAxiomError("cannot transport along a singular map")
-    mat = mat_mul(mat_kron(iso.matrix, iso.matrix), mat_mul(std.section.matrix, inv))
     aa = tensor_obj(adj.carrier, adj.carrier)
-    ring = RingObject(adj.carrier, adj.mul, adj.unit, Morphism(adj.carrier, aa, mat))
+    section = Morphism(adj.carrier, aa, std.section.matrix)
+    ring = RingObject(adj.carrier, adj.mul, adj.unit, section)
     ring.require_valid("ring axioms fail")
     return ring
 
@@ -349,32 +335,24 @@ class MonadMorphism:
         return f"<MonadMorphism {self.name}>"
 
 
-def pi_as_monad_morphism(std, iso, iso_inv, cs):
+def pi_as_monad_morphism(std, cs):
     """The projection morphism as a map of monads A (x) (-) -> Coind Res.
 
-    Component at x: pi at (1_H, x), precomposed with the canonical ring
-    isomorphism ``iso`` out of ``std`` tensored with the identity, so the
-    source really is the standard ring's monad.  ``iso_inv``, the inverse
-    matrix of iso, gives the closed-form inverse components.
+    Component at x: pi at (1_H, x), read with source A (x) x, since the
+    canonical ring isomorphism out of ``std`` is the identity
+    (``canonical_ring_iso``).  The inverse components are the closed-form
+    ``projection_pi_inverse``, block diagonal like pi itself.
     """
-    field = std.field
     src = monad_from_ring(std)
     tgt = monad_from_adjunction(cs)
-    h = cs.subgroup
-    one_h = unit_rep(h, field)
+    one_h = unit_rep(cs.subgroup, std.field)
 
     def at(x):
-        sx = src.on_obj(x)
-        tx = tgt.on_obj(x)
         pi = projection_pi(one_h, x, cs)
-        eye = Matrix.identity(field, x.dim)
-        mat = mat_mul(pi.matrix, mat_kron(iso.matrix, eye))
-        return Morphism(sx, tx, mat, tag="theta")
+        return Morphism(src.on_obj(x), tgt.on_obj(x), pi.matrix, tag="theta")
 
     def inv_at(x):
-        pinv = projection_pi_inverse(one_h, x, cs)
-        eye = Matrix.identity(field, x.dim)
-        return mat_mul(mat_kron(iso_inv, eye), pinv.matrix)
+        return projection_pi_inverse(one_h, x, cs).matrix
 
     return MonadMorphism("pi", src, tgt, at, inv_at)
 

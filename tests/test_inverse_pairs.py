@@ -24,10 +24,8 @@ from sepmonad.eilenberg import (
 from sepmonad.exactlin import GF, Field, Matrix, assemble, hstack, vstack
 from sepmonad.groups import right_cosets, subgroup_generated
 from sepmonad.monadring import (
-    canonical_ring_iso,
     monad_morphism_failures,
     pi_as_monad_morphism,
-    ring_from_adjunction,
     standard_ring,
 )
 from sepmonad.presets import load_preset
@@ -96,7 +94,7 @@ def test_projection_formula_multiplies_each_pi_pair_once(monkeypatch, products):
 @FIELDS
 def test_monad_morphism_multiplies_each_component_with_its_inverse_once(field, products):
     cs, std = _setup("s3", field)
-    mm = pi_as_monad_morphism(std, *canonical_ring_iso(std, ring_from_adjunction(cs, field)), cs)
+    mm = pi_as_monad_morphism(std, cs)
     thetas, invs = [], []
     mm.at = _recording(thetas, mm.at)
     mm.inv_at = _recording(invs, mm.inv_at)
@@ -170,14 +168,8 @@ def test_non_square_unit_round_trip_is_checked_on_both_sides(monkeypatch, field)
     assert lhs.nzrows == [{i: 1} for i in range(r)] + [{}]
 
 
-def test_pi_pair_multiplies_each_block_pair_once(monkeypatch):
-    """c6's (12, 12) pair: pi . pi_inv is six 12 x 12 products x(r) . x(1/r), one per
-    representative, not one 864-row product nor dy = 12 copies of each."""
-    ctx = suite.Ctx(SuiteConfig(group="c6", family_size=2))
-    cs = ctx.cs
-    y, x = ctx.pi_pairs[-1]
-    pi, pinv = projection_pi(y, x, cs), projection_pi_inverse(y, x, cs)
-    assert (cs.index, y.dim, x.dim, pi.matrix.rows) == (6, 12, 12, 864)
+def _spy_on_row_products(monkeypatch):
+    """From now on, the row count of the left operand of each row-by-row product."""
     rows_multiplied = []
     for name in ("_row_products", "_times_kron"):
         original = getattr(exactlin, name)
@@ -188,5 +180,30 @@ def test_pi_pair_multiplies_each_block_pair_once(monkeypatch):
             return _original(arows, *rest)
 
         monkeypatch.setattr(exactlin, name, spy)
+    return rows_multiplied
+
+
+def test_pi_pair_multiplies_each_block_pair_once(monkeypatch):
+    """c6's (12, 12) pair: pi . pi_inv is six 12 x 12 products x(r) . x(1/r), one per
+    representative, not one 864-row product nor dy = 12 copies of each."""
+    ctx = suite.Ctx(SuiteConfig(group="c6", family_size=2))
+    cs = ctx.cs
+    y, x = ctx.pi_pairs[-1]
+    pi, pinv = projection_pi(y, x, cs), projection_pi_inverse(y, x, cs)
+    assert (cs.index, y.dim, x.dim, pi.matrix.rows) == (6, 12, 12, 864)
+    rows_multiplied = _spy_on_row_products(monkeypatch)
     assert exactlin.inverse_failures(pi.matrix, pinv.matrix, "pi . pi_inv", "pi_inv . pi") == []
     assert rows_multiplied == [12] * 6
+
+
+@FIELDS
+def test_monad_morphism_component_pair_multiplies_block_by_block(monkeypatch, field):
+    """theta_x^-1 . theta_x is one 3-row product x(1/r) . x(r) per representative of S4/S3,
+    not one 12-row product."""
+    cs, std = _setup("s4", field)
+    mm = pi_as_monad_morphism(std, cs)
+    x = random_rep(cs.group, field, seed=0, budget=3)
+    theta, inv = mm.at(x).matrix, mm.inv_at(x)
+    rows_multiplied = _spy_on_row_products(monkeypatch)
+    assert exactlin.inverse_failures(inv, theta, "left", "right") == []
+    assert rows_multiplied == [3] * cs.index

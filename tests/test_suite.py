@@ -1,6 +1,7 @@
 """Suite orchestration: determinism, corruption detection, CLI contract."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +127,17 @@ def test_a_failed_split_is_reported_by_both_module_checks(monkeypatch):
     assert (counit.status, counit.witness["kind"]) == ("fail", "em_counit_roundtrip")
     assert idem.witness["context"] == counit.witness["context"] == (
         "module summand: module idempotent law fails: e . e = e")
+
+
+@pytest.mark.parametrize("group,subgroup,index", [
+    ("c6", None, 6),
+    (str(Path(__file__).resolve().parents[1] / "perfbench" / "s5.json"), (2, 63), 20),
+])
+def test_monad_families_keep_their_budget_cycles_at_every_index(group, subgroup, index):
+    ctx = suite.Ctx(SuiteConfig(group=group, subgroup=subgroup, family_size=2))
+    assert ctx.cs.index == index
+    assert [x.dim for x in ctx.mm_objs] == [1, 2]
+    assert [x.dim for x in ctx.monad_objs] == [1, 2, 3]
 
 
 def test_unknown_group_is_config_error():
