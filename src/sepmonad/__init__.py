@@ -82,10 +82,8 @@ from .monadring import (
     monad_separability_failures,
     pi_as_monad_morphism,
     ring_axiom_failures,
-    ring_from_adjunction,
     ring_iso_failures,
     standard_ring,
-    transport_section,
 )
 from .eilenberg import (
     AModMorphism,

@@ -5,7 +5,10 @@ representation on H\\G with basis idempotents {e_c}, multiplication
 mu(e_c (x) e_c') = e_c when c = c' and 0 otherwise, unit 1 |-> sum of all
 e_c, and the diagonal separability section sigma(e_c) = e_c (x) e_c.  The
 axioms hold over any exact field, including characteristic dividing the
-group order.
+group order.  It is also Coind(1_H) with the lax structure of coinduction
+as its ring structure; in representative coordinates the two rings have
+the same matrices, so that identification is certified as equalities
+(``canonical_ring_iso``) and only one ring object is ever built.
 
 Two monads act on G-representations: tensoring with the ring, and the
 coinduction-of-restriction composite whose multiplication collapses the
@@ -51,26 +54,24 @@ from .adjunction import (
 
 
 class RingAxiomError(IdentityError):
-    """A ring object, ring isomorphism or transport refused on its failed identities."""
+    """A ring object or ring isomorphism refused on its failed identities."""
 
 
 class RingObject:
-    """A representation with multiplication, unit, and optional section.
+    """A representation with multiplication, unit, and separability section.
 
     The constructor checks only shapes.  ``failures``, its
     ``ring_axiom_failures``, is computed once, on first read;
     ``require_valid`` raises on it.
     """
 
-    def __init__(self, carrier, mul, unit, section=None):
+    def __init__(self, carrier, mul, unit, section):
         da = carrier.dim
         if mul.matrix.rows != da or mul.matrix.cols != da * da:
             raise ValueError("multiplication must map carrier(x)carrier to carrier")
         if unit.matrix.rows != da or unit.matrix.cols != 1:
             raise ValueError("unit must map the tensor unit to the carrier")
-        if section is not None and (
-            section.matrix.rows != da * da or section.matrix.cols != da
-        ):
+        if section.matrix.rows != da * da or section.matrix.cols != da:
             raise ValueError("section must map the carrier to carrier(x)carrier")
         self.carrier = carrier
         self.mul = mul
@@ -94,16 +95,15 @@ class RingObject:
         return self.carrier.field
 
     def __repr__(self):
-        sec = "with section" if self.section is not None else "no section"
-        return f"<RingObject dim {self.dim} over {self.field}, {sec}>"
+        return f"<RingObject dim {self.dim} over {self.field}>"
 
 
 def ring_axiom_failures(ring):
     """Every violated ring identity as (name, lhs, rhs) triples.
 
     Covers associativity, both unit laws, commutativity, equivariance of
-    all structure maps, and the separability equations when a section is
-    present.  Empty list means the ring object is valid.
+    all structure maps, and the separability equations.  Empty list means
+    the ring object is valid.
     """
     a = ring.carrier
     da = a.dim
@@ -111,6 +111,7 @@ def ring_axiom_failures(ring):
     eye = Matrix.identity(field, da)
     m = ring.mul.matrix
     u = ring.unit.matrix
+    s = ring.section.matrix
     out = []
     _need(out, "associativity", mat_mul(m, mat_kron(m, eye)), mat_mul(m, mat_kron(eye, m)))
     _need_identity(out, "unit_left", mat_mul(m, mat_kron(u, eye)))
@@ -122,18 +123,11 @@ def ring_axiom_failures(ring):
         act2 = mat_kron(act, act)
         _need(out, f"mul_equivariance@{g}", mat_mul(m, act2), mat_mul(act, m))
         _need(out, f"unit_equivariance@{g}", mat_mul(act, u), u)
-        if ring.section is not None:
-            _need(
-                out, f"section_equivariance@{g}",
-                mat_mul(ring.section.matrix, act),
-                mat_mul(act2, ring.section.matrix),
-            )
-    if ring.section is not None:
-        s = ring.section.matrix
-        sm = mat_mul(s, m)
-        _need_identity(out, "separability_retract", mat_mul(m, s))
-        _need(out, "separability_left", mat_mul(mat_kron(m, eye), mat_kron(eye, s)), sm)
-        _need(out, "separability_right", mat_mul(mat_kron(eye, m), mat_kron(s, eye)), sm)
+        _need(out, f"section_equivariance@{g}", mat_mul(s, act), mat_mul(act2, s))
+    sm = mat_mul(s, m)
+    _need_identity(out, "separability_retract", mat_mul(m, s))
+    _need(out, "separability_left", mat_mul(mat_kron(m, eye), mat_kron(eye, s)), sm)
+    _need(out, "separability_right", mat_mul(mat_kron(eye, m), mat_kron(s, eye)), sm)
     return out
 
 
@@ -168,52 +162,33 @@ def standard_ring(cs, field):
     return ring
 
 
-def ring_from_adjunction(cs, field):
-    """The ring structure on Coind(1): lax multiplication and lax unit.
+def canonical_ring_iso(std, cs):
+    """Certify A = Coind(1_H) as rings, or raise RingAxiomError.
 
-    Carries no section of its own; separability is transported from the
-    standard ring along the canonical isomorphism.
+    The canonical map sends e_c to the indicator function of the coset c;
+    in representative coordinates it is the identity.  So it is certified
+    as the equalities of ``ring_iso_failures``, and the adjunction ring is
+    never built: once they hold, its ring axioms and separability are the
+    standard ring's identities on the same matrices.
     """
-    one_h = unit_rep(cs.subgroup, field)
-    ring = RingObject(coind_obj(one_h, cs), lax_lambda(one_h, one_h, cs), lax_iota(cs, field))
-    ring.require_valid("ring axioms fail")
-    return ring
+    RingAxiomError.refuse("canonical map is not a ring isomorphism", ring_iso_failures(std, cs))
 
 
-def canonical_ring_iso(std, adj):
-    """The ring isomorphism from the standard ring to the adjunction ring.
+def ring_iso_failures(std, cs):
+    """Violations of 'the standard ring is Coind(1_H) with its lax structure'.
 
-    Sends e_c to the indicator function of the coset c.  In representative
-    coordinates that matrix is the identity, so it is certified as
-    equalities: its equivariance checks that the two carriers act alike,
-    and ``ring_iso_failures`` that the two rings share their
-    multiplication and unit.  Returns the identity morphism.
+    Each lhs is the standard ring's matrix: its carrier action on each
+    generator against Coind(1_H)'s, its multiplication against the lax
+    lambda at (1_H, 1_H), and its unit against the lax iota.
     """
-    iso = Morphism(std.carrier, adj.carrier, Matrix.identity(std.field, std.dim))
-    iso.require_valid()
-    RingAxiomError.refuse("canonical map is not a ring isomorphism", ring_iso_failures(std, adj))
-    return iso
-
-
-def ring_iso_failures(r1, r2):
-    """Violations of 'the identity intertwines multiplications and units'."""
+    one_h = unit_rep(cs.subgroup, std.field)
+    coind = coind_obj(one_h, cs)
     out = []
-    _need(out, "multiplication_transport", r1.mul.matrix, r2.mul.matrix)
-    _need(out, "unit_transport", r1.unit.matrix, r2.unit.matrix)
+    for g in cs.group.gens:
+        _need(out, f"carrier_action@{g}", std.carrier.mat(g), coind.mat(g))
+    _need(out, "multiplication_transport", std.mul.matrix, lax_lambda(one_h, one_h, cs).matrix)
+    _need(out, "unit_transport", std.unit.matrix, lax_iota(cs, std.field).matrix)
     return out
-
-
-def transport_section(std, adj):
-    """Carry the standard section to the adjunction ring along the identity.
-
-    Returns a new RingObject with the standard section, fully revalidated;
-    this is how the lax-structure ring acquires its separability witness.
-    """
-    aa = tensor_obj(adj.carrier, adj.carrier)
-    section = Morphism(adj.carrier, aa, std.section.matrix)
-    ring = RingObject(adj.carrier, adj.mul, adj.unit, section)
-    ring.require_valid("ring axioms fail")
-    return ring
 
 
 class Monad:
@@ -338,10 +313,10 @@ class MonadMorphism:
 def pi_as_monad_morphism(std, cs):
     """The projection morphism as a map of monads A (x) (-) -> Coind Res.
 
-    Component at x: pi at (1_H, x), read with source A (x) x, since the
-    canonical ring isomorphism out of ``std`` is the identity
-    (``canonical_ring_iso``).  The inverse components are the closed-form
-    ``projection_pi_inverse``, block diagonal like pi itself.
+    Component at x: pi at (1_H, x), read with source A (x) x, since ``std``
+    is Coind(1_H) with the same matrices (``canonical_ring_iso``).  The
+    inverse components are the closed-form ``projection_pi_inverse``, block
+    diagonal like pi itself.
     """
     src = monad_from_ring(std)
     tgt = monad_from_adjunction(cs)

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from sepmonad import cli, eilenberg
+from sepmonad import cli, eilenberg, monadring
 from sepmonad.eilenberg import (
     AModMorphism,
     AModule,
@@ -24,15 +24,10 @@ from sepmonad.eilenberg import (
 )
 from sepmonad.exactlin import Field, IdentityError, Matrix
 from sepmonad.groups import right_cosets, subgroup_generated
-from sepmonad.monadring import (
-    RingAxiomError,
-    canonical_ring_iso,
-    ring_from_adjunction,
-    standard_ring,
-)
+from sepmonad.monadring import RingAxiomError, canonical_ring_iso, standard_ring
 from sepmonad.presets import load_preset
 from sepmonad.repcat import Morphism, Rep, random_rep, unit_rep, zero_mor
-from sepmonad.suite import _corrupt_ring
+from sepmonad.suite import SuiteConfig, _corrupt_ring, _with_first_entry, run_suite
 
 Q = Field(0)
 
@@ -61,7 +56,58 @@ def _ring_object(monkeypatch):
 
 def _canonical_ring_iso(monkeypatch):
     cs, ring = _setup("s3")
-    canonical_ring_iso(_corrupt_ring(ring), ring_from_adjunction(cs, Q))
+    canonical_ring_iso(_corrupt_ring(ring), cs)
+
+
+# One targeted corruption per equality of A = Coind(1_H), installed in
+# ``monadring``'s namespace; each returns the failure it must lead with.
+
+def _wrong_lax_iota(monkeypatch):
+    real = monadring.lax_iota
+
+    def wrong(cs, field):
+        iota = real(cs, field)
+        return Morphism(iota.source, iota.target, _with_first_entry(iota.matrix, 0))
+
+    monkeypatch.setattr(monadring, "lax_iota", wrong)
+    return "unit_transport"
+
+
+def _wrong_lax_lambda(monkeypatch):
+    real = monadring.lax_lambda
+
+    def wrong(x, y, cs):
+        lam = real(x, y, cs)
+        if x.dim != 1 or y.dim != 1:
+            return lam
+        return Morphism(lam.source, lam.target, _with_first_entry(lam.matrix, 0))
+
+    monkeypatch.setattr(monadring, "lax_lambda", wrong)
+    return "multiplication_transport"
+
+
+def _wrong_carrier_action(monkeypatch):
+    real = monadring.coind_obj
+
+    def wrong(n, cs):
+        c = real(n, cs)
+        g = cs.group.gens[0]
+        m = c.mat(g)
+        bad = _with_first_entry(m, m.nzrows[0].get(0, 0) + m.den)
+        return Rep(cs.group, c.field, lambda e: bad if e == g else c.mat(e),
+                   tag="wrong", dim=c.dim)
+
+    monkeypatch.setattr(monadring, "coind_obj", wrong)
+    return f"carrier_action@{load_preset('s3')[0].gens[0]}"
+
+
+def _refused_iso(corrupt):
+    def refuse(monkeypatch):
+        corrupt(monkeypatch)
+        cs, ring = _setup("s3")
+        canonical_ring_iso(ring, cs)
+
+    return refuse
 
 
 def _module_action(monkeypatch):
@@ -114,6 +160,12 @@ def _extension_round_trip(monkeypatch):
     pytest.param(_ring_object, RingAxiomError, "ring axioms fail", id="ring_object"),
     pytest.param(_canonical_ring_iso, RingAxiomError, "canonical map is not a ring isomorphism",
                  id="canonical_ring_iso"),
+    pytest.param(_refused_iso(_wrong_lax_iota), RingAxiomError,
+                 "canonical map is not a ring isomorphism", id="unit_transport"),
+    pytest.param(_refused_iso(_wrong_lax_lambda), RingAxiomError,
+                 "canonical map is not a ring isomorphism", id="multiplication_transport"),
+    pytest.param(_refused_iso(_wrong_carrier_action), RingAxiomError,
+                 "canonical map is not a ring isomorphism", id="carrier_action"),
     pytest.param(_module_action, ModuleAxiomError, "module axioms fail", id="module_action"),
     pytest.param(_module_map, EMError, "map does not commute with the actions", id="module_map"),
     pytest.param(_idempotent, EMError, "module idempotent law fails", id="idempotent"),
@@ -134,6 +186,25 @@ def test_a_refusal_names_every_failed_identity_in_its_message(monkeypatch, refus
         assert isinstance(name, str) and isinstance(lhs, Matrix) and isinstance(rhs, Matrix)
         assert lhs != rhs
     assert str(exc) == f"{refusal}: {', '.join(name for name, _, _ in exc.failures)}"
+
+
+@pytest.mark.parametrize("corrupt", [_wrong_lax_iota, _wrong_lax_lambda, _wrong_carrier_action],
+                         ids=["unit_transport", "multiplication_transport", "carrier_action"])
+def test_each_equality_of_the_coset_ring_is_needed(monkeypatch, corrupt):
+    """A corrupted side of A = Coind(1_H) is refused by name, and the suite fails on it."""
+    first = corrupt(monkeypatch)
+    cs, ring = _setup("s3")
+    with pytest.raises(RingAxiomError) as err:
+        canonical_ring_iso(ring, cs)
+    assert err.value.failures[0][0] == first
+    report = run_suite(SuiteConfig(group="s3", family_size=2,
+                                   checks=("monad_morphism", "ring_axioms")))
+    witnesses = {c.id: c.witness["context"] for c in report.checks if c.status == "fail"}
+    refusal = f"canonical map is not a ring isomorphism: {first}"
+    assert witnesses == {
+        "monad_morphism": f"while preparing the check: {refusal}",
+        "ring_axioms": f"canonical ring isomorphism: {refusal}",
+    }
 
 
 def _strip_ms(x):
