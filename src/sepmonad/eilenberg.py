@@ -31,6 +31,7 @@ import random
 from .exactlin import (
     IdentityError,
     Matrix,
+    _combination,
     _need,
     _need_identity,
     column_factor,
@@ -46,7 +47,6 @@ from .exactlin import (
 from .repcat import (
     Morphism,
     Rep,
-    _combination,
     compose,
     hom_space_basis,
     random_rep,

@@ -17,8 +17,10 @@ rows, so they cost time per nonzero, not per entry.  Kronecker products
 further and keep their factors: their rows are built only when something
 other than ``mat_mul`` first reads them.  ``mat_mul`` multiplies two of
 them factor by factor, (A (x) B)(C (x) D) = AC (x) BD (Van Loan 2000) and
-block by block, and multiplies one of them with any other matrix by
-Gustavson's product over the factors' rows.
+block by block.  A Kronecker product's rows are one sequence, read off
+its factors: iterated to build them, and indexed by Gustavson's product,
+which is the one loop that sums scaled rows for a product.  Sums and
+differences are one linear combination, accumulated and normalized once.
 
 The column factorization, solve, inverse, nullspace and span basis pass
 those rows to the kernels of ``backend``, which eliminate on them and
@@ -137,12 +139,13 @@ class Matrix:
     and witnesses.
 
     A Kronecker product or block diagonal is built by ``_factored`` and
-    stores only its factors in ``_form``, as (row builder, *factors); its
+    stores only its factors in ``_form``, as (row builder, *factors); the
+    builder of a Kronecker product is its row sequence ``_KronRows``.  Its
     ``nzrows`` slot stays unset until it is first read, when
     ``__getattr__`` builds every row at once.  ``mat_mul`` reads ``_form``
-    and multiplies the factors instead, so a factored product that only
-    products read never builds its rows; ``is_identity`` of a block
-    diagonal asks its blocks.
+    and multiplies the factors, or indexes the row sequence, instead, so a
+    factored product that only products read never builds its rows;
+    ``is_identity`` of a block diagonal asks its blocks.
     """
 
     __slots__ = ("field", "rows", "cols", "den", "nzrows", "_nums", "_form")
@@ -321,14 +324,16 @@ def mat_mul(a, b):
     Factored operands are multiplied without building their rows: two
     Kronecker products whose factors chain (A.cols == C.rows and
     B.cols == D.rows) by the mixed-product rule (A (x) B)(C (x) D) =
-    AC (x) BD, two block diagonals of one layout block by block, and a
-    Kronecker product with any other matrix over the rows of its factors.
+    AC (x) BD, and two block diagonals of one layout block by block.
+    Every other pair is Gustavson's product, with a Kronecker operand on
+    either side passed as its row sequence: iterated on the left, indexed
+    on the right.
     """
     _check_same_field(a, b)
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     fa, fb = a._form, b._form
-    if fa and fb and fa[0] is fb[0] is _kron_rows:
+    if fa and fb and fa[0] is fb[0] is _KronRows:
         _, x, y = fa
         _, z, w = fb
         if x.cols == z.rows and y.cols == w.rows:
@@ -337,15 +342,15 @@ def mat_mul(a, b):
             and [(n, x.cols) for n, x in fa[1]] == [(n, z.rows) for n, z in fb[1]]):
         return block_diagonal(a.field, [(n, mat_mul(x, z))
                                         for (n, x), (_, z) in zip(fa[1], fb[1])])
-    p = a.field.char
-    if fb and fb[0] is _kron_rows:
-        out = _times_kron(a.nzrows, fb[1], fb[2], p)
-    elif fa and fa[0] is _kron_rows:
-        out = _row_products(_kron_rows(fa[1], fa[2]), b.nzrows, p)
-    else:
-        out = _row_products(a.nzrows, b.nzrows, p)
+    out = _row_products(_product_rows(a), _product_rows(b), a.field.char)
     den = a.den * b.den
     return Matrix(a.field, a.rows, b.cols, den=den, _normalized=den == 1, nzrows=out)
+
+
+def _product_rows(m):
+    """The rows of m as a product reads them: a Kronecker product's row sequence, unbuilt."""
+    form = m._form
+    return _KronRows(*form[1:]) if form and form[0] is _KronRows else m.nzrows
 
 
 def _row_products(arows, brows, p):
@@ -370,31 +375,6 @@ def _row_products(arows, brows, p):
             else:
                 row = {j: x for j, x in acc.items() if x}
         out.append(row)
-    return out
-
-
-def _times_kron(arows, f, g, p):
-    """The rows of a . kron(f, g) from the rows of a, f and g.
-
-    Row k of kron(f, g) is row k // g.rows of f (x) row k % g.rows of g;
-    Gustavson's product reads it off the two factor rows, unbuilt.
-    """
-    frows, grows = f.nzrows, g.nzrows
-    gr, gc = g.rows, g.cols
-    out = []
-    for arow in arows:
-        acc = {}
-        for k, v in arow.items():
-            i, t = divmod(k, gr)
-            grow = grows[t]
-            for j, u in frows[i].items():
-                off, vu = j * gc, v * u
-                for l, w in grow.items():
-                    acc[off + l] = acc.get(off + l, 0) + vu * w
-        if p:
-            out.append({j: r for j, x in acc.items() if (r := x % p)})
-        else:
-            out.append({j: x for j, x in acc.items() if x})
     return out
 
 
@@ -448,26 +428,49 @@ def mat_kron(a, b):
     _check_same_field(a, b)
     rows, cols = a.rows * b.rows, a.cols * b.cols
     if a.den == b.den == 1:
-        return Matrix._factored(a.field, rows, cols, 1, (_kron_rows, a, b))
-    return Matrix(a.field, rows, cols, den=a.den * b.den, nzrows=list(_kron_rows(a, b)))
+        return Matrix._factored(a.field, rows, cols, 1, (_KronRows, a, b))
+    return Matrix(a.field, rows, cols, den=a.den * b.den, nzrows=list(_KronRows(a, b)))
 
 
-def _kron_rows(a, b):
-    """The rows of kron(a, b), one at a time: row (i, k) is row k of b, shifted and scaled."""
-    p = a.field.char
-    bc = b.cols
-    brows = b.nzrows
-    for arow in a.nzrows:
-        terms = [(j * bc, v) for j, v in arow.items()]
-        if len(terms) == 1 and terms[0][1] == 1:  # a selection, as in kron(I, f)
-            off = terms[0][0]
-            yield from ({off + l: w for l, w in brow.items()} for brow in brows)
-        elif p:
-            yield from ({o + l: v * w % p for o, v in terms for l, w in brow.items()}
-                        for brow in brows)
-        else:
-            yield from ({o + l: v * w for o, v in terms for l, w in brow.items()}
-                        for brow in brows)
+class _KronRows:
+    """The rows of kron(a, b): row (i, k) is row k of b, shifted and scaled by row i of a.
+
+    Iterating builds every row in order; ``rows[n]`` reads row n alone off
+    the factors.  Where row i of a selects with value 1, ``rows[n]`` is the
+    row of b shifted, and at offset 0 the row of b itself: rows are never
+    changed.
+    """
+
+    __slots__ = ("arows", "brows", "bc", "p")
+
+    def __init__(self, a, b):
+        self.arows, self.brows, self.bc, self.p = a.nzrows, b.nzrows, b.cols, a.field.char
+
+    def __iter__(self):
+        p, bc, brows = self.p, self.bc, self.brows
+        for arow in self.arows:
+            terms = [(j * bc, v) for j, v in arow.items()]
+            if len(terms) == 1 and terms[0][1] == 1:  # a selection, as in kron(I, f)
+                off = terms[0][0]
+                yield from ({off + l: w for l, w in brow.items()} for brow in brows)
+            elif p:
+                yield from ({o + l: v * w % p for o, v in terms for l, w in brow.items()}
+                            for brow in brows)
+            else:
+                yield from ({o + l: v * w for o, v in terms for l, w in brow.items()}
+                            for brow in brows)
+
+    def __getitem__(self, n):
+        i, k = divmod(n, len(self.brows))
+        arow, brow, bc = self.arows[i], self.brows[k], self.bc
+        if len(arow) == 1 and 1 in arow.values():  # a selection
+            (j,) = arow
+            off = j * bc
+            return {off + l: w for l, w in brow.items()} if off else brow
+        p = self.p
+        if p:
+            return {j * bc + l: v * w % p for j, v in arow.items() for l, w in brow.items()}
+        return {j * bc + l: v * w for j, v in arow.items() for l, w in brow.items()}
 
 
 def block_diagonal(field, blocks):
@@ -496,27 +499,30 @@ def _diag_rows(blocks, den):
     return _placed_rows(r0, placed, den)
 
 
+def _combination(coeffs, mats):
+    """The sum of c * m over integer coefficients c: one accumulation, one normalization."""
+    m0 = mats[0]
+    for m in mats:
+        _check_same_field(m0, m)
+        if (m.rows, m.cols) != (m0.rows, m0.cols):
+            raise ValueError(f"shape mismatch: {m0.rows}x{m0.cols} and {m.rows}x{m.cols}")
+    den = lcm(*(m.den for m in mats))
+    rows = [{} for _ in range(m0.rows)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            f = c * (den // m.den)
+            for acc, row in zip(rows, m.nzrows):
+                for j, v in row.items():
+                    acc[j] = acc.get(j, 0) + f * v
+    return Matrix(m0.field, m0.rows, m0.cols, den=den, nzrows=rows)
+
+
 def mat_add(a, b):
-    _check_same_field(a, b)
-    if a.rows != b.rows or a.cols != b.cols:
-        raise ValueError("shape mismatch in addition")
-    den = lcm(a.den, b.den)
-    fa, fb = den // a.den, den // b.den
-    out = []
-    for ra, rb in zip(a.nzrows, b.nzrows):
-        row = {j: fa * v for j, v in ra.items()}
-        for j, w in rb.items():
-            row[j] = row.get(j, 0) + fb * w
-        out.append(row)
-    return Matrix(a.field, a.rows, a.cols, den=den, nzrows=out)
+    return _combination((1, 1), (a, b))
 
 
 def mat_sub(a, b):
-    return mat_add(a, mat_neg(b))
-
-
-def mat_neg(a):
-    return mat_scale(a, -1)
+    return _combination((1, -1), (a, b))
 
 
 def mat_scale(a, num, den=1):

@@ -41,10 +41,10 @@ identity matrices, and (x (x) y) (x) z equals x (x) (y (x) z) entrywise.
 """
 
 import random
-from math import lcm
 
 from .exactlin import (
     Matrix,
+    _combination,
     mat_kron,
     mat_mul,
     mat_sub,
@@ -201,20 +201,6 @@ def restrict(x, h):
 
 def restrict_mor(f, h):
     return Morphism(restrict(f.source, h), restrict(f.target, h), f.matrix)
-
-
-def _combination(coeffs, mats):
-    """The sum of c * m over integer coefficients c: one accumulation, one normalization."""
-    m0 = mats[0]
-    den = lcm(*(m.den for m in mats))
-    rows = [{} for _ in range(m0.rows)]
-    for c, m in zip(coeffs, mats):
-        if c:
-            f = c * (den // m.den)
-            for acc, row in zip(rows, m.nzrows):
-                for j, v in row.items():
-                    acc[j] = acc.get(j, 0) + f * v
-    return Matrix(m0.field, m0.rows, m0.cols, den=den, nzrows=rows)
 
 
 def hom_space_basis(x, y):

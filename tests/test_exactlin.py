@@ -634,6 +634,57 @@ def test_products_drop_entries_that_cancel(data, p):
     _assert_same(mat_sub(ra, ra), Matrix.zeros(field, am, an))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data(), fields)
+def test_sums_match_fraction_arithmetic(data, p):
+    """A linear combination, mat_add and mat_sub agree entrywise with Fraction
+    (or GF(p) residue) arithmetic, for zero and negative coefficients and,
+    over Q, operands of different dens."""
+    field = Field(p)
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    dens = st.sampled_from([1]) if p else st.sampled_from([1, 2, 3, 4, 6])
+    mats = [_matrix(field, data.draw(sparse_rows(rows, cols)), cols, data.draw(dens))
+            for _ in range(data.draw(st.integers(1, 4)))]
+    coeffs = [data.draw(st.integers(-3, 3)) for _ in mats]
+
+    def entries(m):
+        return [m.entry(i, j) for i in range(rows) for j in range(cols)]
+
+    def want(cs, ms):
+        sums = [sum(c * v for c, v in zip(cs, vs)) for vs in zip(*map(entries, ms))]
+        return [v % p for v in sums] if p else sums
+
+    got = exactlin._combination(coeffs, mats)
+    _assert_canonical(got)
+    assert entries(got) == want(coeffs, mats)
+    a, b = mats[0], mats[-1]
+    for m, cs in ((mat_add(a, b), (1, 1)), (mat_sub(a, b), (1, -1))):
+        _assert_canonical(m)
+        assert entries(m) == want(cs, (a, b))
+
+
+def test_sums_refuse_a_field_or_shape_mismatch():
+    a = Matrix.identity(Q, 2)
+    for other in (Matrix.identity(F2, 2), Matrix.zeros(Q, 2, 3), Matrix.zeros(Q, 3, 2)):
+        for total in (mat_add, mat_sub,
+                      lambda x, y: exactlin._combination((1, 0), (x, y))):  # even at 0
+            with pytest.raises(ValueError, match="mismatch"):
+                total(a, other)
+
+
+def test_a_difference_normalizes_once(monkeypatch):
+    a = Matrix(Q, 2, 2, den=2, nzrows=[{0: 1}, {1: 3}])
+    b = Matrix(Q, 2, 2, den=3, nzrows=[{0: 1, 1: 1}, {}])
+    calls = []
+    original = exactlin._normalize_rows
+    monkeypatch.setattr(exactlin, "_normalize_rows",
+                        lambda *args: calls.append(args) or original(*args))
+    diff = mat_sub(a, b)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert diff == M(Q, [[Fraction(1, 6), Fraction(-1, 3)], [0, Fraction(3, 2)]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.permutations(range(6)), fields)
 def test_row_permutations(perm, p):
@@ -852,3 +903,48 @@ def test_a_kron_read_only_by_products_leaves_its_rows_unbuilt(p):
     assert products[0] == mat_mul(g, _built(k)) and products[1] == mat_mul(_built(k), g)
     assert products[2] == products[3] == mat_kron(eye, mat_mul(f, f))
     assert k.nzrows == d.nzrows and _rows_built(k) and _rows_built(d)
+
+
+@st.composite
+def _kron_factor(draw, field, selection):
+    """A factor of at most 3 x 3, 0 rows or 0 columns included: each row a
+    selection with value 1 or zero, or any sparse rows."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if selection and cols:
+        m = [[0] * cols for _ in range(rows)]
+        for row in m:
+            if draw(st.booleans()):
+                row[draw(st.integers(0, cols - 1))] = 1
+    else:
+        m = draw(sparse_rows(rows, cols))
+    return _matrix(field, m, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), fields, st.booleans())
+def test_kron_row_sequence_iterates_and_indexes_the_entry_definition(data, p, selection):
+    """Iterating the rows of kron(a, b), indexing each of them and reading
+    a[i, j] * b[k, l] through ``Matrix.entry`` agree, and leave both factors'
+    rows unchanged.  A row of a that selects column 0 indexes b's row itself."""
+    field = Field(p)
+    a = data.draw(_kron_factor(field, selection))
+    b = data.draw(_kron_factor(field, data.draw(st.booleans())))
+    a_before, b_before = [dict(r) for r in a.nzrows], [dict(r) for r in b.nzrows]
+    rows = exactlin._KronRows(a, b)
+    built = list(rows)
+    assert len(built) == a.rows * b.rows
+    assert [rows[n] for n in range(len(built))] == built
+    assert all(v and (not p or 0 < v < p) for row in built for v in row.values())
+    kron = mat_kron(a, b)
+    for i in range(a.rows):
+        for k in range(b.rows):
+            n = i * b.rows + k
+            if a.nzrows[i] == {0: 1}:
+                assert rows[n] is b.nzrows[k]
+            for j in range(a.cols):
+                for l in range(b.cols):
+                    want = a.entry(i, j) * b.entry(k, l)
+                    want = want % p if p else want
+                    assert kron.entry(n, j * b.cols + l) == want
+                    assert built[n].get(j * b.cols + l, 0) == want
+    assert a.nzrows == a_before and b.nzrows == b_before
