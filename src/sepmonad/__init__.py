@@ -96,10 +96,9 @@ from .eilenberg import (
     em_mor,
     em_unit_iso,
     extension_of_scalars_iso,
-    find_idempotent_summand,
-    free_hom_basis,
     free_module,
     module_axiom_failures,
+    separable_summand,
     split_idempotent,
 )
 from .presets import load_preset, preset_names

@@ -7,11 +7,11 @@ the coinduced representation with the coordinatewise truncation action
 the idempotent given by acting with the identity-coset idempotent, viewed
 H-equivariantly.
 
-The free module A (x) y has the universal property of the free half of the
-Eilenberg-Moore adjunction: A-linear maps A (x) y -> M correspond one to one
-with G-maps y -> M, by f |-> action_M . (1_A (x) f) (Eilenberg and Moore
-1965).  ``free_hom_basis`` builds module maps out of a free module this way
-from ``repcat.hom_space_basis``; no second linear system solves for them.
+A is separable: its section sigma has mu . sigma = 1 and is a map of
+A-bimodules.  So every module M is an A-linear retract of the free module
+A (x) M, through s = (1_A (x) rho) . (sigma(1) (x) 1) and the action rho
+(Balmer, Dell'Ambrogio and Sanders 2014).  ``separable_summand`` splits
+M off A (x) M this way, in closed form; no search looks for a summand.
 
 All round trips ship explicit invertible witnesses built from the
 adjunction's structure maps; nothing is certified by a search when a
@@ -26,30 +26,20 @@ and is not formed.  Modules are validated when built, module maps by
 certified again.
 """
 
-import random
-
 from .exactlin import (
     IdentityError,
     Matrix,
-    _combination,
     _need,
     _need_identity,
     column_factor,
-    hstack,
     inverse_failures,
-    mat_inverse,
     mat_kron,
     mat_mul,
-    mat_scale,
-    mat_sub,
-    nullspace_basis,
 )
 from .repcat import (
     Morphism,
     Rep,
     compose,
-    hom_space_basis,
-    random_rep,
     restrict,
     tensor_obj,
     unit_rep,
@@ -63,10 +53,6 @@ from .adjunction import (
     section_xi,
     unit_eta,
 )
-
-# Seeded free modules that find_idempotent_summand searches before it gives up.
-SUMMAND_TRIES = 6
-
 
 class ModuleAxiomError(IdentityError):
     """A module refused on its failed axioms."""
@@ -201,13 +187,16 @@ def split_idempotent(e, x):
     equivariance), and nothing is re-checked here.  Given that, m . p = e
     by construction, and p . m = id because e . m = m and m's columns are
     independent; so p and m are equivariant, and the image, which acts by
-    g -> p . x(g) . m and is built lazily, satisfies the group law.  The
+    g -> (p . x(g)) . m and is built lazily, satisfies the group law.  p
+    is multiplied first: it has only rank-many rows, so the product reads
+    just the rows of x(g) that p names, where x(g) . m would build every
+    row of a large carrier such as a free module's Kronecker action.  The
     ``module_idempotent`` check certifies both splitting identities.
     """
     if e.source is not x or e.target is not x:
         raise EMError("idempotent must be an endomorphism of the given representation")
     basis, pmat = column_factor(e.matrix)
-    img = Rep(x.carrier, x.field, lambda g: mat_mul(pmat, mat_mul(x.mat(g), basis)),
+    img = Rep(x.carrier, x.field, lambda g: mat_mul(mat_mul(pmat, x.mat(g)), basis),
               tag=f"img({e.tag})" if e.tag else "img", dim=basis.cols)
     return img, Morphism(x, img, pmat, tag="retract"), Morphism(img, x, basis, tag="include")
 
@@ -301,103 +290,30 @@ def extension_of_scalars_iso(y, cs, ring):
     return phi, AModMorphism(en, free, pinv.matrix)
 
 
-def free_hom_basis(free, y, target):
-    """A basis of the A-linear maps free -> target, for free = free_module(ring, y).
+def separable_summand(mod):
+    """mod split off the free module A (x) mod by the separability section.
 
-    The free module's universal property: f |-> action . (1_A (x) f) is a
-    bijection from the G-maps y -> target onto the A-linear maps
-    A (x) y -> target, so the basis is the image of ``hom_space_basis``.
-    Each image is checked to be equivariant and A-linear.
+    s = (1_A (x) rho) . (sigma(1) (x) 1) is A-linear and rho . s = id
+    (mu . sigma = 1), so e = s . rho is an A-linear idempotent of
+    A (x) mod whose image is a module isomorphic to mod (Balmer,
+    Dell'Ambrogio and Sanders 2014).  e is certified equivariant and
+    A-linear, and e . e = e, before ``split_idempotent`` splits it; the
+    image carries the action p . action . (1_A (x) m).
     """
-    eye_a = Matrix.identity(y.field, free.ring.dim)
-    rho = target.action.matrix
-    basis = [AModMorphism(free, target, mat_mul(rho, mat_kron(eye_a, f.matrix)))
-             for f in hom_space_basis(y, target.carrier)]
-    for phi in basis:
-        phi.require_valid()
-    return basis
-
-
-def find_idempotent_summand(ring, cs, seed=0):
-    """A module summand of a free module split off a nontrivial idempotent.
-
-    Searches End_A(A (x) y) of seeded free modules, read off the G-maps
-    y -> A (x) y by the universal property (``free_hom_basis``): a basis
-    element that is already idempotent, else, for a seeded combination B
-    of the basis, the projector onto ker(B - c) along im(B - c) at the
-    first candidate c where it exists and is neither 0 nor I, built by
-    elimination (``_eigen_projector``).
-    Returns None after ``SUMMAND_TRIES`` seeded free modules; absence is a
-    search verdict, not a nonexistence proof.
-    """
-    field = ring.field
-    g = cs.group
-    for t in range(SUMMAND_TRIES):
-        y = random_rep(g, field, seed * 131 + t, 2 + (t % 2))
-        free = free_module(ring, y)
-        basis = free_hom_basis(free, y, free)
-        if len(basis) < 2:
-            continue
-        e_mat = _idempotent_from_basis(basis, field, seed * 17 + t)
-        if e_mat is None:
-            continue
-        e = Morphism(free.carrier, free.carrier, e_mat, tag="summand")
-        img, p, m = split_idempotent(e, free.carrier)
-        eye_a = Matrix.identity(field, ring.dim)
-        action = Morphism(
-            tensor_obj(ring.carrier, img),
-            img,
-            mat_mul(p.matrix, mat_mul(free.action.matrix, mat_kron(eye_a, m.matrix))),
-        )
-        return AModule(ring, img, action, tag="summand")
-    return None
-
-
-def _idempotent_from_basis(basis, field, seed):
-    for b in basis:
-        mat = b.matrix
-        if mat.is_zero() or mat.is_identity():
-            continue
-        if mat_mul(mat, mat) == mat:
-            return mat
-    rng = random.Random(f"sepmonad|summand|{seed}")
-    p = field.char
-    if p == 0:
-        candidates = [(v, 1) for v in (0, 1, -1, 2, -2, 3, -3)] + [(1, 2), (-1, 2), (3, 2)]
-    else:
-        candidates = [(v, 1) for v in range(p)]
-    eye = Matrix.identity(field, basis[0].matrix.rows)
-    for _ in range(8):
-        if p == 0:
-            coeffs = [rng.randint(-2, 2) for _ in basis]
-        else:
-            coeffs = [rng.randrange(p) for _ in basis]
-        if not any(coeffs):
-            continue
-        bmat = _combination(coeffs, [b.matrix for b in basis])
-        for c in candidates:
-            e_mat = _eigen_projector(mat_sub(bmat, mat_scale(eye, *c)))
-            if e_mat is not None and mat_mul(e_mat, e_mat) == e_mat:
-                return e_mat
-    return None
-
-
-def _eigen_projector(n):
-    """The projector onto ker n along im n; None when it does not exist or is 0 or I.
-
-    For n = B - c I it is q(B)/q(c) when c is a simple root of B's minimal
-    polynomial (x - c) q.  The nullspace basis K and the pivot columns R of
-    n have d columns together, by rank-nullity, and [K | R] is invertible
-    exactly when ker n and im n meet only in 0; then the projector is K
-    times the first K.cols rows of [K | R]^-1.  An empty K (c is no
-    eigenvalue) gives 0 and an empty R (n = 0) gives I, so both are
-    refused before the inverse.
-    """
-    d = n.rows
-    k = nullspace_basis(n)
-    if not 0 < k.cols < d:
-        return None
-    inv = mat_inverse(hstack([k, column_factor(n)[0]]))
-    if inv is None:
-        return None
-    return mat_mul(k, Matrix(n.field, k.cols, d, den=inv.den, nzrows=inv.nzrows[:k.cols]))
+    ring = mod.ring
+    field = mod.carrier.field
+    rho = mod.action.matrix
+    eye_a = Matrix.identity(field, ring.dim)
+    free = free_module(ring, mod.carrier)
+    sigma_one = mat_mul(ring.section.matrix, ring.unit.matrix)
+    s = mat_mul(mat_kron(eye_a, rho), mat_kron(sigma_one, Matrix.identity(field, mod.dim)))
+    e_mat = mat_mul(s, rho)
+    AModMorphism(free, free, e_mat).require_valid()
+    out = []
+    _need(out, "e . e = e", mat_mul(e_mat, e_mat), e_mat)
+    EMError.refuse("separability idempotent fails", out)
+    img, p, m = split_idempotent(Morphism(free.carrier, free.carrier, e_mat, tag="summand"),
+                                 free.carrier)
+    action = Morphism(tensor_obj(ring.carrier, img), img,
+                      mat_mul(p.matrix, mat_mul(free.action.matrix, mat_kron(eye_a, m.matrix))))
+    return AModule(ring, img, action, tag="summand")

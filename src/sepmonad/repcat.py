@@ -24,10 +24,10 @@ A seeded ``random_rep`` also keeps its permutation form
 ``perm_form = (U, U^-1, pi)``, with mat(g) = U P(pi(g)) U^-1; other reps
 have None.  ``hom_space_basis`` reads Hom(x, y) off the orbits on index
 pairs when both reps carry a form, and otherwise eliminates the stacked
-generator equations, the route kept for reps with no form: a dict rep
-(the ``rep_action`` corruption's), free-module carriers and split
-images.  ``rep_hom_sanity`` certifies every seeded rep and map against
-the matrices themselves, so a wrong form cannot pass silently.
+generator equations, the route kept for reps with no form, such as
+the ``rep_action`` corruption's dict rep.  ``rep_hom_sanity`` certifies
+every seeded rep and map against the matrices themselves, so a wrong
+form cannot pass silently.
 
 Constructors only build, with cheap structural checks.  A caller that
 must certify a law calls ``require_valid()``: ``Rep.require_valid`` fills
@@ -215,9 +215,10 @@ def hom_space_basis(x, y):
     * when both reps carry a permutation form (seeded ``random_rep``s),
       by ``_orbit_span``: one spanning map per orbit on index pairs, put
       into that canonical form by ``exactlin.span_basis``;
-    * otherwise (a dict rep, a tensor product, a split image) by
-      eliminating the stacked system: one block
-      kron(I_y, x(g)^T) - kron(y(g), I_x) per generator.
+    * otherwise by eliminating the stacked system: one block
+      kron(I_y, x(g)^T) - kron(y(g), I_x) per generator.  Within the
+      package only the ``rep_action`` corruption's dict rep comes this
+      way; the tests read it as the reference for the orbit route.
 
     Both routes give the same matrices.  The basis maps are not
     revalidated: each lies in the solution space of the generator

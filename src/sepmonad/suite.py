@@ -72,8 +72,8 @@ from .eilenberg import (
     em_mor,
     em_unit_iso,
     extension_of_scalars_iso,
-    find_idempotent_summand,
     free_module,
+    separable_summand,
 )
 from .presets import load_preset, preset_names
 
@@ -334,9 +334,7 @@ class Ctx:
                for y in self._reps(self.group, "mf", cyc, half)]
         out += [em_comparison(n, self.cs, self.ring, tag=f"E[{n.tag}]")
                 for n in self._reps(self.h, "mc", cyc, half)]
-        summand = find_idempotent_summand(self.ring, self.cs, seed=self.seed)
-        if summand is not None:
-            out.append(summand)
+        out.append(separable_summand(out[-1]))
         return out
 
     @cached_property

@@ -13,10 +13,9 @@ from sepmonad.eilenberg import (
     em_mor,
     em_unit_iso,
     extension_of_scalars_iso,
-    find_idempotent_summand,
-    free_hom_basis,
     free_module,
     module_axiom_failures,
+    separable_summand,
     split_idempotent,
 )
 from sepmonad import eilenberg, exactlin
@@ -28,7 +27,6 @@ from sepmonad.exactlin import (
     hstack,
     mat_kron,
     mat_mul,
-    mat_scale,
     mat_sub,
     nullspace_basis,
     parse_field,
@@ -310,110 +308,103 @@ def _rank(m):
     return column_factor(m)[0].cols
 
 
+def _summand_with_split(monkeypatch, mod):
+    """separable_summand(mod) with the idempotent e and the splitting p, m it used."""
+    seen = []
+    real = eilenberg.split_idempotent
+
+    def spy(e, x):
+        seen.append((e, real(e, x)))
+        return seen[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(eilenberg, "split_idempotent", spy)
+        summand = separable_summand(mod)
+    [(e, (img, p, m))] = seen
+    assert summand.carrier is img
+    return summand, e.matrix, p.matrix, m.matrix
+
+
+def _seed_zero_comparison(name, field):
+    cs, ring = _setup(name, field)
+    return cs, em_comparison(random_rep(cs.subgroup, field, seed=0, budget=2), cs, ring)
+
+
 @pytest.mark.parametrize("field", [Q, GF(2)], ids=["q", "fp2"])
 @pytest.mark.parametrize("name", ["s3", "c4", "a4"])
-def test_free_hom_basis_matches_module_map_oracle(name, field):
-    """Hom_A(A (x) y, M) from the universal property spans all module maps."""
-    cs, ring = _setup(name, field)
-    y = random_rep(cs.group, field, seed=0, budget=2)
-    free = free_module(ring, y)
-    comparison = em_comparison(random_rep(cs.subgroup, field, seed=3, budget=2), cs, ring)
-    for target in (free, comparison):
-        basis = free_hom_basis(free, y, target)
-        oracle = _module_map_oracle(free, target)
-        assert len(basis) == oracle.cols > 0
-        ours = hstack(_flat_column(b.matrix) for b in basis)
-        assert _rank(ours) == len(basis)
-        assert _rank(hstack([ours, oracle])) == len(basis)
+def test_separability_idempotent_is_a_module_map(monkeypatch, name, field):
+    """e lies in the brute-force span of the A-linear G-maps A (x) M -> A (x) M."""
+    _, mod = _seed_zero_comparison(name, field)
+    _, e, _, _ = _summand_with_split(monkeypatch, mod)
+    free = free_module(mod.ring, mod.carrier)
+    oracle = _module_map_oracle(free, free)
+    assert _rank(hstack([oracle, _flat_column(e)])) == oracle.cols
 
 
-def test_find_idempotent_summand_is_valid_or_none(monkeypatch):
-    """Every preset over Q and GF(2) splits a proper nonzero summand.
-
-    None is a search verdict the suite tolerates by building one module
-    fewer; at seed 0 no preset needs it, so a None here is a regression.
-    """
-    searched = []
-
-    def spy(free, y, target):
-        searched.append(free)
-        return free_hom_basis(free, y, target)
-
-    monkeypatch.setattr(eilenberg, "free_hom_basis", spy)
-    for name in preset_names():
-        for field in (Q, GF(2)):
-            cs, ring = _setup(name, field)
-            found = find_idempotent_summand(ring, cs, seed=0)
-            assert found is not None, (name, field)
-            assert 0 < found.dim < searched[-1].dim
-            assert module_axiom_failures(found) == []
+@pytest.mark.parametrize("spec", ["q", "fp:2"])
+@pytest.mark.parametrize("name", preset_names())
+def test_separable_summand_splits_off_the_module(monkeypatch, name, spec):
+    """The summand has M's dimension, and p . m = I, m . p = e split it off A (x) M."""
+    _, mod = _seed_zero_comparison(name, parse_field(spec))
+    summand, e, p, m = _summand_with_split(monkeypatch, mod)
+    assert summand.dim == mod.dim
+    assert (e.rows, e.cols) == (mod.ring.dim * mod.dim,) * 2
+    assert mat_mul(p, m).is_identity()
+    assert mat_mul(m, p) == e
+    assert module_axiom_failures(summand) == []
 
 
-# sha256 of the summand found at seed 0 (its action matrix and the matrix of
-# every group element on its carrier): the search must not change from one
-# version to the next.  v4 and q8 reach the eigen-projector search on all
-# three fields and split off its projector over Q and GF(3); every other
-# summand comes from a hom-space basis element that is already idempotent.
+@pytest.mark.parametrize("field", [Q, GF(2), GF(3)], ids=["q", "fp2", "fp3"])
+def test_separability_idempotent_of_the_ring_is_sigma_mu(monkeypatch, field):
+    """On M = E(1_H), whose action is mu, e is the separability idempotent sigma . mu."""
+    cs, ring = _setup("s4", field)
+    _, e, _, _ = _summand_with_split(monkeypatch, em_comparison(unit_rep(cs.subgroup, field),
+                                                                 cs, ring))
+    assert e == mat_mul(ring.section.matrix, ring.mul.matrix)
+
+
+# sha256 of separable_summand(E(n)) for the seed-0 rep n of H (its action
+# matrix and the matrix of every group element on its carrier): the summand
+# must not change from one version to the next.
 _SUMMAND_DIGESTS = {
-    ("a4", "q"): "08a2d665253f01028388605d9511b2a2a1e6d6a1cb806ba2993cac4cab9e9fb0",
-    ("a4", "fp:2"): "08a2d665253f01028388605d9511b2a2a1e6d6a1cb806ba2993cac4cab9e9fb0",
-    ("a4", "fp:3"): "08a2d665253f01028388605d9511b2a2a1e6d6a1cb806ba2993cac4cab9e9fb0",
-    ("c2", "q"): "765836b5aa97d2e4ef2c04151ebb34d7f9f478f29d0eaa17812a7ed4c5613550",
-    ("c2", "fp:2"): "765836b5aa97d2e4ef2c04151ebb34d7f9f478f29d0eaa17812a7ed4c5613550",
-    ("c2", "fp:3"): "765836b5aa97d2e4ef2c04151ebb34d7f9f478f29d0eaa17812a7ed4c5613550",
-    ("c3", "q"): "8809052c592abdc3b063cd2921d6e986716e5525e82036b9e564e3454d6a7f5b",
-    ("c3", "fp:2"): "8809052c592abdc3b063cd2921d6e986716e5525e82036b9e564e3454d6a7f5b",
-    ("c3", "fp:3"): "8809052c592abdc3b063cd2921d6e986716e5525e82036b9e564e3454d6a7f5b",
-    ("c4", "q"): "8119faf1436fc4be34a144b18d7a2e500790f8b5f3d73e303bbfb600cb947dd2",
-    ("c4", "fp:2"): "8119faf1436fc4be34a144b18d7a2e500790f8b5f3d73e303bbfb600cb947dd2",
-    ("c4", "fp:3"): "8119faf1436fc4be34a144b18d7a2e500790f8b5f3d73e303bbfb600cb947dd2",
-    ("c6", "q"): "8358936e4bf636de90d74ee30cb4a06e19eddeb2e50287e5406f75149535b87d",
-    ("c6", "fp:2"): "8358936e4bf636de90d74ee30cb4a06e19eddeb2e50287e5406f75149535b87d",
-    ("c6", "fp:3"): "8358936e4bf636de90d74ee30cb4a06e19eddeb2e50287e5406f75149535b87d",
-    ("d4", "q"): "825f1c230f68fb1c0962705bdf40e3de1d48cf5814a821d96cd0fe14da4e2471",
-    ("d4", "fp:2"): "825f1c230f68fb1c0962705bdf40e3de1d48cf5814a821d96cd0fe14da4e2471",
-    ("d4", "fp:3"): "825f1c230f68fb1c0962705bdf40e3de1d48cf5814a821d96cd0fe14da4e2471",
-    ("q8", "q"): "d3f597ea7215d54e870ea694305b8958bf445b2cf1a6f8d4929b8bde72d695bd",
-    ("q8", "fp:2"): "b9944da2d558eabea991736a21540a93a2b4f7ec7be078bbcd4b5dba372e41c2",
-    ("q8", "fp:3"): "5543fe4444435b14541471d8cbd7535127365c3945cdbff89cc44ced1fc84cb3",
-    ("s3", "q"): "6c1f6b97d027b33cd3644528530e570a2b82262091bbf53ad3e80965acc699bb",
-    ("s3", "fp:2"): "6c1f6b97d027b33cd3644528530e570a2b82262091bbf53ad3e80965acc699bb",
-    ("s3", "fp:3"): "6c1f6b97d027b33cd3644528530e570a2b82262091bbf53ad3e80965acc699bb",
-    ("s4", "q"): "34da30c067dfb5af3aa6830fa8d661814b6b42824049929d119428904dbdb8d6",
-    ("s4", "fp:2"): "34da30c067dfb5af3aa6830fa8d661814b6b42824049929d119428904dbdb8d6",
-    ("s4", "fp:3"): "34da30c067dfb5af3aa6830fa8d661814b6b42824049929d119428904dbdb8d6",
-    ("v4", "q"): "c207d819921171daf47ac16cdd922ac53befbdd7a49aa3b885ab78e37332cb77",
-    ("v4", "fp:2"): "2b99047612601b3d5bc429b7a4e0d3d7c82f5ccd1564efdb5c2f59a59a7ee1f8",
-    ("v4", "fp:3"): "b8f46a0999ac40504facf200c4e9d0acc9b01808191b9ba22c29cbd8cb6fb425",
+    ("a4", "q"): "00c2bb9578df93fc3a4829d5b9bd83fbd49371c1eab83dc55d2f64120d7a9f78",
+    ("a4", "fp:2"): "668795923751636a9d0bf9a4d6e49c21cf9a08ea9930e7e5154a105af7b6649c",
+    ("a4", "fp:3"): "e8f9559e9e86c2213f72e499bd408b75ae7230bf8034edadfc7de4ffca991d66",
+    ("c2", "q"): "e2c449d9771fdb7053e7d656241a6c5efe649db77d825a911d7ac50cb421b8b9",
+    ("c2", "fp:2"): "e2c449d9771fdb7053e7d656241a6c5efe649db77d825a911d7ac50cb421b8b9",
+    ("c2", "fp:3"): "e2c449d9771fdb7053e7d656241a6c5efe649db77d825a911d7ac50cb421b8b9",
+    ("c3", "q"): "a3d817e84f56081eb7e28dde76b19a044211d5c5c40d081c59609cfa96618b92",
+    ("c3", "fp:2"): "a3d817e84f56081eb7e28dde76b19a044211d5c5c40d081c59609cfa96618b92",
+    ("c3", "fp:3"): "a3d817e84f56081eb7e28dde76b19a044211d5c5c40d081c59609cfa96618b92",
+    ("c4", "q"): "a8e3911663e97189b97fad1244578830314939fb4e1918345ec4e514a87c793e",
+    ("c4", "fp:2"): "a8e3911663e97189b97fad1244578830314939fb4e1918345ec4e514a87c793e",
+    ("c4", "fp:3"): "a8e3911663e97189b97fad1244578830314939fb4e1918345ec4e514a87c793e",
+    ("c6", "q"): "3c1d77c0ed797b5e5c54902214d685774bde7514ab256aaf0fa293301fab0e48",
+    ("c6", "fp:2"): "3c1d77c0ed797b5e5c54902214d685774bde7514ab256aaf0fa293301fab0e48",
+    ("c6", "fp:3"): "3c1d77c0ed797b5e5c54902214d685774bde7514ab256aaf0fa293301fab0e48",
+    ("d4", "q"): "6e392fbf79cb693b08126d4e8cb331f56372084172e65750b621537381351a72",
+    ("d4", "fp:2"): "6e392fbf79cb693b08126d4e8cb331f56372084172e65750b621537381351a72",
+    ("d4", "fp:3"): "6e392fbf79cb693b08126d4e8cb331f56372084172e65750b621537381351a72",
+    ("q8", "q"): "16313d2bae11c230ee0b026e1db05cdcc73f5c896d1c1beeee01e9b8678259a7",
+    ("q8", "fp:2"): "16313d2bae11c230ee0b026e1db05cdcc73f5c896d1c1beeee01e9b8678259a7",
+    ("q8", "fp:3"): "16313d2bae11c230ee0b026e1db05cdcc73f5c896d1c1beeee01e9b8678259a7",
+    ("s3", "q"): "0e91304360a65f1286015e8f83ec69cba8816e6fea943cdf393ae25fa4a9cc11",
+    ("s3", "fp:2"): "0e91304360a65f1286015e8f83ec69cba8816e6fea943cdf393ae25fa4a9cc11",
+    ("s3", "fp:3"): "0e91304360a65f1286015e8f83ec69cba8816e6fea943cdf393ae25fa4a9cc11",
+    ("s4", "q"): "6861d88a5f82769b9ce861f404ff139944e1697aed25599065fee196b53e1ff5",
+    ("s4", "fp:2"): "6861d88a5f82769b9ce861f404ff139944e1697aed25599065fee196b53e1ff5",
+    ("s4", "fp:3"): "6861d88a5f82769b9ce861f404ff139944e1697aed25599065fee196b53e1ff5",
+    ("v4", "q"): "0a7935b1d6c9e3e3ac2f1912e081b040769161d96306626bf25ee41f7eec9e55",
+    ("v4", "fp:2"): "0a7935b1d6c9e3e3ac2f1912e081b040769161d96306626bf25ee41f7eec9e55",
+    ("v4", "fp:3"): "0a7935b1d6c9e3e3ac2f1912e081b040769161d96306626bf25ee41f7eec9e55",
 }
 
 
 @pytest.mark.parametrize("name, spec", sorted(_SUMMAND_DIGESTS))
-def test_found_summands_are_frozen(name, spec):
-    cs, ring = _setup(name, parse_field(spec))
-    found = find_idempotent_summand(ring, cs, seed=0)
+def test_separable_summands_are_frozen(name, spec):
+    cs, mod = _seed_zero_comparison(name, parse_field(spec))
+    found = separable_summand(mod)
     digest = hashlib.sha256()
     for m in [found.action.matrix] + [found.carrier.mat(g) for g in cs.group.elements]:
         digest.update(repr((m.rows, m.cols, m.den, m.nums)).encode())
     assert digest.hexdigest() == _SUMMAND_DIGESTS[name, spec]
-
-
-@pytest.mark.parametrize("field", [Q, GF(5)], ids=["q", "fp5"])
-def test_eigen_projector_is_q_of_b_over_q_of_c(field):
-    """q(B)/q(c) at a simple root c of B's minimal polynomial (x - c) q, else None."""
-    def projector(rows, c):
-        b = Matrix.from_rows(field, rows)
-        return eilenberg._eigen_projector(mat_sub(b, mat_scale(Matrix.identity(field, b.rows), c)))
-
-    # diagonalizable, minimal polynomial (x - 1)(x - 3)
-    b = [[1, 0, 2], [0, 1, 0], [0, 0, 3]]
-    # c = 1: (B - 3I)/(1 - 3), onto the plane ker(B - I) along im(B - I)
-    assert projector(b, 1) == Matrix.from_rows(field, [[1, 0, -1], [0, 1, 0], [0, 0, 0]])
-    # c = 3: (B - I)/(3 - 1)
-    assert projector(b, 3) == Matrix.from_rows(field, [[0, 0, 1], [0, 0, 0], [0, 0, 1]])
-    assert projector(b, 2) is None  # no eigenvalue: the projector is 0
-    assert projector([[1, 0], [0, 1]], 1) is None  # B = cI: the projector is I
-    # a Jordan block at 2 and a simple eigenvalue 4
-    jordan = [[2, 1, 0], [0, 2, 0], [0, 0, 4]]
-    assert projector(jordan, 2) is None
-    assert projector(jordan, 4) == Matrix.from_rows(field, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])

@@ -21,8 +21,9 @@ from sepmonad.eilenberg import (
     em_comparison,
     em_inverse_split,
     free_module,
+    separable_summand,
 )
-from sepmonad.exactlin import Field, IdentityError, Matrix
+from sepmonad.exactlin import Field, IdentityError, Matrix, mat_scale
 from sepmonad.groups import right_cosets, subgroup_generated
 from sepmonad.monadring import RingAxiomError, canonical_ring_iso, standard_ring
 from sepmonad.presets import load_preset
@@ -136,6 +137,15 @@ def _idempotent(monkeypatch):
     em_inverse_split(em_comparison(n, cs, ring), cs)
 
 
+def _separability_idempotent(monkeypatch):
+    # a section of 2 sigma keeps e = s . rho equivariant and A-linear, but e . e = 2 e
+    cs, ring = _setup("s3")
+    assert ring.failures == []
+    sec = ring.section
+    ring.section = Morphism(sec.source, sec.target, mat_scale(sec.matrix, 2))
+    separable_summand(em_comparison(unit_rep(cs.subgroup, Q), cs, ring))
+
+
 def _unit_round_trip(monkeypatch):
     cs, ring = _setup("s3")
     _zero(monkeypatch, "counit_eps")
@@ -169,6 +179,8 @@ def _extension_round_trip(monkeypatch):
     pytest.param(_module_action, ModuleAxiomError, "module axioms fail", id="module_action"),
     pytest.param(_module_map, EMError, "map does not commute with the actions", id="module_map"),
     pytest.param(_idempotent, EMError, "module idempotent law fails", id="idempotent"),
+    pytest.param(_separability_idempotent, EMError, "separability idempotent fails",
+                 id="separability_idempotent"),
     pytest.param(_unit_round_trip, EMError, "unit round trip fails", id="unit_round_trip"),
     pytest.param(_counit_round_trip, EMError, "counit round trip fails",
                  id="counit_round_trip"),
