@@ -16,15 +16,11 @@ from .exactlin import (
     IdentityError,
     Matrix,
     column_factor,
-    mat_add,
-    mat_inverse,
     mat_kron,
     mat_mul,
-    mat_scale,
     mat_sub,
     nullspace_basis,
     parse_field,
-    solve_linear,
     span_basis,
 )
 from .groups import (

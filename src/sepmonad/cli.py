@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import sys
 
 from .presets import preset_names
@@ -72,6 +73,21 @@ def build_parser():
     return parser
 
 
+def _emit(text):
+    """Print text to stdout; a reader that has closed it does not change the exit status.
+
+    Once a write fails on the closed pipe, stdout is pointed at the null
+    device, so the flush at interpreter exit finds nothing to fail on.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _run_mutation(cfg, fmt):
     rows = []
     for corruption in CORRUPTIONS:
@@ -87,13 +103,13 @@ def _run_mutation(cfg, fmt):
         )
     ok = all(r["detected"] for r in rows)
     if fmt == "json":
-        print(json.dumps({"version": REPORT_VERSION, "mutation_smoke": rows}, indent=2))
+        _emit(json.dumps({"version": REPORT_VERSION, "mutation_smoke": rows}, indent=2))
     else:
         for r in rows:
             mark = "detected" if r["detected"] else "MISSED"
             names = ", ".join(r["failed_checks"]) or "-"
-            print(f"  corruption {r['corruption']:<12} {mark}: failing checks: {names}")
-        print(f"mutation smoke: {'PASS' if ok else 'FAIL'}")
+            _emit(f"  corruption {r['corruption']:<12} {mark}: failing checks: {names}")
+        _emit(f"mutation smoke: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -117,5 +133,5 @@ def main(argv=None):
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    print(report.to_json() if args.report == "json" else report.to_text())
+    _emit(report.to_json() if args.report == "json" else report.to_text())
     return 0 if report.passed else 1

@@ -21,9 +21,11 @@ built and checked: ``em_unit_iso``, ``em_counit_iso`` and
 whose failures are the failed (name, composite, identity) triples of
 ``exactlin.inverse_failures``; the suite reports the first as its
 witness.  The second composite of a square pair follows from the first
-and is not formed.  Modules are validated when built, module maps by
-``require_valid``, and the inverse of a certified isomorphism is not
-certified again.
+and is not formed.  Modules and module maps are certified by their
+``require_valid``: ``em_comparison`` and ``separable_summand`` certify
+the modules they build, while a free module's axioms are its certified
+ring's laws and are not checked again.  The inverse of a certified
+isomorphism is not certified again either.
 """
 
 from .exactlin import (
@@ -63,7 +65,11 @@ class EMError(IdentityError):
 
 
 class AModule:
-    """A carrier representation with a validated ring action."""
+    """A carrier representation with a ring action.
+
+    The constructor checks shapes only; ``require_valid`` certifies the
+    module axioms.
+    """
 
     def __init__(self, ring, carrier, action, tag=""):
         da = ring.dim
@@ -74,6 +80,9 @@ class AModule:
         self.carrier = carrier
         self.action = action
         self.tag = tag
+
+    def require_valid(self):
+        """Raise ModuleAxiomError unless associative, unital and equivariant."""
         ModuleAxiomError.refuse("module axioms fail", module_axiom_failures(self))
 
     @property
@@ -138,7 +147,11 @@ class AModMorphism:
 
 
 def free_module(ring, y, tag=""):
-    """The free module A (x) y with multiplication-induced action."""
+    """The free module A (x) y with multiplication-induced action.
+
+    The action mu (x) 1 is associative, unital and equivariant exactly
+    when the ring is, so certifying the ring certifies the module.
+    """
     ring.require_valid("refusing free module over an invalid ring")
     carrier = tensor_obj(ring.carrier, y)
     eye = Matrix.identity(y.field, y.dim)
@@ -164,7 +177,9 @@ def em_comparison(n, cs, ring, tag=""):
         carrier,
         Matrix(n.field, d, index * d, _normalized=True, nzrows=rows),
     )
-    return AModule(ring, carrier, action, tag=tag or f"E({n.tag})")
+    mod = AModule(ring, carrier, action, tag=tag or f"E({n.tag})")
+    mod.require_valid()
+    return mod
 
 
 def em_mor(f, cs, source, target):
@@ -208,7 +223,7 @@ def em_inverse_split(mod, cs):
     the projection transport; returns (image H-rep, p, m, e) with
     m . p = e, p . m = id.  This is where e is certified, for
     equivariance and e . e = e, before ``split_idempotent``, which does
-    not re-check it; an AModule's axioms were checked when it was built.
+    not re-check it; the module's axioms were certified where it was built.
     """
     h = cs.subgroup
     x = mod.carrier
@@ -316,4 +331,6 @@ def separable_summand(mod):
                                  free.carrier)
     action = Morphism(tensor_obj(ring.carrier, img), img,
                       mat_mul(p.matrix, mat_mul(free.action.matrix, mat_kron(eye_a, m.matrix))))
-    return AModule(ring, img, action, tag="summand")
+    summand = AModule(ring, img, action, tag="summand")
+    summand.require_valid()
+    return summand

@@ -6,7 +6,7 @@ modulo a prime p (ints in 0..p-1).  A Matrix is read as one thing: per
 row, a dict of its nonzero integer entries, over a single positive
 denominator, in one canonical form.  Dense entry lists are accepted as
 input and split into rows at once; the dense tuple ``Matrix.nums`` is only
-a view, built when ``hash`` or a witness reads it.
+a view, built when a report witness reads it.
 
 The structure maps of the adjunction are block selections and block
 permutations, so almost every entry is zero.  They are built as rows of
@@ -22,10 +22,10 @@ its factors: iterated to build them, and indexed by Gustavson's product,
 which is the one loop that sums scaled rows for a product.  Sums and
 differences are one linear combination, accumulated and normalized once.
 
-The column factorization, solve, inverse, nullspace and span basis pass
-those rows to the kernels of ``backend``, which eliminate on them and
-return the reduced rows: fraction-free over Q, with every row kept
-primitive, and plain Gauss-Jordan over GF(p).  No floating point appears
+The column factorization, nullspace and span basis pass those rows to
+the kernels of ``backend``, which eliminate on them and return the
+reduced rows: fraction-free over Q, with every row kept primitive, and
+plain Gauss-Jordan over GF(p).  No floating point appears
 anywhere.  ``nullspace_basis`` returns a canonical basis of a kernel;
 ``span_basis`` returns the same canonical basis of a subspace given by
 spanning columns, so a space that is known from a spanning set (the
@@ -135,8 +135,8 @@ class Matrix:
     entry sequence ``nums``, which is split into rows at once.  Either
     way the rows go through ``_normalize_rows``, unless ``_normalized``
     says given rows are already canonical.  ``nums`` is also a read-only
-    view: the flat tuple of all entries, built on first read for ``hash``
-    and witnesses.
+    view: the flat tuple of all entries, built on first read for report
+    witnesses.
 
     A Kronecker product or block diagonal is built by ``_factored`` and
     stores only its factors in ``_form``, as (row builder, *factors); the
@@ -240,9 +240,6 @@ class Matrix:
             return Fraction(v, self.den)
         return v
 
-    def is_zero(self):
-        return not any(self.nzrows)
-
     def is_identity(self):
         n = self.rows
         if n != self.cols or self.den != 1:
@@ -263,9 +260,6 @@ class Matrix:
         ):
             return False
         return self.nzrows == other.nzrows
-
-    def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.den, self.nums))
 
     def __repr__(self):
         if self.rows * self.cols > 36:
@@ -517,19 +511,8 @@ def _combination(coeffs, mats):
     return Matrix(m0.field, m0.rows, m0.cols, den=den, nzrows=rows)
 
 
-def mat_add(a, b):
-    return _combination((1, 1), (a, b))
-
-
 def mat_sub(a, b):
     return _combination((1, -1), (a, b))
-
-
-def mat_scale(a, num, den=1):
-    """Multiply by the exact scalar num/den; num may be an int or a Fraction."""
-    num, den = num.numerator, den * num.denominator
-    out = [{j: num * v for j, v in row.items()} for row in a.nzrows]
-    return Matrix(a.field, a.rows, a.cols, den=a.den * den, nzrows=out)
 
 
 def hstack(mats):
@@ -618,48 +601,6 @@ def column_factor(a):
     pivots, red, den = _rref(a.nzrows, a.rows, a.cols, a.field)
     coeffs = Matrix(a.field, len(pivots), a.cols, den=den, nzrows=red)
     return a.submatrix_cols(pivots), coeffs
-
-
-def _right_block(red, pivots, n):
-    """The columns from n on of the RREF rows, as n rows placed by pivot."""
-    out = [{} for _ in range(n)]
-    for pc, row in zip(pivots, red):
-        out[pc] = {j - n: v for j, v in row.items() if j >= n}
-    return out
-
-
-def solve_linear(a, b):
-    """Some exact X with a*X = b, or None when the system is inconsistent.
-
-    Deterministic: free variables are set to zero under the fixed
-    left-to-right pivot order.
-    """
-    _check_same_field(a, b)
-    if a.rows != b.rows:
-        raise ValueError("dimension mismatch in solve_linear")
-    n = a.cols
-    common = lcm(a.den, b.den)
-    fa, fb = common // a.den, common // b.den
-    aug = []
-    for ra, rb in zip(a.nzrows, b.nzrows):
-        row = ra if fa == 1 else {j: fa * v for j, v in ra.items()}
-        if rb:
-            row = row | {n + j: fb * v for j, v in rb.items()}
-        aug.append(row)
-    pivots, red, den = _rref(aug, a.rows, n + b.cols, a.field)
-    if pivots and pivots[-1] >= n:
-        return None
-    return Matrix(a.field, n, b.cols, den=den, nzrows=_right_block(red, pivots, n))
-
-
-def mat_inverse(a):
-    """Exact inverse, or None when a is singular.
-
-    The solution of a . X = I: a singular a makes that system inconsistent.
-    """
-    if a.rows != a.cols:
-        raise ValueError("inverse of a non-square matrix")
-    return solve_linear(a, Matrix.identity(a.field, a.rows))
 
 
 def nullspace_basis(a):

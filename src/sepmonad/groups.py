@@ -65,9 +65,6 @@ class FiniteGroup:
     def inverse(self, a):
         return self.inv[a]
 
-    def label(self, a):
-        return self.labels[a]
-
     def index_of_perm(self, perm):
         if self.perms is None:
             raise ValueError("group was not built from permutations")

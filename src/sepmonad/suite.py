@@ -236,7 +236,7 @@ class Ctx:
             "subgroup": list(self.h.gens),
             "subgroup_order": self.h.order,
             "index": self.cs.index,
-            "field": self.cfg.field,
+            "field": self.field.spec(),
             "seed": self.seed,
             "family_size": self.cfg.family_size,
             "tool_version": __version__,

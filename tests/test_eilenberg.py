@@ -92,7 +92,7 @@ def test_invalid_action_rejected():
         Matrix(Q, free.action.matrix.rows, free.action.matrix.cols, nums, free.action.matrix.den),
     )
     with pytest.raises(Exception):
-        AModule(ring, free.carrier, bad)
+        AModule(ring, free.carrier, bad).require_valid()
 
 
 def test_split_idempotent_identity_and_zero():
@@ -129,7 +129,7 @@ def test_em_inverse_split_runs_one_elimination(monkeypatch):
 
 
 def test_em_inverse_split_does_not_rerun_the_module_axioms(monkeypatch):
-    # an AModule is validated when built; splitting it checks only e
+    # the module was certified where it was built; splitting it checks only e
     cs, ring = _setup("s3")
     mod = em_comparison(random_rep(cs.subgroup, Q, seed=0, budget=2), cs, ring)
     calls = []
@@ -137,6 +137,29 @@ def test_em_inverse_split_does_not_rerun_the_module_axioms(monkeypatch):
     monkeypatch.setattr(eilenberg, "module_axiom_failures", lambda m: calls.append(m) or real(m))
     em_inverse_split(mod, cs)
     assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2"])
+def test_free_modules_are_not_checked_again(monkeypatch, spec):
+    # a free module's axioms are its certified ring's laws; the modules
+    # that em_comparison and separable_summand build are still checked
+    cs, ring = _setup("s3", parse_field(spec))
+    checked, free = [], []
+    real_axioms, real_free = eilenberg.module_axiom_failures, eilenberg.free_module
+    monkeypatch.setattr(eilenberg, "module_axiom_failures",
+                        lambda m: checked.append(m) or real_axioms(m))
+    monkeypatch.setattr(eilenberg, "free_module",
+                        lambda *args: free.append(real_free(*args)) or free[-1])
+    y = random_rep(cs.group, ring.field, seed=2, budget=2)
+    eilenberg.free_module(ring, y)
+    extension_of_scalars_iso(y, cs, ring)
+    mod = em_comparison(random_rep(cs.subgroup, ring.field, seed=1, budget=2), cs, ring)
+    summand = separable_summand(mod)
+    assert len(free) == 3 and len(checked) == 3
+    # the comparison module of Res y, then mod and its summand
+    assert checked[0].tag.startswith("E(")
+    assert checked[1] is mod and checked[2] is summand
+    assert not any(m is f for m in checked for f in free)
 
 
 def test_module_idempotent_splits():
@@ -217,7 +240,7 @@ def test_round_trip_witness_is_the_composite_against_identity(monkeypatch, field
     assert len(err.value.failures) == 2
     for _, lhs, rhs in err.value.failures:
         assert (lhs.rows, lhs.cols) == (rhs.rows, rhs.cols)
-        assert lhs.is_zero() and rhs.is_identity()
+        assert not any(lhs.nzrows) and rhs.is_identity()
 
 
 @pytest.mark.parametrize("field", ["q", "fp:2"])

@@ -40,7 +40,7 @@ def test_s3_bfs_element_order_is_frozen():
         (2, 0, 1),
     ]
     assert group.identity == 0
-    assert group.label(2) == "(0 1 2)"
+    assert group.labels[2] == "(0 1 2)"
 
 
 def test_s3_transposition_cosets_frozen():
@@ -92,7 +92,7 @@ def test_inverse_and_identity_laws():
 
 def test_q8_relations():
     group, default = load_preset("q8")
-    lab = {group.label(i): i for i in group.elements}
+    lab = {group.labels[i]: i for i in group.elements}
     i_, j_, k_, m1 = lab["i"], lab["j"], lab["k"], lab["-1"]
     assert group.mul(i_, i_) == m1
     assert group.mul(j_, j_) == m1
@@ -206,7 +206,7 @@ def test_bad_tables_rejected():
 def test_cayley_roundtrip_from_permutation_group():
     group, _ = load_preset("v4")
     table = [[group.mul(x, y) for y in group.elements] for x in group.elements]
-    rebuilt = group_from_cayley_table(table, labels=[group.label(i) for i in group.elements])
+    rebuilt = group_from_cayley_table(table, labels=[group.labels[i] for i in group.elements])
     assert rebuilt.order == group.order
     for x in group.elements:
         for y in group.elements:

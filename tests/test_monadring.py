@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from sepmonad import exactlin, monadring
+from sepmonad import backend, monadring
 from sepmonad.adjunction import coind_obj, lax_iota, lax_lambda
 from sepmonad.exactlin import Field, GF, Matrix, mat_mul
 from sepmonad.groups import right_cosets, subgroup_generated
@@ -127,19 +127,24 @@ def test_one_suite_evaluates_the_ring_axioms_once(monkeypatch):
 
 
 def test_the_ring_layer_inverts_no_matrix(monkeypatch):
-    """The canonical isomorphism is the identity: nothing in monadring inverts."""
-    calls = []  # the calling module of each mat_inverse
-    real = exactlin.mat_inverse
+    """The canonical isomorphism is the identity: nothing in monadring eliminates."""
+    stacks = []  # the modules on the stack at each elimination
 
-    def spy(a):
-        calls.append(sys._getframe(1).f_globals["__name__"])
-        return real(a)
+    def spy(real):
+        def kernel(*args):
+            frame, mods = sys._getframe(1), set()
+            while frame is not None:
+                mods.add(frame.f_globals.get("__name__"))
+                frame = frame.f_back
+            stacks.append(mods)
+            return real(*args)
+        return kernel
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "sepmonad" and getattr(mod, "mat_inverse", None) is real:
-            monkeypatch.setattr(mod, "mat_inverse", spy)
+    for name in ("rrefj_int", "rref_mod"):
+        monkeypatch.setattr(backend, name, spy(getattr(backend, name)))
     assert run_suite(SuiteConfig(group="s4", family_size=2)).passed
-    assert "sepmonad.monadring" not in calls
+    assert stacks  # the suite eliminates, outside the ring layer
+    assert not any("sepmonad.monadring" in mods for mods in stacks)
 
 
 def test_adjunction_ring_modular():

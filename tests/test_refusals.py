@@ -23,7 +23,7 @@ from sepmonad.eilenberg import (
     free_module,
     separable_summand,
 )
-from sepmonad.exactlin import Field, IdentityError, Matrix, mat_scale
+from sepmonad.exactlin import Field, IdentityError, Matrix, _combination
 from sepmonad.groups import right_cosets, subgroup_generated
 from sepmonad.monadring import RingAxiomError, canonical_ring_iso, standard_ring
 from sepmonad.presets import load_preset
@@ -119,7 +119,7 @@ def _module_action(monkeypatch):
     rows[0] = {**rows[0], 0: rows[0].get(0, 0) + rho.den}
     bad = Morphism(free.action.source, free.action.target,
                    Matrix(Q, rho.rows, rho.cols, den=rho.den, nzrows=rows))
-    AModule(ring, free.carrier, bad)
+    AModule(ring, free.carrier, bad).require_valid()
 
 
 def _module_map(monkeypatch):
@@ -142,7 +142,7 @@ def _separability_idempotent(monkeypatch):
     cs, ring = _setup("s3")
     assert ring.failures == []
     sec = ring.section
-    ring.section = Morphism(sec.source, sec.target, mat_scale(sec.matrix, 2))
+    ring.section = Morphism(sec.source, sec.target, _combination((2,), (sec.matrix,)))
     separable_summand(em_comparison(unit_rep(cs.subgroup, Q), cs, ring))
 
 

@@ -242,7 +242,7 @@ def test_seeded_random_homs_are_frozen(name, spec, side):
     for i, x in enumerate(reps):
         for j, y in enumerate(reps):
             m = random_hom(x, y, 7 * i + j).matrix
-            nonzero += not m.is_zero()
+            nonzero += any(m.nzrows)
             digest.update(repr((m.rows, m.cols, m.den, m.nums)).encode())
     assert nonzero >= len(reps)
     assert digest.hexdigest() == _SEEDED_HOM_DIGESTS[name, spec, side]
@@ -272,7 +272,7 @@ def test_compose_and_zero():
     f = random_hom(x, x, seed=13)
     assert compose(identity_mor(x), f).matrix == f.matrix
     assert compose(f, identity_mor(x)).matrix == f.matrix
-    assert compose(f, zero_mor(x, x)).matrix.is_zero()
+    assert not any(compose(f, zero_mor(x, x)).matrix.nzrows)
 
 
 @settings(max_examples=20, deadline=None)

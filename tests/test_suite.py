@@ -1,6 +1,9 @@
 """Suite orchestration: determinism, corruption detection, CLI contract."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -209,6 +212,40 @@ def test_cli_config_error_exit_code(capsys):
 def test_cli_bad_subgroup_text(capsys):
     code = main(["--group", "s3", "--subgroup", "1,x"])
     assert code == 2
+
+
+def test_cli_reports_the_field_it_runs_over(capsys):
+    reports = []
+    for spec in (" FP:3 ", "fp:3"):
+        assert main(["--group", "c2", "--family-size", "1", "--field", spec,
+                     "--report", "json"]) == 0
+        reports.append(_strip_ms(json.loads(capsys.readouterr().out)))
+    assert reports[0] == reports[1]
+    assert reports[0]["env"]["field"] == "fp:3"
+    assert main(["--group", "c2", "--family-size", "1", "--field", " FP:3 "]) == 0
+    assert " field=fp:3 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [["--report", "text"], ["--report", "json"], ["--mutation-smoke"]],
+                         ids=["text", "json", "mutation_smoke"])
+def test_cli_keeps_the_verdict_when_stdout_is_closed(args, buffering):
+    src = str(Path(suite.__file__).resolve().parents[1])
+    env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONPATH": src,
+           "PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error"}
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    # -B: no bytecode in the source tree
+    proc = subprocess.Popen(
+        [sys.executable, "-B", "-m", "sepmonad", "--group", "c2", "--family-size", "1", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader goes away before anything is written
+    try:
+        _, err = proc.communicate(timeout=300)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0
+    assert err == b""
 
 
 @pytest.mark.parametrize("text", ["", ",,"])
