@@ -66,17 +66,14 @@ from .adjunction import (
 )
 from .monadring import (
     Monad,
-    MonadMorphism,
     RingAxiomError,
     RingObject,
-    canonical_ring_iso,
     monad_from_adjunction,
     monad_from_ring,
     monad_law_failures,
     monad_morphism_failures,
     monad_section_at,
     monad_separability_failures,
-    pi_as_monad_morphism,
     ring_axiom_failures,
     ring_iso_failures,
     standard_ring,

@@ -393,7 +393,10 @@ def load_group_json(path):
     names the elements.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise GroupError("group file nests too deeply") from None
     if not isinstance(data, dict):
         raise GroupError("group file must hold a JSON object")
     labels = data.get("labels")

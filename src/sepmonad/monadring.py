@@ -7,13 +7,14 @@ e_c, and the diagonal separability section sigma(e_c) = e_c (x) e_c.  The
 axioms hold over any exact field, including characteristic dividing the
 group order.  It is also Coind(1_H) with the lax structure of coinduction
 as its ring structure; in representative coordinates the two rings have
-the same matrices, so that identification is certified as equalities
-(``canonical_ring_iso``) and only one ring object is ever built.
+the same matrices, so ``standard_ring`` certifies that identification as
+equalities (``ring_iso_failures``) and only one ring object is ever built.
 
 Two monads act on G-representations: tensoring with the ring, and the
 coinduction-of-restriction composite whose multiplication collapses the
-inner coinduction through the counit.  The projection morphism identifies
-them; the diagram checks live alongside the constructors.
+inner coinduction through the counit.  The projection pi identifies them;
+``monad_morphism_failures`` reads its components straight off pi.  The
+diagram checks live alongside the constructors.
 """
 
 from functools import cached_property
@@ -142,7 +143,12 @@ def standard_ring(cs, field):
     """The function ring on the coset space with its diagonal section.
 
     mu(e_c (x) e_c') = delta e_c, unit = sum of basis idempotents,
-    sigma(e_c) = e_c (x) e_c.  Valid over every exact field.
+    sigma(e_c) = e_c (x) e_c.  Valid over every exact field.  Raises
+    RingAxiomError unless the ring axioms hold and the ring is Coind(1_H)
+    with its lax structure (``ring_iso_failures``).  The canonical map
+    sends e_c to the indicator function of the coset c, the identity in
+    representative coordinates, so the adjunction ring is never built:
+    its ring axioms and separability are this ring's, on the same matrices.
     """
     a = coset_permutation_rep(cs, field)
     d = cs.index
@@ -159,19 +165,8 @@ def standard_ring(cs, field):
     section = Morphism(a, aa, Matrix(field, d * d, d, _normalized=True, nzrows=sec_rows))
     ring = RingObject(a, mul, unit, section)
     ring.require_valid("ring axioms fail")
+    RingAxiomError.refuse("canonical map is not a ring isomorphism", ring_iso_failures(ring, cs))
     return ring
-
-
-def canonical_ring_iso(std, cs):
-    """Certify A = Coind(1_H) as rings, or raise RingAxiomError.
-
-    The canonical map sends e_c to the indicator function of the coset c;
-    in representative coordinates it is the identity.  So it is certified
-    as the equalities of ``ring_iso_failures``, and the adjunction ring is
-    never built: once they hold, its ring axioms and separability are the
-    standard ring's identities on the same matrices.
-    """
-    RingAxiomError.refuse("canonical map is not a ring isomorphism", ring_iso_failures(std, cs))
 
 
 def ring_iso_failures(std, cs):
@@ -274,8 +269,9 @@ def monad_section_at(cs, x):
     return coind_mor(section_xi(restrict(x, h), cs), cs)
 
 
-def monad_separability_failures(cs, monad, x):
-    """The section property and both bilinearity squares at one object."""
+def monad_separability_failures(cs, x):
+    """The section property and both bilinearity squares of Coind Res at one object."""
+    monad = monad_from_adjunction(cs)
     ax = monad.on_obj(x)
     s_x = monad_section_at(cs, x)
     mu_x = monad.mu_at(x)
@@ -292,72 +288,34 @@ def monad_separability_failures(cs, monad, x):
     return out
 
 
-class MonadMorphism:
-    """A family of component morphisms between two monads' values.
+def monad_morphism_failures(ring, cs, x):
+    """Violated monad-morphism diagrams for pi: A (x) (-) -> Coind Res at x.
 
-    ``inv_at`` supplies the closed-form candidate inverse of a component;
-    the diagram checker certifies it as a two-sided inverse.
-    """
-
-    def __init__(self, name, source, target, at, inv_at):
-        self.name = name
-        self.source = source
-        self.target = target
-        self.at = at
-        self.inv_at = inv_at
-
-    def __repr__(self):
-        return f"<MonadMorphism {self.name}>"
-
-
-def pi_as_monad_morphism(std, cs):
-    """The projection morphism as a map of monads A (x) (-) -> Coind Res.
-
-    Component at x: pi at (1_H, x), read with source A (x) x, since ``std``
-    is Coind(1_H) with the same matrices (``canonical_ring_iso``).  The
-    inverse components are the closed-form ``projection_pi_inverse``, block
-    diagonal like pi itself.
-    """
-    src = monad_from_ring(std)
-    tgt = monad_from_adjunction(cs)
-    one_h = unit_rep(cs.subgroup, std.field)
-
-    def at(x):
-        pi = projection_pi(one_h, x, cs)
-        return Morphism(src.on_obj(x), tgt.on_obj(x), pi.matrix, tag="theta")
-
-    def inv_at(x):
-        return projection_pi_inverse(one_h, x, cs).matrix
-
-    return MonadMorphism("pi", src, tgt, at, inv_at)
-
-
-def monad_morphism_failures(mm, x):
-    """Violated monad-morphism diagrams for the projection map at x.
+    The component theta_x is pi at (1_H, x), read with source A (x) x,
+    since ``standard_ring`` certified ``ring`` as Coind(1_H) with the same
+    matrices.  Its candidate inverse is the closed-form
+    ``projection_pi_inverse``, block diagonal like pi itself.  An invalid
+    ``ring`` is refused with a RingAxiomError (``monad_from_ring``).
 
     Verifies the unit triangle, the multiplication square against the
-    two-fold component, and that the closed-form inverse inverts the
-    component on both sides: the left composite is formed, and the right
-    one only when it does not follow (``exactlin.inverse_failures``).
+    two-fold component, and that the inverse inverts the component on both
+    sides: the left composite is formed, and the right one only when it
+    does not follow (``exactlin.inverse_failures``).
     """
-    theta_x = mm.at(x)
-    src, tgt = mm.source, mm.target
+    src = monad_from_ring(ring)
+    tgt = monad_from_adjunction(cs)
+    one_h = unit_rep(cs.subgroup, ring.field)
+    theta_x = projection_pi(one_h, x, cs).matrix
     ax = tgt.on_obj(x)
-    da = theta_x.source.dim // x.dim
-    eye_a = Matrix.identity(x.field, da)
+    eye_a = Matrix.identity(x.field, ring.dim)
     out = []
-    _need(
-        out, "unit_triangle",
-        mat_mul(theta_x.matrix, src.eta_at(x).matrix),
-        tgt.eta_at(x).matrix,
-    )
-    theta_ax = mm.at(ax)
-    theta2 = mat_mul(theta_ax.matrix, mat_kron(eye_a, theta_x.matrix))
+    _need(out, "unit_triangle", mat_mul(theta_x, src.eta_at(x).matrix), tgt.eta_at(x).matrix)
+    theta2 = mat_mul(projection_pi(one_h, ax, cs).matrix, mat_kron(eye_a, theta_x))
     _need(
         out, "multiplication_square",
-        mat_mul(theta_x.matrix, src.mu_at(x).matrix),
+        mat_mul(theta_x, src.mu_at(x).matrix),
         mat_mul(tgt.mu_at(x).matrix, theta2),
     )
-    out += inverse_failures(mm.inv_at(x), theta_x.matrix,
+    out += inverse_failures(projection_pi_inverse(one_h, x, cs).matrix, theta_x,
                             "component_left_inverse", "component_right_inverse")
     return out

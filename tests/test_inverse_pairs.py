@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from sepmonad import eilenberg, exactlin, suite
+from sepmonad import eilenberg, exactlin, monadring, suite
 from sepmonad.adjunction import projection_pi, projection_pi_inverse
 from sepmonad.eilenberg import (
     EMError,
@@ -23,11 +23,7 @@ from sepmonad.eilenberg import (
 )
 from sepmonad.exactlin import GF, Field, Matrix, assemble, hstack, vstack
 from sepmonad.groups import right_cosets, subgroup_generated
-from sepmonad.monadring import (
-    monad_morphism_failures,
-    pi_as_monad_morphism,
-    standard_ring,
-)
+from sepmonad.monadring import monad_morphism_failures, standard_ring
 from sepmonad.presets import load_preset
 from sepmonad.repcat import Morphism, Rep, random_rep
 from sepmonad.suite import SuiteConfig, run_suite
@@ -91,18 +87,25 @@ def test_projection_formula_multiplies_each_pi_pair_once(monkeypatch, products):
             for pi, pinv in zip(pis, pinvs)] == [1, 1]
 
 
-@FIELDS
-def test_monad_morphism_multiplies_each_component_with_its_inverse_once(field, products):
-    cs, std = _setup("s3", field)
-    mm = pi_as_monad_morphism(std, cs)
+def _record_components(monkeypatch):
+    """The pi and pi_inv morphisms that ``monad_morphism_failures`` reads, in call order."""
     thetas, invs = [], []
-    mm.at = _recording(thetas, mm.at)
-    mm.inv_at = _recording(invs, mm.inv_at)
+    monkeypatch.setattr(monadring, "projection_pi", _recording(thetas, monadring.projection_pi))
+    monkeypatch.setattr(monadring, "projection_pi_inverse",
+                        _recording(invs, monadring.projection_pi_inverse))
+    return thetas, invs
+
+
+@FIELDS
+def test_monad_morphism_multiplies_each_component_with_its_inverse_once(monkeypatch, field,
+                                                                       products):
+    cs, std = _setup("s3", field)
+    thetas, invs = _record_components(monkeypatch)
     for seed in range(2):
         x = random_rep(cs.group, field, seed=seed, budget=2)
-        assert monad_morphism_failures(mm, x) == []
-        # at(x) comes first, then at(A (x) x) for the multiplication square
-        assert _pair_products(products, thetas[-2].matrix, invs[-1]) == 1
+        assert monad_morphism_failures(std, cs, x) == []
+        # pi at x comes first, then pi at Coind(Res x) for the multiplication square
+        assert _pair_products(products, thetas[-2].matrix, invs[-1].matrix) == 1
 
 
 @FIELDS
@@ -204,9 +207,9 @@ def test_monad_morphism_component_pair_multiplies_block_by_block(monkeypatch, fi
     """theta_x^-1 . theta_x is one 3-row product x(1/r) . x(r) per representative of S4/S3,
     not one 12-row product."""
     cs, std = _setup("s4", field)
-    mm = pi_as_monad_morphism(std, cs)
-    x = random_rep(cs.group, field, seed=0, budget=3)
-    theta, inv = mm.at(x).matrix, mm.inv_at(x)
+    thetas, invs = _record_components(monkeypatch)
+    assert monad_morphism_failures(std, cs, random_rep(cs.group, field, seed=0, budget=3)) == []
+    theta, inv = thetas[0].matrix, invs[0].matrix
     rows_multiplied = _spy_on_row_products(monkeypatch)
     assert exactlin.inverse_failures(inv, theta, "left", "right") == []
     assert rows_multiplied == [3] * cs.index

@@ -25,7 +25,7 @@ from sepmonad.eilenberg import (
 )
 from sepmonad.exactlin import Field, IdentityError, Matrix, _combination
 from sepmonad.groups import right_cosets, subgroup_generated
-from sepmonad.monadring import RingAxiomError, canonical_ring_iso, standard_ring
+from sepmonad.monadring import RingAxiomError, standard_ring
 from sepmonad.presets import load_preset
 from sepmonad.repcat import Morphism, Rep, random_rep, unit_rep, zero_mor
 from sepmonad.suite import SuiteConfig, _corrupt_ring, _with_first_entry, run_suite
@@ -55,13 +55,16 @@ def _ring_object(monkeypatch):
     _corrupt_ring(ring).require_valid("ring axioms fail")
 
 
-def _canonical_ring_iso(monkeypatch):
-    cs, ring = _setup("s3")
-    canonical_ring_iso(_corrupt_ring(ring), cs)
+def _standard_ring(monkeypatch):
+    # standard_ring refuses the ring it builds when that ring's axioms fail
+    real = monadring.RingObject
+    monkeypatch.setattr(monadring, "RingObject", lambda *parts: _corrupt_ring(real(*parts)))
+    _setup("s3")
 
 
 # One targeted corruption per equality of A = Coind(1_H), installed in
-# ``monadring``'s namespace; each returns the failure it must lead with.
+# ``monadring``'s namespace; each returns the failure it must lead with,
+# and ``standard_ring`` refuses its ring on it.
 
 def _wrong_lax_iota(monkeypatch):
     real = monadring.lax_iota
@@ -105,8 +108,7 @@ def _wrong_carrier_action(monkeypatch):
 def _refused_iso(corrupt):
     def refuse(monkeypatch):
         corrupt(monkeypatch)
-        cs, ring = _setup("s3")
-        canonical_ring_iso(ring, cs)
+        _setup("s3")
 
     return refuse
 
@@ -168,8 +170,7 @@ def _extension_round_trip(monkeypatch):
 
 @pytest.mark.parametrize("refuse,error,refusal", [
     pytest.param(_ring_object, RingAxiomError, "ring axioms fail", id="ring_object"),
-    pytest.param(_canonical_ring_iso, RingAxiomError, "canonical map is not a ring isomorphism",
-                 id="canonical_ring_iso"),
+    pytest.param(_standard_ring, RingAxiomError, "ring axioms fail", id="standard_ring"),
     pytest.param(_refused_iso(_wrong_lax_iota), RingAxiomError,
                  "canonical map is not a ring isomorphism", id="unit_transport"),
     pytest.param(_refused_iso(_wrong_lax_lambda), RingAxiomError,
@@ -203,20 +204,29 @@ def test_a_refusal_names_every_failed_identity_in_its_message(monkeypatch, refus
 @pytest.mark.parametrize("corrupt", [_wrong_lax_iota, _wrong_lax_lambda, _wrong_carrier_action],
                          ids=["unit_transport", "multiplication_transport", "carrier_action"])
 def test_each_equality_of_the_coset_ring_is_needed(monkeypatch, corrupt):
-    """A corrupted side of A = Coind(1_H) is refused by name, and the suite fails on it."""
+    """A corrupted side of A = Coind(1_H) makes standard_ring refuse by name, and the
+    suite fails on it."""
     first = corrupt(monkeypatch)
-    cs, ring = _setup("s3")
     with pytest.raises(RingAxiomError) as err:
-        canonical_ring_iso(ring, cs)
+        _setup("s3")
     assert err.value.failures[0][0] == first
     report = run_suite(SuiteConfig(group="s3", family_size=2,
-                                   checks=("monad_morphism", "ring_axioms")))
+                                   checks=("ring_axioms", "monad_morphism")))
     witnesses = {c.id: c.witness["context"] for c in report.checks if c.status == "fail"}
-    refusal = f"canonical map is not a ring isomorphism: {first}"
-    assert witnesses == {
-        "monad_morphism": f"while preparing the check: {refusal}",
-        "ring_axioms": f"canonical ring isomorphism: {refusal}",
-    }
+    refusal = f"while preparing the check: canonical map is not a ring isomorphism: {first}"
+    assert witnesses == {"ring_axioms": refusal, "monad_morphism": refusal}
+
+
+def test_ring_mul_corruption_is_led_by_the_ring_axiom_it_breaks(capsys):
+    """Zeroing mu(e_0 (x) e_0) breaks unit_left, which ring_axioms, the first check that
+    reads the ring, reports; every later check that reads the ring fails too."""
+    assert cli.main(["--group", "s3", "--family-size", "2", "--mutation-smoke",
+                     "--report", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["mutation_smoke"]
+    [row] = [r for r in rows if r["corruption"] == "ring_mul"]
+    assert row["failed_checks"][:2] == ["ring_axioms", "monad_morphism"]
+    assert (row["witness"]["kind"], row["witness"]["context"]) == (
+        "ring_axioms", "standard ring: unit_left")
 
 
 def _strip_ms(x):
@@ -228,8 +238,8 @@ def _strip_ms(x):
 
 
 @pytest.mark.parametrize("group,field,digest", [
-    ("s3", "q", "9f283f4ee3f812e550c86bb505770aecab7ca5167f5cb60ec9e5796e6b6f540c"),
-    ("q8", "fp:2", "7e1a322698d583729ee9628de236569688042e6822e3729ca8b143980dc28322"),
+    ("s3", "q", "664c6e584c1c5e505417a1548cd23689750d5c9cc0b14546ae8f8a6325892db0"),
+    ("q8", "fp:2", "ce57903fbb86cedacbd07c6f9665b4edd0816df12ef9311a5c97c7ccba3002fe"),
 ])
 def test_mutation_smoke_report_is_pinned(capsys, group, field, digest):
     """The sha256 of ``verify --group G --field F --mutation-smoke --report json``, ms stripped."""

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sepmonad import adjunction, eilenberg, suite
+from sepmonad import adjunction, eilenberg, monadring, suite
 from sepmonad.cli import main
 from sepmonad.eilenberg import EMError
 from sepmonad.exactlin import GF, QQ, Matrix
@@ -333,6 +333,8 @@ def test_cli_file_group(tmp_path, capsys):
     None, "{not json", "5", "[[1, 0]]",
     '{"permutations": 5}', '{"cayley": 7}', '{"permutations": [[1, 0]], "labels": 3}',
     '{"cayley": []}', '{"permutations": [[1, 0]], "cayley": [[0, 1], [1, 0]]}',
+    # json.load gives up on this nesting with a RecursionError
+    pytest.param('{"cayley": ' + "[" * 100_000 + "]" * 100_000 + "}", id="nested-100000"),
 ])
 def test_cli_unreadable_group_file_exit_code(tmp_path, capsys, content):
     path = tmp_path / "g.json"
@@ -413,21 +415,14 @@ def test_changed_pi_block_entry_is_caught_by_projection_formula(monkeypatch, fie
 
 @pytest.mark.parametrize("field", ["q", "fp:2"])
 def test_changed_pi_component_is_caught_by_monad_morphism(monkeypatch, field):
-    real = suite.pi_as_monad_morphism
+    real = monadring.projection_pi
 
-    def changed(*args, **kwargs):
-        mm = real(*args, **kwargs)
-        at = mm.at
+    def changed(y, x, cs):
+        mor = real(y, x, cs)
+        return Morphism(mor.source, mor.target, _changed_first_entry(mor.matrix), tag=mor.tag)
 
-        def bad_at(x):
-            mor = at(x)
-            bad = _changed_first_entry(mor.matrix)
-            return Morphism(mor.source, mor.target, bad, tag=mor.tag)
-
-        mm.at = bad_at
-        return mm
-
-    monkeypatch.setattr(suite, "pi_as_monad_morphism", changed)
+    # every component the monad morphism reads off pi, and no pi of projection_formula
+    monkeypatch.setattr(monadring, "projection_pi", changed)
     [check] = run_suite(small_cfg(field=field, checks=("monad_morphism",))).checks
     assert check.status == "fail"
     assert check.witness["kind"] == "monad_morphism"
