@@ -79,7 +79,6 @@ from .monadring import (
     standard_ring,
 )
 from .eilenberg import (
-    AModMorphism,
     AModule,
     EMError,
     ModuleAxiomError,
@@ -91,6 +90,7 @@ from .eilenberg import (
     extension_of_scalars_iso,
     free_module,
     module_axiom_failures,
+    require_module_map,
     separable_summand,
     split_idempotent,
 )

@@ -2,8 +2,10 @@
 
 An AModule is a G-representation x with an action A (x) x -> x satisfying
 associativity and unitality.  The comparison functor E sends an H-rep n to
-the coinduced representation with the coordinatewise truncation action
-(keep the block of the acting basis idempotent).  Its quasi-inverse splits
+Coind(n), a module over A = Coind(1_H) through the lax multiplication
+lambda at (1_H, n): coordinatewise truncation, keeping the block of the
+acting basis idempotent.  A free module A (x) y is the free algebra
+(A (x) y, mu_y) of the ring monad A (x) -.  The quasi-inverse of E splits
 the idempotent given by acting with the identity-coset idempotent, viewed
 H-equivariantly.
 
@@ -21,10 +23,11 @@ built and checked: ``em_unit_iso``, ``em_counit_iso`` and
 whose failures are the failed (name, composite, identity) triples of
 ``exactlin.inverse_failures``; the suite reports the first as its
 witness.  The second composite of a square pair follows from the first
-and is not formed.  Modules and module maps are certified by their
-``require_valid``: ``em_comparison`` and ``separable_summand`` certify
-the modules they build, while a free module's axioms are its certified
-ring's laws and are not checked again.  The inverse of a certified
+and is not formed.  Modules are certified by ``AModule.require_valid``:
+``em_comparison`` and ``separable_summand`` certify the modules they
+build, while a free module's axioms are its certified ring's laws and are
+not checked again.  A module map is a bare matrix, certified equivariant
+and A-linear by ``require_module_map``.  The inverse of a certified
 isomorphism is not certified again either.
 """
 
@@ -50,11 +53,13 @@ from .adjunction import (
     coind_mor,
     coind_obj,
     counit_eps,
+    lax_lambda,
     projection_pi,
     projection_pi_inverse,
     section_xi,
     unit_eta,
 )
+from .monadring import monad_from_ring
 
 class ModuleAxiomError(IdentityError):
     """A module refused on its failed axioms."""
@@ -118,65 +123,46 @@ def module_axiom_failures(mod):
     return out
 
 
-class AModMorphism:
-    """A map between module carriers, meant to be equivariant and A-linear.
+def require_module_map(source, target, matrix):
+    """Certify matrix as a map of modules source -> target.
 
-    The constructor checks the ring, fields and shapes only;
-    ``require_valid`` certifies both laws.
+    Raises EMError unless both modules live over one ring, RepError unless
+    the matrix is an equivariant map of the carriers, and EMError unless it
+    is A-linear.
     """
-
-    def __init__(self, source, target, matrix):
-        if source.ring is not target.ring:
-            raise EMError("modules live over different rings")
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-        self._carrier_map = Morphism(source.carrier, target.carrier, matrix)
-
-    def require_valid(self):
-        """Raise RepError unless equivariant, EMError unless A-linear."""
-        self._carrier_map.require_valid()
-        eye_a = Matrix.identity(self.matrix.field, self.source.ring.dim)
-        out = []
-        _need(out, "A-linearity", mat_mul(self.matrix, self.source.action.matrix),
-              mat_mul(self.target.action.matrix, mat_kron(eye_a, self.matrix)))
-        EMError.refuse("map does not commute with the actions", out)
-
-    def __repr__(self):
-        return f"<AModMorphism {self.source.dim}->{self.target.dim}>"
+    if source.ring is not target.ring:
+        raise EMError("modules live over different rings")
+    Morphism(source.carrier, target.carrier, matrix).require_valid()
+    eye_a = Matrix.identity(matrix.field, source.ring.dim)
+    out = []
+    _need(out, "A-linearity", mat_mul(matrix, source.action.matrix),
+          mat_mul(target.action.matrix, mat_kron(eye_a, matrix)))
+    EMError.refuse("map does not commute with the actions", out)
 
 
 def free_module(ring, y, tag=""):
-    """The free module A (x) y with multiplication-induced action.
+    """The free module A (x) y: the free algebra of the ring monad A (x) -.
 
-    The action mu (x) 1 is associative, unital and equivariant exactly
-    when the ring is, so certifying the ring certifies the module.
+    Its carrier and action are the monad's A (x) y and mu at y, which
+    are associative, unital and equivariant exactly when the ring is, so
+    certifying the ring certifies the module.
     """
     ring.require_valid("refusing free module over an invalid ring")
-    carrier = tensor_obj(ring.carrier, y)
-    eye = Matrix.identity(y.field, y.dim)
-    action = Morphism(tensor_obj(ring.carrier, carrier), carrier, mat_kron(ring.mul.matrix, eye))
-    return AModule(ring, carrier, action, tag=tag or f"free({y.tag})")
+    monad = monad_from_ring(ring)
+    return AModule(ring, monad.on_obj(y), monad.mu_at(y), tag=tag or f"free({y.tag})")
 
 
 def em_comparison(n, cs, ring, tag=""):
-    """The comparison module E(n): coinduction with the truncation action.
+    """The comparison module E(n) = Coind(n), acting through lambda at (1_H, n).
 
-    Acting with the basis idempotent of a coset keeps that coset's
-    coordinate block and kills the others (pointwise multiplication of
-    functions).
+    A = Coind(1_H), and the lax multiplication Coind(1_H) (x) Coind(n) ->
+    Coind(1_H (x) n) = Coind(n) multiplies pointwise: acting with the basis
+    idempotent of a coset keeps that coset's coordinate block and kills
+    the others.
     """
     carrier = coind_obj(n, cs)
-    index = cs.index
-    dn = n.dim
-    d = index * dn
-    # row (c, b) picks column (e_c, (c, b))
-    rows = [{c * d + c * dn + b: 1} for c in range(index) for b in range(dn)]
-    action = Morphism(
-        tensor_obj(ring.carrier, carrier),
-        carrier,
-        Matrix(n.field, d, index * d, _normalized=True, nzrows=rows),
-    )
+    lam = lax_lambda(unit_rep(cs.subgroup, n.field), n, cs)
+    action = Morphism(tensor_obj(ring.carrier, carrier), carrier, lam.matrix)
     mod = AModule(ring, carrier, action, tag=tag or f"E({n.tag})")
     mod.require_valid()
     return mod
@@ -186,10 +172,11 @@ def em_mor(f, cs, source, target):
     """Functoriality of the comparison: E(f) applies f per representative.
 
     ``source`` and ``target`` are the comparison modules E(f.source) and
-    E(f.target); the map is checked to be equivariant and A-linear.
+    E(f.target); returns the matrix of Coind(f), certified by
+    ``require_module_map``.
     """
-    ef = AModMorphism(source, target, coind_mor(f, cs).matrix)
-    ef.require_valid()
+    ef = coind_mor(f, cs).matrix
+    require_module_map(source, target, ef)
     return ef
 
 
@@ -260,14 +247,14 @@ def em_unit_iso(n, cs, ring):
 
 
 def em_counit_iso(mod, split, cs):
-    """Mutually inverse A-linear maps between E(img) and mod.
+    """Mutually inverse A-linear maps between E(img) and mod, as matrices.
 
     ``split`` is ``em_inverse_split(mod, cs)``: the image H-rep img of
-    the module's idempotent with its splitting p, m.  phi = action .
-    pi-inverse . Coind(m) and psi = Coind(p) . eta.  phi . psi = I is
-    verified, and psi . phi = I too unless phi is square, when it follows.
-    phi is certified equivariant and A-linear; so is psi = phi^-1, which is
-    not checked again.
+    the module's idempotent with its splitting p, m.  Returns (phi, psi)
+    with phi = action . pi-inverse . Coind(m) and psi = Coind(p) . eta.
+    phi . psi = I is verified, and psi . phi = I too unless phi is square,
+    when it follows.  ``require_module_map`` certifies phi equivariant and
+    A-linear; so is psi = phi^-1, which is not checked again.
     """
     img, p, m, _ = split
     x = mod.carrier
@@ -281,16 +268,16 @@ def em_counit_iso(mod, split, cs):
     EMError.refuse("counit round trip fails",
                    inverse_failures(phi_mat, psi_mat, "phi . psi = id_module",
                                     "psi . phi = id_comparison"))
-    phi = AModMorphism(en, mod, phi_mat)
-    phi.require_valid()
-    return phi, AModMorphism(mod, en, psi_mat)
+    require_module_map(en, mod, phi_mat)
+    return phi_mat, psi_mat
 
 
 def extension_of_scalars_iso(y, cs, ring):
     """The projection as an A-linear isomorphism A (x) y -> E(Res y).
 
-    Returns (phi, psi) = (pi, pi-inverse), checked to be mutually inverse
-    like ``em_counit_iso``'s; only phi is certified A-linear.
+    Returns the matrices (phi, psi) = (pi, pi-inverse), checked to be
+    mutually inverse like ``em_counit_iso``'s; only phi is certified, by
+    ``require_module_map``.
     """
     h = cs.subgroup
     one_h = unit_rep(h, y.field)
@@ -300,9 +287,8 @@ def extension_of_scalars_iso(y, cs, ring):
     pinv = projection_pi_inverse(one_h, y, cs)
     EMError.refuse("extension of scalars round trip fails",
                    inverse_failures(pi.matrix, pinv.matrix, "pi . pi_inv = id", "pi_inv . pi = id"))
-    phi = AModMorphism(free, en, pi.matrix)
-    phi.require_valid()
-    return phi, AModMorphism(en, free, pinv.matrix)
+    require_module_map(free, en, pi.matrix)
+    return pi.matrix, pinv.matrix
 
 
 def separable_summand(mod):
@@ -323,7 +309,7 @@ def separable_summand(mod):
     sigma_one = mat_mul(ring.section.matrix, ring.unit.matrix)
     s = mat_mul(mat_kron(eye_a, rho), mat_kron(sigma_one, Matrix.identity(field, mod.dim)))
     e_mat = mat_mul(s, rho)
-    AModMorphism(free, free, e_mat).require_valid()
+    require_module_map(free, free, e_mat)
     out = []
     _need(out, "e . e = e", mat_mul(e_mat, e_mat), e_mat)
     EMError.refuse("separability idempotent fails", out)

@@ -29,7 +29,8 @@ H * x.
 from collections import deque
 import json
 
-# The most elements group_from_permutations closes a generating set to.
+# The most elements group_from_permutations closes a generating set to; its
+# square bounds the entries the closure stores, elements times degree.
 PERMUTATION_CLOSURE_CAP = 1024
 
 
@@ -153,7 +154,9 @@ def group_from_permutations(generators):
     Generators are 0-based image tuples over a common finite set.  Element
     0 is the identity; the rest follow the discovery order of
     ``generator_walk``.  A closure above ``PERMUTATION_CLOSURE_CAP``
-    elements is refused.
+    elements, or above its square in stored entries (elements times
+    degree), is refused before the element that crosses the bound is
+    stored.
     """
     gens = [tuple(p) for p in generators]
     degree = len(gens[0]) if gens else 1
@@ -173,6 +176,10 @@ def group_from_permutations(generators):
             if len(index) >= PERMUTATION_CLOSURE_CAP:
                 raise GroupError(
                     f"closure exceeds the size cap of {PERMUTATION_CLOSURE_CAP} elements")
+            if (len(index) + 1) * degree > PERMUTATION_CLOSURE_CAP ** 2:
+                raise GroupError(
+                    f"closure of {len(index) + 1} permutations of degree {degree} exceeds "
+                    f"the entry cap of {PERMUTATION_CLOSURE_CAP ** 2}")
             j = index[y] = len(index)
             parent.append((index[x], g))
         right[g].append(j)

@@ -593,7 +593,7 @@ def _check_em_unit_roundtrip(ctx):
         mod_j, p_j, _, w1_j, _ = data[(i + 1) % len(data)]
         with _as_failure("em_unit_roundtrip", f"E on hmor {i}"):
             ef = em_mor(f, cs, mod_i, mod_j)
-        through = mat_mul(p_j.matrix, mat_mul(ef.matrix, m_i.matrix))
+        through = mat_mul(p_j.matrix, mat_mul(ef, m_i.matrix))
         _need("em_unit_naturality", f"hmor {i}",
               mat_mul(w1_j.matrix, f.matrix), mat_mul(through, w1_i.matrix))
 
@@ -614,8 +614,8 @@ def _check_extension_of_scalars(ctx):
         with _as_failure("extension_of_scalars", f"rep {y.tag}"):
             phis.append(extension_of_scalars_iso(y, cs, ctx.ring)[0])
     for i, f in enumerate(ctx.ext_homs):
-        lhs = mat_mul(coind_mor(restrict_mor(f, h), cs).matrix, phis[i].matrix)
-        rhs = mat_mul(phis[(i + 1) % len(phis)].matrix, mat_kron(eye_a, f.matrix))
+        lhs = mat_mul(coind_mor(restrict_mor(f, h), cs).matrix, phis[i])
+        rhs = mat_mul(phis[(i + 1) % len(phis)], mat_kron(eye_a, f.matrix))
         _need("extension_naturality", f"gmor {i}", lhs, rhs)
 
 

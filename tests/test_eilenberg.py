@@ -15,6 +15,7 @@ from sepmonad.eilenberg import (
     extension_of_scalars_iso,
     free_module,
     module_axiom_failures,
+    require_module_map,
     separable_summand,
     split_idempotent,
 )
@@ -38,6 +39,7 @@ from sepmonad.presets import load_preset, preset_names
 from sepmonad.repcat import (
     Morphism,
     Rep,
+    RepError,
     identity_mor,
     random_hom,
     random_rep,
@@ -189,11 +191,11 @@ def test_em_counit_roundtrip_on_free_and_comparison():
     y = random_rep(cs.group, Q, seed=6, budget=2)
     free = free_module(ring, y)
     phi, psi = em_counit_iso(free, em_inverse_split(free, cs), cs)
-    assert mat_mul(phi.matrix, psi.matrix).is_identity()
+    assert mat_mul(phi, psi).is_identity()
     n = random_rep(cs.subgroup, Q, seed=7, budget=2)
     comparison = em_comparison(n, cs, ring)
     phi2, psi2 = em_counit_iso(comparison, em_inverse_split(comparison, cs), cs)
-    assert mat_mul(psi2.matrix, phi2.matrix).is_identity()
+    assert mat_mul(psi2, phi2).is_identity()
 
 
 def test_extension_of_scalars():
@@ -201,8 +203,8 @@ def test_extension_of_scalars():
     for seed in range(3):
         y = random_rep(cs.group, Q, seed=seed, budget=2)
         phi, psi = extension_of_scalars_iso(y, cs, ring)
-        assert mat_mul(phi.matrix, psi.matrix).is_identity()
-        assert mat_mul(psi.matrix, phi.matrix).is_identity()
+        assert mat_mul(phi, psi).is_identity()
+        assert mat_mul(psi, phi).is_identity()
 
 
 def _zeroed(fn):
@@ -280,9 +282,9 @@ def test_modular_em_equivalence(name, p):
     y = random_rep(cs.group, GF(p), seed=1, budget=2)
     free = free_module(ring, y)
     phi, psi = em_counit_iso(free, em_inverse_split(free, cs), cs)
-    assert mat_mul(phi.matrix, psi.matrix).is_identity()
+    assert mat_mul(phi, psi).is_identity()
     phi2, psi2 = extension_of_scalars_iso(y, cs, ring)
-    assert mat_mul(phi2.matrix, psi2.matrix).is_identity()
+    assert mat_mul(phi2, psi2).is_identity()
 
 
 def test_em_mor_functoriality():
@@ -292,11 +294,33 @@ def test_em_mor_functoriality():
     e1, e2 = em_comparison(n1, cs, ring), em_comparison(n2, cs, ring)
     f = random_hom(n1, n2, seed=10)
     ef = em_mor(f, cs, e1, e2)
-    assert ef.matrix.rows == cs.index * n2.dim
+    assert ef.rows == cs.index * n2.dim
     g = random_hom(n2, n1, seed=11)
     eg = em_mor(g, cs, e2, e1)
     comp = em_mor(Morphism(n1, n1, mat_mul(g.matrix, f.matrix)), cs, e1, e1)
-    assert mat_mul(eg.matrix, ef.matrix) == comp.matrix
+    assert mat_mul(eg, ef) == comp
+
+
+def test_module_map_between_modules_over_different_rings_is_refused():
+    # the identity is a module map of either free module to itself, but two
+    # RingObjects are two rings even when built alike
+    cs, ring = _setup("s3")
+    one = unit_rep(cs.group, Q)
+    source, target = free_module(ring, one), free_module(standard_ring(cs, Q), one)
+    eye = Matrix.identity(Q, source.dim)
+    require_module_map(source, source, eye)
+    with pytest.raises(EMError, match="^modules live over different rings$"):
+        require_module_map(source, target, eye)
+
+
+def test_non_equivariant_module_map_is_refused():
+    # multiplying by (2, 1, 1) in A = k(G/H) is A-linear, but G moves the cosets
+    cs, ring = _setup("s3")
+    free = free_module(ring, unit_rep(cs.group, Q))
+    d = free.dim
+    scale = Matrix.from_rows(Q, [[(1 + (i == 0)) * (i == j) for j in range(d)] for i in range(d)])
+    with pytest.raises(RepError, match="^equivariance fails at generator "):
+        require_module_map(free, free, scale)
 
 
 def _flat_column(m):

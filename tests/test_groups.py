@@ -82,6 +82,14 @@ def test_permutation_closure_above_the_cap_is_refused():
         group_from_permutations(s7)
 
 
+def test_permutation_closure_above_the_entry_cap_is_refused():
+    # 256 elements of degree 4096 fill the 1024 ** 2 entry cap; the 257th is refused
+    cycle = tuple(range(1, 4096)) + (0,)
+    with pytest.raises(GroupError, match=r"^closure of 257 permutations of degree 4096 "
+                                         r"exceeds the entry cap of 1048576$"):
+        group_from_permutations([cycle])
+
+
 def test_inverse_and_identity_laws():
     group, _ = load_preset("d4")
     for x in group.elements:

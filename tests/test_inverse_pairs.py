@@ -121,10 +121,10 @@ def test_em_counit_iso_multiplies_psi_once_and_certifies_phi_only(field, product
     cs, ring = _setup("s3", field)
     free = free_module(ring, random_rep(cs.group, field, seed=1, budget=2))
     phi, psi = em_counit_iso(free, em_inverse_split(free, cs), cs)
-    assert _pair_products(products, phi.matrix, psi.matrix) == 1
+    assert _pair_products(products, phi, psi) == 1
     # psi = phi^-1 enters no product but phi . psi: it is not re-certified
-    assert _uses(products, psi.matrix) == 1
-    assert _uses(products, phi.matrix) > 1
+    assert _uses(products, psi) == 1
+    assert _uses(products, phi) > 1
 
 
 @FIELDS
@@ -132,9 +132,9 @@ def test_extension_of_scalars_multiplies_pi_pair_once_and_certifies_phi_only(fie
     cs, ring = _setup("s3", field)
     y = random_rep(cs.group, field, seed=2, budget=2)
     phi, psi = extension_of_scalars_iso(y, cs, ring)
-    assert _pair_products(products, phi.matrix, psi.matrix) == 1
-    assert _uses(products, psi.matrix) == 1
-    assert _uses(products, phi.matrix) > 1
+    assert _pair_products(products, phi, psi) == 1
+    assert _uses(products, psi) == 1
+    assert _uses(products, phi) > 1
 
 
 def _grown_by_a_trivial_summand(split):

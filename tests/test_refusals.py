@@ -14,13 +14,13 @@ import pytest
 
 from sepmonad import cli, eilenberg, monadring
 from sepmonad.eilenberg import (
-    AModMorphism,
     AModule,
     EMError,
     ModuleAxiomError,
     em_comparison,
     em_inverse_split,
     free_module,
+    require_module_map,
     separable_summand,
 )
 from sepmonad.exactlin import Field, IdentityError, Matrix, _combination
@@ -129,7 +129,7 @@ def _module_map(monkeypatch):
     cs, ring = _setup("s3")
     free = free_module(ring, unit_rep(cs.group, Q))
     d = free.dim
-    AModMorphism(free, free, Matrix.from_rows(Q, [[1] * d] * d)).require_valid()
+    require_module_map(free, free, Matrix.from_rows(Q, [[1] * d] * d))
 
 
 def _idempotent(monkeypatch):
@@ -238,8 +238,10 @@ def _strip_ms(x):
 
 
 @pytest.mark.parametrize("group,field,digest", [
-    ("s3", "q", "664c6e584c1c5e505417a1548cd23689750d5c9cc0b14546ae8f8a6325892db0"),
-    ("q8", "fp:2", "ce57903fbb86cedacbd07c6f9665b4edd0816df12ef9311a5c97c7ccba3002fe"),
+    pytest.param("s3", "q", "664c6e584c1c5e505417a1548cd23689750d5c9cc0b14546ae8f8a6325892db0",
+                 id="s3-q"),
+    pytest.param("q8", "fp:2", "ce57903fbb86cedacbd07c6f9665b4edd0816df12ef9311a5c97c7ccba3002fe",
+                 id="q8-fp:2"),
 ])
 def test_mutation_smoke_report_is_pinned(capsys, group, field, digest):
     """The sha256 of ``verify --group G --field F --mutation-smoke --report json``, ms stripped."""
