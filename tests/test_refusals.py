@@ -3,11 +3,10 @@
 A failed identity is a (name, lhs, rhs) triple.  Each refusal site raises
 a subclass of ``exactlin.IdentityError`` whose ``failures`` hold those
 triples and whose message is ``<refusal>: <names>``.  The suite reports
-the first record as its witness; the mutation-smoke reports are pinned
-by digest, so a change of the witness format is a deliberate one.
+the first record as its witness; ``test_corpus`` pins the mutation-smoke
+reports by digest, so a change of the witness format is a deliberate one.
 """
 
-import hashlib
 import json
 
 import pytest
@@ -227,25 +226,3 @@ def test_ring_mul_corruption_is_led_by_the_ring_axiom_it_breaks(capsys):
     assert row["failed_checks"][:2] == ["ring_axioms", "monad_morphism"]
     assert (row["witness"]["kind"], row["witness"]["context"]) == (
         "ring_axioms", "standard ring: unit_left")
-
-
-def _strip_ms(x):
-    if isinstance(x, dict):
-        return {k: _strip_ms(v) for k, v in x.items() if k != "ms"}
-    if isinstance(x, list):
-        return [_strip_ms(v) for v in x]
-    return x
-
-
-@pytest.mark.parametrize("group,field,digest", [
-    pytest.param("s3", "q", "664c6e584c1c5e505417a1548cd23689750d5c9cc0b14546ae8f8a6325892db0",
-                 id="s3-q"),
-    pytest.param("q8", "fp:2", "ce57903fbb86cedacbd07c6f9665b4edd0816df12ef9311a5c97c7ccba3002fe",
-                 id="q8-fp:2"),
-])
-def test_mutation_smoke_report_is_pinned(capsys, group, field, digest):
-    """The sha256 of ``verify --group G --field F --mutation-smoke --report json``, ms stripped."""
-    assert cli.main(["--group", group, "--field", field, "--mutation-smoke",
-                     "--report", "json"]) == 0
-    report = _strip_ms(json.loads(capsys.readouterr().out))
-    assert hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest() == digest
