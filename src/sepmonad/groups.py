@@ -45,20 +45,20 @@ class GroupError(ValueError):
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    table[a][b] is the index of a*b; inv[a] is the index of the inverse.
-    ``gens`` is a generating set used by representation validators, and
-    ``perms`` optionally keeps the underlying permutations.
+    table[a][b] is the index of a*b; inv[a] is the index of the inverse;
+    element 0 is the identity.  ``gens`` is a generating set used by
+    representation validators, and ``perms`` optionally keeps the
+    underlying permutations.  Elements carry no names: every output reads
+    them by index.
     """
 
-    def __init__(self, table, inv, labels, gens, perms=None):
+    def __init__(self, table, inv, gens, perms=None):
         self.order = len(table)
         self.table = table
         self.inv = inv
-        self.labels = labels
         self.gens = gens
         self.perms = perms
         self.elements = tuple(range(self.order))
-        self.identity = 0
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -89,7 +89,6 @@ class Subgroup:
             raise GroupError("subgroup must contain the identity")
         self.gens = tuple(gens)
         self.order = len(self.elements)
-        self.identity = 0
         self._member = frozenset(self.elements)
 
     def mul(self, a, b):
@@ -108,24 +107,6 @@ class Subgroup:
 def _compose(a, b):
     """Permutation product a*b: apply b first, then a."""
     return tuple(a[i] for i in b)
-
-
-def _cycle_label(perm):
-    n = len(perm)
-    seen = [False] * n
-    parts = []
-    for s in range(n):
-        if seen[s] or perm[s] == s:
-            continue
-        cyc = [s]
-        seen[s] = True
-        t = perm[s]
-        while t != s:
-            cyc.append(t)
-            seen[t] = True
-            t = perm[t]
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) or "e"
 
 
 def generator_walk(mul, gens, start=0):
@@ -190,9 +171,8 @@ def group_from_permutations(generators):
         cols.append(list(map(right[g].__getitem__, cols[b_prev])))
     table = [list(row) for row in zip(*cols)]
     inv = [row.index(0) for row in table]
-    labels = [_cycle_label(p) for p in index]
     gen_idx = tuple(dict.fromkeys(index[g] for g in gens if index[g] != 0))
-    return FiniteGroup(table, inv, labels, gen_idx, perms=tuple(index))
+    return FiniteGroup(table, inv, gen_idx, perms=tuple(index))
 
 
 def subgroup_closure(mul, seed):
@@ -234,7 +214,7 @@ def _is_latin_with_identity(table):
     )
 
 
-def group_from_cayley_table(table, labels=None):
+def group_from_cayley_table(table):
     """Validate a multiplication table and wrap it as a FiniteGroup.
 
     Index 0 must be a two-sided identity.  A group table passes one exact
@@ -267,9 +247,7 @@ def group_from_cayley_table(table, labels=None):
         ])
     # a group by now, so the right inverse read off each row is two-sided
     inv = [row.index(0) for row in tbl]
-    if labels is None:
-        labels = [str(i) for i in range(n)]
-    return FiniteGroup(tbl, inv, list(labels), gens)
+    return FiniteGroup(tbl, inv, gens)
 
 
 def _raise_violations(table, gens):
@@ -396,8 +374,8 @@ def load_group_json(path):
     """Load a group from a JSON file.
 
     The file holds either {"permutations": [[...], ...]} with 0-based image
-    rows, or {"cayley": [[...], ...]}, not both; an optional "labels" list
-    names the elements.
+    rows, or {"cayley": [[...], ...]}, not both.  Any other key, such as
+    a list of element names, is ignored: no output reads it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -406,22 +384,13 @@ def load_group_json(path):
             raise GroupError("group file nests too deeply") from None
     if not isinstance(data, dict):
         raise GroupError("group file must hold a JSON object")
-    labels = data.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise GroupError("'labels' must be a list")
     if "permutations" in data and "cayley" in data:
         raise GroupError("group file must give 'permutations' or 'cayley', not both")
     if "permutations" in data:
-        g = group_from_permutations([tuple(p) for p in _int_rows(data, "permutations")])
-    elif "cayley" in data:
-        g = group_from_cayley_table(_int_rows(data, "cayley"))
-    else:
-        raise GroupError("group file needs a 'permutations' or 'cayley' key")
-    if labels is not None:
-        if len(labels) != g.order:
-            raise GroupError("label count does not match group order")
-        g.labels = [str(s) for s in labels]
-    return g
+        return group_from_permutations([tuple(p) for p in _int_rows(data, "permutations")])
+    if "cayley" in data:
+        return group_from_cayley_table(_int_rows(data, "cayley"))
+    raise GroupError("group file needs a 'permutations' or 'cayley' key")
 
 
 def _int_rows(data, key):

@@ -76,7 +76,6 @@ from .eilenberg import (
 from .presets import load_preset, preset_names
 
 REPORT_VERSION = 1
-WORKERS_ENV = "SEPMONAD_WORKERS"
 
 CORRUPTIONS = ("ring_mul", "xi_block", "rep_action")
 
@@ -401,7 +400,7 @@ def _as_failure(kind, context):
 def _check_group_axioms(ctx):
     g, h, cs = ctx.group, ctx.h, ctx.cs
     with _as_failure("group_axioms", "multiplication table"):
-        group_from_cayley_table(g.table, g.labels)
+        group_from_cayley_table(g.table)
     for a in h.elements:
         if h.inverse(a) not in h:
             raise _Failed(_witness("group_axioms", f"subgroup not closed under inverse at {a}"))
@@ -696,8 +695,7 @@ def run_matrix(pairs=DEFAULT_PAIRS, fields=DEFAULT_FIELDS, seed=0, family_size=1
                workers=None):
     """Run the suite over a grid of cases, optionally in parallel.
 
-    Worker count comes from the argument, then the SEPMONAD_WORKERS
-    environment variable, then a small default, and is capped at the number
+    ``workers`` defaults to min(4, cpu count) and is capped at the number
     of cases; a count below 1 is refused.  Returns one summary dict per
     case, in grid order.
     """
@@ -706,16 +704,10 @@ def run_matrix(pairs=DEFAULT_PAIRS, fields=DEFAULT_FIELDS, seed=0, family_size=1
         for group, subgroup in pairs
         for field in fields
     ]
-    source = "workers"
     if workers is None:
-        source = WORKERS_ENV
-        raw = os.environ.get(WORKERS_ENV, "")
-        try:
-            workers = int(raw) if raw.strip() else min(4, os.cpu_count() or 1)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+        workers = min(4, os.cpu_count() or 1)
     if workers < 1:
-        raise ConfigError(f"{source} must be at least 1, got {workers}")
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     workers = min(workers, len(cases))
     if workers <= 1:
         return [_matrix_case(c) for c in cases]

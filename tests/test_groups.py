@@ -39,8 +39,6 @@ def test_s3_bfs_element_order_is_frozen():
         (2, 1, 0),
         (2, 0, 1),
     ]
-    assert group.identity == 0
-    assert group.labels[2] == "(0 1 2)"
 
 
 def test_s3_transposition_cosets_frozen():
@@ -100,13 +98,13 @@ def test_inverse_and_identity_laws():
 
 def test_q8_relations():
     group, default = load_preset("q8")
-    lab = {group.labels[i]: i for i in group.elements}
-    i_, j_, k_, m1 = lab["i"], lab["j"], lab["k"], lab["-1"]
+    # _q8_table's element 2*axis + sign: 1, -1, i, -i, j, -j, k, -k
+    i_, j_, k_, m1, mk = 2, 4, 6, 1, 7
     assert group.mul(i_, i_) == m1
     assert group.mul(j_, j_) == m1
     assert group.mul(k_, k_) == m1
     assert group.mul(i_, j_) == k_
-    assert group.mul(j_, i_) == lab["-k"]
+    assert group.mul(j_, i_) == mk
     assert group.mul(m1, m1) == 0
     assert group.order == 8
     h = subgroup_generated(group, default)
@@ -214,7 +212,7 @@ def test_bad_tables_rejected():
 def test_cayley_roundtrip_from_permutation_group():
     group, _ = load_preset("v4")
     table = [[group.mul(x, y) for y in group.elements] for x in group.elements]
-    rebuilt = group_from_cayley_table(table, labels=[group.labels[i] for i in group.elements])
+    rebuilt = group_from_cayley_table(table)
     assert rebuilt.order == group.order
     for x in group.elements:
         for y in group.elements:

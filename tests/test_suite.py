@@ -255,19 +255,6 @@ def test_cli_empty_check_list_exit_code(capsys, text):
     assert "--checks selects no check" in capsys.readouterr().err
 
 
-def test_run_matrix_rejects_a_non_integer_worker_count(monkeypatch):
-    monkeypatch.setenv("SEPMONAD_WORKERS", "abc")
-    with pytest.raises(ConfigError, match="SEPMONAD_WORKERS must be an integer, got 'abc'"):
-        run_matrix([("c2", None)], ("q",), family_size=1)
-
-
-@pytest.mark.parametrize("raw", ["0", "-2"])
-def test_run_matrix_rejects_a_worker_count_below_one_from_the_environment(monkeypatch, raw):
-    monkeypatch.setenv("SEPMONAD_WORKERS", raw)
-    with pytest.raises(ConfigError, match=f"^SEPMONAD_WORKERS must be at least 1, got {raw}$"):
-        run_matrix([("c2", None)], ("q",), family_size=1)
-
-
 def test_run_matrix_rejects_a_worker_count_below_one_as_argument():
     with pytest.raises(ConfigError, match="^workers must be at least 1, got 0$"):
         run_matrix([("c2", None)], ("q",), family_size=1, workers=0)
@@ -329,9 +316,22 @@ def test_cli_file_group(tmp_path, capsys):
     assert env["index"] == 2
 
 
+@pytest.mark.parametrize("labels", [["e", "(0 1 2)", "(0 2 1)"], 3])
+def test_group_file_labels_key_is_ignored(tmp_path, labels):
+    """Element names are read by no output: a file's "labels" key is ignored."""
+    path = tmp_path / "c3.json"
+    cfg = SuiteConfig(group=str(path), subgroup=(), family_size=2)
+    reports = []
+    for data in ({"permutations": [[1, 2, 0]]}, {"permutations": [[1, 2, 0]], "labels": labels}):
+        path.write_text(json.dumps(data))
+        reports.append(_strip_ms(run_suite(cfg).to_dict()))
+    assert reports[0] == reports[1]
+    assert all(c["status"] == "pass" for c in reports[1]["checks"])
+
+
 @pytest.mark.parametrize("content", [
     None, "{not json", "5", "[[1, 0]]",
-    '{"permutations": 5}', '{"cayley": 7}', '{"permutations": [[1, 0]], "labels": 3}',
+    '{"permutations": 5}', '{"cayley": 7}',
     '{"cayley": []}', '{"permutations": [[1, 0]], "cayley": [[0, 1], [1, 0]]}',
     # json.load gives up on this nesting with a RecursionError
     pytest.param('{"cayley": ' + "[" * 100_000 + "]" * 100_000 + "}", id="nested-100000"),
