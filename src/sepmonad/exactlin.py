@@ -278,8 +278,9 @@ class Matrix:
         return Matrix(self.field, self.cols, self.rows, den=self.den, _normalized=True, nzrows=out)
 
     def submatrix_cols(self, col_idx):
-        rows = self.nzrows
-        out = [{t: row[j] for t, j in enumerate(col_idx) if j in row} for row in rows]
+        """The distinct columns ``col_idx``, in that order, read once per nonzero."""
+        at = {j: t for t, j in enumerate(col_idx)}
+        out = [{at[j]: v for j, v in row.items() if j in at} for row in self.nzrows]
         return Matrix(self.field, self.rows, len(col_idx), den=self.den, nzrows=out)
 
 

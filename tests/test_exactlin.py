@@ -289,6 +289,22 @@ def test_sparse_rref_mod_matches_gauss_jordan(data, p):
     _assert_matches_gauss_jordan(m, cols, p)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([0, 2, 3, 5]))
+def test_submatrix_cols_takes_each_entry_of_its_column(data, p):
+    """Entry (i, t) of a.submatrix_cols(idx) is a[i, idx[t]], for any distinct idx,
+    empty rows and the empty selection (zero rank) included."""
+    field = Field(0) if p == 0 else GF(p)
+    rows, cols = data.draw(dims), data.draw(dims)
+    a = _matrix(field, data.draw(sparse_rows(rows, cols)), cols,
+                1 if p else data.draw(st.integers(1, 6)))
+    idx = data.draw(st.permutations(range(cols)))[:data.draw(st.integers(0, cols))]
+    sub = a.submatrix_cols(idx)
+    assert (sub.rows, sub.cols) == (rows, len(idx))
+    assert all(sub.entry(i, t) == a.entry(i, j)
+               for i in range(rows) for t, j in enumerate(idx))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data(), st.sampled_from([0, 2, 3, 5]))
 def test_row_kernels_ignore_row_order_zero_and_duplicate_rows(data, p):
