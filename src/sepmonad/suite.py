@@ -75,14 +75,17 @@ from .eilenberg import (
 )
 from .presets import load_preset, preset_names
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 CORRUPTIONS = ("ring_mul", "xi_block", "rep_action")
 
 _DOMAIN_ERRORS = (GroupError, RepError, IdentityError)
 
-# Matrices above this entry count are reported by digest, not by value.
+# Matrices above this entry count are reported by digest, not by value, and
+# a digested pair of one shape by the first row where it differs, its
+# nonzeros cut at _WITNESS_ROW_CAP.
 _WITNESS_ENTRY_CAP = 4096
+_WITNESS_ROW_CAP = 16
 
 
 class ConfigError(ValueError):
@@ -150,14 +153,42 @@ class SuiteReport:
 
 
 def _mat_payload(m):
+    """A witness matrix: its entries up to the cap, above it a digest of its rows.
+
+    The digest reads the canonical sparse rows, so it costs one pass over
+    the nonzeros, and equal matrices share it.
+    """
     if m is None:
         return None
     if m.rows * m.cols <= _WITNESS_ENTRY_CAP:
         return {"rows": m.rows, "cols": m.cols, "den": m.den, "nums": list(m.nums)}
     import hashlib
 
-    digest = hashlib.sha256(repr((m.rows, m.cols, m.den, m.nums)).encode()).hexdigest()
+    rows = [sorted(row.items()) for row in m.nzrows]
+    digest = hashlib.sha256(repr((m.rows, m.cols, m.den, rows)).encode()).hexdigest()
     return {"rows": m.rows, "cols": m.cols, "den": m.den, "sha256": digest}
+
+
+def _row_diff(lhs, rhs):
+    """Where a digested pair of one shape differs, or None.
+
+    The number of differing rows, the first one, and both sides' nonzeros
+    in it as [column, numerator] pairs over each side's den, capped.  None
+    for a pair below the entry cap, of two shapes, or with no differing row.
+    """
+    if (lhs is None or rhs is None or (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols)
+            or lhs.rows * lhs.cols <= _WITNESS_ENTRY_CAP):
+        return None
+    a, b = lhs.den, rhs.den
+    differ = [i for i, (x, y) in enumerate(zip(lhs.nzrows, rhs.nzrows))
+              if x.keys() != y.keys() or any(v * b != y[j] * a for j, v in x.items())]
+    if not differ:
+        return None
+    i = differ[0]
+    return {"rows_differing": len(differ), "first_row": i} | {
+        side: [[j, v] for j, v in sorted(m.nzrows[i].items())[:_WITNESS_ROW_CAP]]
+        for side, m in (("lhs_row", lhs), ("rhs_row", rhs))
+    }
 
 
 def _witness(kind, context, lhs=None, rhs=None, **extra):
@@ -165,6 +196,9 @@ def _witness(kind, context, lhs=None, rhs=None, **extra):
     if lhs is not None or rhs is not None:
         w["lhs"] = _mat_payload(lhs)
         w["rhs"] = _mat_payload(rhs)
+        diff = _row_diff(lhs, rhs)
+        if diff is not None:
+            w["diff"] = diff
     for k, v in extra.items():
         w[k] = v
     return w

@@ -28,7 +28,7 @@ S6 = {"permutations": [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]]}
 
 
 def test_report_version_is_pinned():
-    assert REPORT_VERSION == 1
+    assert REPORT_VERSION == 2
 
 
 def _stripped(x, top=True):

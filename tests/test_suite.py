@@ -81,7 +81,7 @@ def test_env_block_describes_run():
 def test_json_schema_fields():
     report = run_suite(small_cfg(checks=("ring_axioms",)))
     data = json.loads(report.to_json())
-    assert data["version"] == 1
+    assert data["version"] == 2
     assert set(data) == {"version", "env", "checks"}
     for c in data["checks"]:
         assert set(c) == {"id", "status", "witness", "ms"}
@@ -473,14 +473,52 @@ def test_row_built_witness_payload_matches_dense_twin():
 
 def test_witness_digest_above_the_entry_cap_is_frozen():
     # 80 x 80 = 6400 entries > _WITNESS_ENTRY_CAP: the payload is a sha256 of
-    # (rows, cols, den, nums), pinned so that the lazily imported digest
-    # cannot drift
+    # (rows, cols, den, each row's sorted nonzeros), pinned so that the lazily
+    # imported digest cannot drift
     assert _mat_payload(Matrix.identity(QQ, 80)) == {
         "rows": 80, "cols": 80, "den": 1,
-        "sha256": "095fcc2d37a708ba73813eec3d56d8767914360f8d4db1414c2b3960400b1958",
+        "sha256": "2d5131a895aa1eaa5a2c3d478625b6004e2f5b1ea8ba053fa3c1f301888a7826",
     }
     nums = [(i * 7 + 3) % 5 for i in range(4900)]
     assert _mat_payload(Matrix.from_flat(GF(5), 70, 70, nums)) == {
         "rows": 70, "cols": 70, "den": 1,
-        "sha256": "a915e745bc3c809bde86dd5f3e3645820dee047d7cc54a23280cfad851fa4f4e",
+        "sha256": "93ffac4911776a07b54be59f4a5b103950151153a5f3506c0f4af8ba02f461a0",
     }
+
+
+def test_a_digested_pair_names_its_first_differing_row():
+    eye = Matrix.identity(QQ, 80)
+    rows = [{i: 1} for i in range(80)]
+    rows[5] = {}
+    rows[9] = {j: j + 1 for j in range(40)}  # 40 nonzeros, cut at 16
+    w = suite._witness("k", "c", Matrix(QQ, 80, 80, nzrows=rows), eye)
+    assert w["diff"] == {
+        "rows_differing": 2, "first_row": 5, "lhs_row": [], "rhs_row": [[5, 1]],
+    }
+    # every row of I/2 differs from I; numerators are over each side's den
+    half = Matrix(QQ, 80, 80, den=2, nzrows=[{i: 1} for i in range(80)])
+    assert suite._witness("k", "c", half, eye)["diff"] == {
+        "rows_differing": 80, "first_row": 0, "lhs_row": [[0, 1]], "rhs_row": [[0, 1]],
+    }
+    assert len(suite._row_diff(Matrix(QQ, 80, 80, nzrows=rows[9:] + rows[:9]), eye)["lhs_row"]) == 16
+    # below the cap, or of two shapes, the entries or the shapes say where
+    small = Matrix.identity(QQ, 2)
+    assert "diff" not in suite._witness("k", "c", small, Matrix.zeros(QQ, 2, 2))
+    assert "diff" not in suite._witness("k", "c", eye, Matrix.identity(QQ, 81))
+
+
+def test_witness_above_the_entry_cap_reads_no_dense_table(tmp_path):
+    """S6 over a subgroup of order 3 (index 240): under ring_mul the witness is
+    the comparison module's action_associativity, 240 x 13,824,000, which is
+    reported by its rows."""
+    path = tmp_path / "s6.json"
+    path.write_text(json.dumps({"permutations": [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]]}))
+    [check] = run_suite(SuiteConfig(group=str(path), subgroup=(3,), family_size=2,
+                                    checks=("em_unit_roundtrip",),
+                                    corruption="ring_mul")).checks
+    assert check.status == "fail"
+    w = check.witness
+    assert w["context"].endswith("module axioms fail: action_associativity")
+    assert (w["lhs"]["rows"], w["lhs"]["cols"]) == (240, 13_824_000)
+    assert "sha256" in w["lhs"] and "sha256" in w["rhs"]
+    assert w["diff"] == {"rows_differing": 1, "first_row": 0, "lhs_row": [], "rhs_row": [[0, 1]]}
