@@ -48,8 +48,7 @@ class FiniteGroup:
     table[a][b] is the index of a*b; inv[a] is the index of the inverse;
     element 0 is the identity.  ``gens`` is a generating set used by
     representation validators, and ``perms`` optionally keeps the
-    underlying permutations.  Elements carry no names: every output reads
-    them by index.
+    underlying permutations.
     """
 
     def __init__(self, table, inv, gens, perms=None):

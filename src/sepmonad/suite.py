@@ -179,16 +179,16 @@ def _row_diff(lhs, rhs):
     if (lhs is None or rhs is None or (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols)
             or lhs.rows * lhs.cols <= _WITNESS_ENTRY_CAP):
         return None
+    # x / a = y / b entrywise, for rows x and y over the dens a and b
     a, b = lhs.den, rhs.den
     differ = [i for i, (x, y) in enumerate(zip(lhs.nzrows, rhs.nzrows))
               if x.keys() != y.keys() or any(v * b != y[j] * a for j, v in x.items())]
     if not differ:
         return None
     i = differ[0]
-    return {"rows_differing": len(differ), "first_row": i} | {
-        side: [[j, v] for j, v in sorted(m.nzrows[i].items())[:_WITNESS_ROW_CAP]]
-        for side, m in (("lhs_row", lhs), ("rhs_row", rhs))
-    }
+    lhs_row, rhs_row = ([[j, v] for j, v in sorted(m.nzrows[i].items())[:_WITNESS_ROW_CAP]]
+                        for m in (lhs, rhs))
+    return {"rows_differing": len(differ), "first_row": i, "lhs_row": lhs_row, "rhs_row": rhs_row}
 
 
 def _witness(kind, context, lhs=None, rhs=None, **extra):

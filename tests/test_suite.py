@@ -500,7 +500,8 @@ def test_a_digested_pair_names_its_first_differing_row():
     assert suite._witness("k", "c", half, eye)["diff"] == {
         "rows_differing": 80, "first_row": 0, "lhs_row": [[0, 1]], "rhs_row": [[0, 1]],
     }
-    assert len(suite._row_diff(Matrix(QQ, 80, 80, nzrows=rows[9:] + rows[:9]), eye)["lhs_row"]) == 16
+    rotated = Matrix(QQ, 80, 80, nzrows=rows[9:] + rows[:9])
+    assert len(suite._row_diff(rotated, eye)["lhs_row"]) == 16
     # below the cap, or of two shapes, the entries or the shapes say where
     small = Matrix.identity(QQ, 2)
     assert "diff" not in suite._witness("k", "c", small, Matrix.zeros(QQ, 2, 2))
