@@ -212,12 +212,33 @@ def _witness_from_error(kind, context, exc):
     return _witness(kind, f"{context}: {exc}", lhs, rhs)
 
 
+# The seeded families.  A rep family is name -> (side, seed key, budget cycle,
+# count rule on the family size): rep i has seed f"{seed}|{key}{i}" and budget
+# cycle[i % len(cycle)].  A map family is name -> (rep family, seed key): map i
+# goes rep i -> rep i + 1, the last back to rep 0, with seed f"{seed}|{key}{i}".
+_REP_FAMILIES = {
+    "hreps": ("H", "h", (1, 2, 3, 4, 6, 8, 12), lambda n: n),
+    "greps": ("G", "g", (1, 2, 3, 4, 6, 8), lambda n: max(3, n // 2)),
+    "lam_reps": ("H", "l", (1, 2, 3, 4), lambda n: max(3, min(6, n))),
+    "mm_objs": ("G", "mm", (1, 2, 3, 4, 6, 8, 12), lambda n: n),
+    "monad_objs": ("G", "mo", (1, 2, 3, 4, 6, 8), lambda n: max(3, n // 2)),
+    "ext_reps": ("G", "e", (1, 2, 3, 4), lambda n: max(3, n // 2)),
+}
+_MAP_FAMILIES = {
+    "hmors": ("hreps", "hm"),
+    "gmors": ("greps", "gm"),
+    "lam_homs": ("lam_reps", "lm"),
+    "ext_homs": ("ext_reps", "em"),
+}
+
+
 class Ctx:
     """Shared case state: the group data, field, and seeded families.
 
-    Families are cached lazily so that a restricted check selection only
-    pays for what it uses.  All randomness is derived from the seed, so
-    two runs of the same configuration build identical objects.
+    Families are cached lazily, so a restricted check selection pays only for
+    what it reads; the seeded reps and maps are declared in ``_REP_FAMILIES``
+    and ``_MAP_FAMILIES``.  All randomness is derived from the seed, so two
+    runs of the same configuration build identical objects.
     """
 
     def __init__(self, cfg):
@@ -283,39 +304,33 @@ class Ctx:
             for i in range(count)
         ]
 
-    def _ring_homs(self, reps, key):
-        """Seeded maps reps[i] -> reps[i + 1], the last one back to reps[0]."""
-        n = len(reps)
-        return [
-            random_hom(reps[i], reps[(i + 1) % n], f"{self.seed}|{key}{i}") for i in range(n)
-        ]
+    def _rep_family(self, name):
+        side, key, budgets, count = _REP_FAMILIES[name]
+        carrier = self.group if side == "G" else self.h
+        return self._reps(carrier, key, budgets, count(self.cfg.family_size))
+
+    def _map_family(self, name):
+        reps_name, key = _MAP_FAMILIES[name]
+        reps = getattr(self, reps_name)
+        return [random_hom(x, reps[(i + 1) % len(reps)], f"{self.seed}|{key}{i}")
+                for i, x in enumerate(reps)]
 
     @cached_property
     def hreps(self):
-        out = self._reps(self.h, "h", (1, 2, 3, 4, 6, 8, 12), self.cfg.family_size)
+        out = self._rep_family("hreps")
         if self.corruption == "rep_action":
             out[0] = _corrupt_rep(out[0])
         return out
 
-    @cached_property
-    def hmors(self):
-        return self._ring_homs(self.hreps, "hm")
-
-    @cached_property
-    def greps(self):
-        return self._reps(self.group, "g", (1, 2, 3, 4, 6, 8), max(3, self.cfg.family_size // 2))
-
-    @cached_property
-    def gmors(self):
-        return self._ring_homs(self.greps, "gm")
-
-    @cached_property
-    def lam_reps(self):
-        return self._reps(self.h, "l", (1, 2, 3, 4), max(3, min(6, self.cfg.family_size)))
-
-    @cached_property
-    def lam_homs(self):
-        return self._ring_homs(self.lam_reps, "lm")
+    hmors = cached_property(lambda self: self._map_family("hmors"))
+    greps = cached_property(lambda self: self._rep_family("greps"))
+    gmors = cached_property(lambda self: self._map_family("gmors"))
+    lam_reps = cached_property(lambda self: self._rep_family("lam_reps"))
+    lam_homs = cached_property(lambda self: self._map_family("lam_homs"))
+    mm_objs = cached_property(lambda self: self._rep_family("mm_objs"))
+    monad_objs = cached_property(lambda self: self._rep_family("monad_objs"))
+    ext_reps = cached_property(lambda self: self._rep_family("ext_reps"))
+    ext_homs = cached_property(lambda self: self._map_family("ext_homs"))
 
     @cached_property
     def pi_pairs(self):
@@ -325,22 +340,6 @@ class Ctx:
         ys = self._reps(self.h, "py", [by for by, _ in budgets], len(budgets))
         xs = self._reps(self.group, "px", [bx for _, bx in budgets], len(budgets))
         return list(zip(ys, xs))
-
-    @cached_property
-    def mm_objs(self):
-        return self._reps(self.group, "mm", (1, 2, 3, 4, 6, 8, 12), self.cfg.family_size)
-
-    @cached_property
-    def monad_objs(self):
-        return self._reps(self.group, "mo", (1, 2, 3, 4, 6, 8), max(3, self.cfg.family_size // 2))
-
-    @cached_property
-    def ext_reps(self):
-        return self._reps(self.group, "e", (1, 2, 3, 4), max(3, self.cfg.family_size // 2))
-
-    @cached_property
-    def ext_homs(self):
-        return self._ring_homs(self.ext_reps, "em")
 
     @cached_property
     def ring(self):
