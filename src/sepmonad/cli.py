@@ -103,7 +103,9 @@ def _run_mutation(cfg, fmt):
         )
     ok = all(r["detected"] for r in rows)
     if fmt == "json":
-        _emit(json.dumps({"version": REPORT_VERSION, "mutation_smoke": rows}, indent=2))
+        # the env names the case, which no corruption changes
+        _emit(json.dumps({"version": REPORT_VERSION, "env": report.env, "mutation_smoke": rows},
+                         indent=2))
     else:
         for r in rows:
             mark = "detected" if r["detected"] else "MISSED"

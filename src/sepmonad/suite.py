@@ -75,7 +75,7 @@ from .eilenberg import (
 )
 from .presets import load_preset, preset_names
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 CORRUPTIONS = ("ring_mul", "xi_block", "rep_action")
 

@@ -81,7 +81,7 @@ def test_env_block_describes_run():
 def test_json_schema_fields():
     report = run_suite(small_cfg(checks=("ring_axioms",)))
     data = json.loads(report.to_json())
-    assert data["version"] == 2
+    assert data["version"] == 3
     assert set(data) == {"version", "env", "checks"}
     for c in data["checks"]:
         assert set(c) == {"id", "status", "witness", "ms"}
@@ -299,6 +299,17 @@ def test_cli_mutation_smoke(capsys):
     assert "mutation smoke: PASS" in out
     for corruption in CORRUPTIONS:
         assert corruption in out
+
+
+def test_cli_mutation_smoke_report_names_its_case(capsys):
+    argv = ["--group", "c6", "--field", "fp:3", "--family-size", "2", "--report", "json"]
+    assert main(argv) == 0
+    clean = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--mutation-smoke"]) == 0
+    smoke = json.loads(capsys.readouterr().out)
+    assert set(smoke) == {"version", "env", "mutation_smoke"}
+    assert smoke["env"] == clean["env"]
+
 
 
 def test_cli_file_group(tmp_path, capsys):
