@@ -311,6 +311,15 @@ def test_cli_mutation_smoke_report_names_its_case(capsys):
     assert smoke["env"] == clean["env"]
 
 
+def test_cli_mutation_smoke_exits_1_when_the_selection_misses_a_corruption(capsys):
+    # ring_axioms sees the corrupted ring, but not the corrupted section or rep
+    code = main(["--group", "s3", "--family-size", "2", "--checks", "ring_axioms",
+                 "--mutation-smoke", "--report", "json"])
+    rows = json.loads(capsys.readouterr().out)["mutation_smoke"]
+    assert code == 1
+    assert {r["corruption"]: r["detected"] for r in rows} == {
+        "ring_mul": True, "xi_block": False, "rep_action": False}
+
 
 def test_cli_file_group(tmp_path, capsys):
     path = tmp_path / "c2.json"
