@@ -28,7 +28,7 @@ one of its action matrices is read, so no caller shares endpoints with a
 map.
 """
 
-from .exactlin import Matrix, assemble, block_diagonal, hstack, mat_kron, vstack
+from .exactlin import Matrix, assemble, hstack, mat_kron, vstack
 from .repcat import (
     Morphism,
     Rep,
@@ -167,10 +167,11 @@ def projection_pi_inverse(y, x, cs):
 
 
 def _pi_blockdiag(y, x, cs, invert):
-    # kept as dy copies of each x(r), so pi . pi_inv multiplies each pair once
+    # placed as dy copies of each x(r), so pi . pi_inv multiplies each pair once
     g = cs.group
-    blocks = [(y.dim, x.mat(g.inverse(r) if invert else r)) for r in cs.reps]
-    mat = block_diagonal(x.field, blocks)
+    copies = [x.mat(g.inverse(r) if invert else r) for r in cs.reps for _ in range(y.dim)]
+    n = len(copies) * x.dim
+    mat = assemble(x.field, n, n, [(k * x.dim, k * x.dim, m) for k, m in enumerate(copies)])
     src = tensor_obj(coind_obj(y, cs), x)
     tgt = coind_obj(tensor_obj(y, restrict(x, cs.subgroup)), cs)
     if invert:

@@ -107,6 +107,7 @@ def _run_mutation(cfg, fmt):
         _emit(json.dumps({"version": REPORT_VERSION, "env": report.env, "mutation_smoke": rows},
                          indent=2))
     else:
+        _emit(report.header())
         for r in rows:
             mark = "detected" if r["detected"] else "MISSED"
             names = ", ".join(r["failed_checks"]) or "-"

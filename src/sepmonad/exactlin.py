@@ -13,14 +13,16 @@ permutations, so almost every entry is zero.  They are built as rows of
 nonzeros, and products (Gustavson's row-by-row sparse product), Kronecker
 products, block assembly, identity tests and comparisons work on those
 rows, so they cost time per nonzero, not per entry.  Kronecker products
-(``mat_kron``) and block diagonals (``block_diagonal``) go one step
-further and keep their factors: their rows are built only when something
-other than ``mat_mul`` first reads them.  ``mat_mul`` multiplies two of
-them factor by factor, (A (x) B)(C (x) D) = AC (x) BD (Van Loan 2000) and
-block by block.  A Kronecker product's rows are one sequence, read off
-its factors: iterated to build them, and indexed by Gustavson's product,
-which is the one loop that sums scaled rows for a product.  Sums and
-differences are one linear combination, accumulated and normalized once.
+(``mat_kron``) and placed blocks (``assemble``, and so ``vstack`` and
+``hstack``) go one step further and keep their factors: their rows are
+built only when something other than ``mat_mul`` first reads them.
+``mat_mul`` multiplies two Kronecker products factor by factor,
+(A (x) B)(C (x) D) = AC (x) BD (Van Loan 2000), and two matrices of one
+block per block row block by block.  A Kronecker product's rows are one
+sequence, read off its factors: iterated to build them, and indexed by
+Gustavson's product, which is the one loop that sums scaled rows for a
+product.  Sums and differences are one linear combination, accumulated and
+normalized once.
 
 The column factorization, nullspace and span basis pass those rows to
 the kernels of ``backend``, which eliminate on them and return the
@@ -138,14 +140,14 @@ class Matrix:
     view: the flat tuple of all entries, built on first read for report
     witnesses.
 
-    A Kronecker product or block diagonal is built by ``_factored`` and
-    stores only its factors in ``_form``, as (row builder, *factors); the
-    builder of a Kronecker product is its row sequence ``_KronRows``.  Its
-    ``nzrows`` slot stays unset until it is first read, when
-    ``__getattr__`` builds every row at once.  ``mat_mul`` reads ``_form``
-    and multiplies the factors, or indexes the row sequence, instead, so a
-    factored product that only products read never builds its rows;
-    ``is_identity`` of a block diagonal asks its blocks.
+    A Kronecker product or a matrix of placed blocks is built by
+    ``_factored`` and stores only its factors in ``_form``, as (row
+    builder, *factors): (``_KronRows``, a, b) for kron(a, b), and
+    (``_placed_rows``, rows, blocks, den) for ``assemble``.  Its ``nzrows``
+    slot stays unset until it is first read, when ``__getattr__`` builds
+    every row at once.  ``mat_mul`` reads ``_form`` and multiplies the
+    factors, or indexes the row sequence, instead, so a factored product
+    that only products read never builds its rows.
     """
 
     __slots__ = ("field", "rows", "cols", "den", "nzrows", "_nums", "_form")
@@ -244,10 +246,6 @@ class Matrix:
         n = self.rows
         if n != self.cols or self.den != 1:
             return False
-        if self._form and self._form[0] is _diag_rows:
-            # placed, not multiplied: a block off the identity, or not square,
-            # leaves some diagonal entry wrong
-            return all(m.is_identity() for count, m in self._form[1] if count)
         return all(len(row) == 1 and row.get(i) == 1 for i, row in enumerate(self.nzrows))
 
     def __eq__(self, other):
@@ -319,10 +317,12 @@ def mat_mul(a, b):
     Factored operands are multiplied without building their rows: two
     Kronecker products whose factors chain (A.cols == C.rows and
     B.cols == D.rows) by the mixed-product rule (A (x) B)(C (x) D) =
-    AC (x) BD, and two block diagonals of one layout block by block.
-    Every other pair is Gustavson's product, with a Kronecker operand on
-    either side passed as its row sequence: iterated on the left, indexed
-    on the right.
+    AC (x) BD, and two operands of one block per block row
+    (``_block_rows``), when every column block of a is a row block of b,
+    block by block: each distinct pair of blocks is multiplied once, and
+    the products are placed.  Every other pair is Gustavson's product,
+    with a Kronecker operand on either side passed as its row sequence:
+    iterated on the left, indexed on the right.
     """
     _check_same_field(a, b)
     if a.cols != b.rows:
@@ -333,13 +333,43 @@ def mat_mul(a, b):
         _, z, w = fb
         if x.cols == z.rows and y.cols == w.rows:
             return mat_kron(mat_mul(x, z), mat_mul(y, w))
-    if (fa and fb and fa[0] is fb[0] is _diag_rows
-            and [(n, x.cols) for n, x in fa[1]] == [(n, z.rows) for n, z in fb[1]]):
-        return block_diagonal(a.field, [(n, mat_mul(x, z))
-                                        for (n, x), (_, z) in zip(fa[1], fb[1])])
+    ab = _block_rows(a)
+    bb = None if ab is None else _block_rows(b)
+    if bb is not None:
+        row_blocks = {(r0, z.rows): (c0, z) for r0, c0, z in bb}
+        if all((c0, x.cols) in row_blocks for _, c0, x in ab):
+            products, placed = {}, []
+            for r0, c0, x in ab:
+                c1, z = row_blocks[c0, x.cols]
+                xz = products.get((id(x), id(z)))
+                if xz is None:
+                    xz = products[id(x), id(z)] = mat_mul(x, z)
+                placed.append((r0, c1, xz))
+            return assemble(a.field, a.rows, b.cols, placed)
     out = _row_products(_product_rows(a), _product_rows(b), a.field.char)
     den = a.den * b.den
     return Matrix(a.field, a.rows, b.cols, den=den, _normalized=den == 1, nzrows=out)
+
+
+def _block_rows(m):
+    """m's blocks as (row offset, column offset, block), if each row meets at most one.
+
+    That is a placed matrix whose blocks have disjoint row ranges in
+    increasing order, or kron(I_k, f), read as k copies of f.  Any other
+    matrix gives None.
+    """
+    form = m._form
+    if not form:
+        return None
+    if form[0] is _KronRows:
+        _, x, f = form
+        return [(i * f.rows, i * f.cols, f) for i in range(x.rows)] if x.is_identity() else None
+    blocks, end = form[2], 0
+    for r0, _, x in blocks:
+        if r0 < end:
+            return None
+        end = r0 + x.rows
+    return blocks
 
 
 def _product_rows(m):
@@ -442,18 +472,7 @@ class _KronRows:
         self.arows, self.brows, self.bc, self.p = a.nzrows, b.nzrows, b.cols, a.field.char
 
     def __iter__(self):
-        p, bc, brows = self.p, self.bc, self.brows
-        for arow in self.arows:
-            terms = [(j * bc, v) for j, v in arow.items()]
-            if len(terms) == 1 and terms[0][1] == 1:  # a selection, as in kron(I, f)
-                off = terms[0][0]
-                yield from ({off + l: w for l, w in brow.items()} for brow in brows)
-            elif p:
-                yield from ({o + l: v * w % p for o, v in terms for l, w in brow.items()}
-                            for brow in brows)
-            else:
-                yield from ({o + l: v * w for o, v in terms for l, w in brow.items()}
-                            for brow in brows)
+        return map(self.__getitem__, range(len(self.arows) * len(self.brows)))
 
     def __getitem__(self, n):
         i, k = divmod(n, len(self.brows))
@@ -466,32 +485,6 @@ class _KronRows:
         if p:
             return {j * bc + l: v * w % p for j, v in arow.items() for l, w in brow.items()}
         return {j * bc + l: v * w for j, v in arow.items() for l, w in brow.items()}
-
-
-def block_diagonal(field, blocks):
-    """The block diagonal of (count, block) pairs: each block count times in turn.
-
-    It keeps its blocks and builds its rows when they are first read other
-    than by ``mat_mul``, which multiplies two block diagonals of one
-    layout block by block: once per pair, however large its count.
-    """
-    blocks = tuple(blocks)
-    if any(m.field != field for _, m in blocks):
-        raise ValueError("field mismatch in block_diagonal")
-    rows = sum(n * m.rows for n, m in blocks)
-    cols = sum(n * m.cols for n, m in blocks)
-    den = lcm(*(m.den for n, m in blocks if n))
-    return Matrix._factored(field, rows, cols, den, (_diag_rows, blocks, den))
-
-
-def _diag_rows(blocks, den):
-    placed = []
-    r0 = c0 = 0
-    for n, m in blocks:
-        for _ in range(n):
-            placed.append((r0, c0, m))
-            r0, c0 = r0 + m.rows, c0 + m.cols
-    return _placed_rows(r0, placed, den)
 
 
 def _combination(coeffs, mats):
@@ -545,12 +538,14 @@ def vstack(mats):
 
 
 def assemble(field, rows, cols, blocks):
-    """Build a rows x cols matrix from (row_offset, col_offset, block) triples.
+    """The rows x cols matrix of (row_offset, col_offset, block) triples, kept as its blocks.
 
-    Unlisted regions are zero; blocks must not overlap.  A block row that
-    lands alone in its row at column 0 with the same denominator is
+    Unlisted regions are zero; blocks must not overlap.  The rows are
+    built when they are first read other than by ``mat_mul``.  A block row
+    that lands alone in its row at column 0 with the common denominator is
     reused as it is.
     """
+    blocks = tuple(blocks)
     den = 1
     for r0, c0, m in blocks:
         if m.field != field:
@@ -558,8 +553,7 @@ def assemble(field, rows, cols, blocks):
         if r0 + m.rows > rows or c0 + m.cols > cols:
             raise ValueError("block exceeds target shape")
         den = lcm(den, m.den)
-    return Matrix(field, rows, cols, den=den, _normalized=True,
-                  nzrows=_placed_rows(rows, blocks, den))
+    return Matrix._factored(field, rows, cols, den, (_placed_rows, rows, blocks, den))
 
 
 def _placed_rows(rows, blocks, den):

@@ -136,13 +136,15 @@ class SuiteReport:
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2)
 
-    def to_text(self):
+    def header(self):
+        """The first line of the text report: the case that was verified."""
         e = self.env
-        lines = [
-            f"verify group={e['group']} |G|={e['group_order']} |H|={e['subgroup_order']} "
-            f"index={e['index']} field={e['field']} seed={e['seed']} "
-            f"family={e['family_size']} backend={e['backend']}"
-        ]
+        return (f"verify group={e['group']} |G|={e['group_order']} |H|={e['subgroup_order']} "
+                f"index={e['index']} field={e['field']} seed={e['seed']} "
+                f"family={e['family_size']} backend={e['backend']}")
+
+    def to_text(self):
+        lines = [self.header()]
         for c in self.checks:
             lines.append(f"  [{'PASS' if c.status == 'pass' else 'FAIL'}] {c.id:<24} {c.ms:9.1f} ms")
             if c.witness is not None:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from sepmonad import adjunction
 from sepmonad.exactlin import Field, GF, Matrix, mat_kron, mat_mul
 from sepmonad.adjunction import (
     coind_mor,
@@ -20,6 +21,7 @@ from sepmonad.eilenberg import em_comparison, em_inverse_split
 from sepmonad.groups import right_cosets, subgroup_generated
 from sepmonad.monadring import coset_permutation_rep, standard_ring
 from sepmonad.presets import load_preset
+from sepmonad.suite import Ctx, SuiteConfig
 from sepmonad.repcat import (
     compose,
     identity_mor,
@@ -144,6 +146,23 @@ def test_lambda_closed_form_equals_composite():
         x = random_rep(h, fld, seed=1, budget=2)
         y = random_rep(h, fld, seed=2, budget=2)
         assert lax_lambda(x, y, cs).matrix == lax_lambda_composite(x, y, cs).matrix
+
+
+def test_lambda_composite_leaves_the_eta_stack_unbuilt(monkeypatch):
+    """Coind(eps_x (x) eps_y) . eta is kron(I, eps_x (x) eps_y) times the stack
+    of tensor actions: it is multiplied block by block, each block chaining by
+    the mixed-product rule, so no row of the index^2 dx dy-row stack is built."""
+    ctx = Ctx(SuiteConfig(group="s4", family_size=2))
+    etas = []
+    real = adjunction.unit_eta
+    monkeypatch.setattr(adjunction, "unit_eta", lambda m, cs: etas.append(real(m, cs)) or etas[-1])
+    for x in ctx.lam_reps:
+        for y in ctx.lam_reps:
+            assert lax_lambda(x, y, ctx.cs).matrix == lax_lambda_composite(x, y, ctx.cs).matrix
+    assert len(etas) == len(ctx.lam_reps) ** 2
+    for eta in etas:
+        with pytest.raises(AttributeError):  # the row slot is unset until the rows are read
+            Matrix.nzrows.__get__(eta.matrix)
 
 
 def test_lambda_unit_laws():

@@ -13,7 +13,6 @@ from sepmonad.exactlin import (
     GF,
     Matrix,
     assemble,
-    block_diagonal,
     column_factor,
     hstack,
     inverse_failures,
@@ -452,6 +451,16 @@ def test_is_identity_matches_entry_definition():
         assert m.is_identity() == _is_identity_loops(m), m
 
 
+def _diagonal(field, blocks):
+    """The (count, block) pairs placed down the diagonal by ``assemble``, each block count times."""
+    placed, r0, c0 = [], 0, 0
+    for n, m in blocks:
+        for _ in range(n):
+            placed.append((r0, c0, m))
+            r0, c0 = r0 + m.rows, c0 + m.cols
+    return assemble(field, r0, c0, placed)
+
+
 def test_is_identity_of_a_block_diagonal_matches_its_rows():
     cases = _identity_cases()
     for a in cases:
@@ -459,7 +468,7 @@ def test_is_identity_of_a_block_diagonal_matches_its_rows():
             if a.field != b.field:
                 continue
             for counts in ((1, 1), (2, 0), (0, 3)):
-                d = block_diagonal(a.field, zip(counts, (a, b)))
+                d = _diagonal(a.field, zip(counts, (a, b)))
                 assert d.is_identity() == _is_identity_loops(_built(d)), (a, b, counts)
 
 
@@ -732,7 +741,7 @@ def test_span_basis_of_a_spanning_set_is_the_nullspace_basis(data, p):
         assert span_basis(hstack([spanning, mat_mul(spanning, combo)])) == ns
 
 
-# -- factored products: Kronecker products and block diagonals keep factors --
+# -- factored products: Kronecker products and placed blocks keep their factors --
 
 
 def _rows_built(m):
@@ -801,38 +810,96 @@ def test_factored_products_equal_products_of_built_copies(data, p):
 
 
 @st.composite
-def _diagonal_blocks(draw, field, shapes):
-    """(count, block) pairs of the given (count, rows, cols); over Q a block may have den > 1."""
-    blocks = []
-    for n, r, c in shapes:
-        den = 1 if field.char else draw(st.sampled_from([1, 2, 3]))
-        blocks.append((n, _matrix(field, draw(sparse_rows(r, c)), c, den)))
-    return blocks
+def _block(draw, field, rows, cols, den=True):
+    """A sparse rows x cols block; over Q it may have den > 1 unless den is False."""
+    d = draw(st.sampled_from([1, 2, 3])) if den and not field.char else 1
+    return _matrix(field, draw(sparse_rows(rows, cols)), cols, d)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data(), fields)
-def test_block_diagonal_products_equal_products_of_built_copies(data, p):
+def _placed(field, row_sizes, col_sizes, parts, blocks):
+    """blocks[i] placed at row part i and column part parts[i] of the two partitions."""
+    r_at = [sum(row_sizes[:i]) for i in range(len(row_sizes))]
+    c_at = [sum(col_sizes[:j]) for j in range(len(col_sizes))]
+    return assemble(field, sum(row_sizes), sum(col_sizes),
+                    [(r_at[i], c_at[j], m) for i, (j, m) in enumerate(zip(parts, blocks))])
+
+
+@st.composite
+def _block_permutation(draw, field, row_sizes, col_sizes):
+    """Blocks placed at row part i and column part sigma(i), for a random permutation sigma."""
+    sigma = draw(st.permutations(range(len(row_sizes))))
+    blocks = [draw(_block(field, r, col_sizes[j])) for r, j in zip(row_sizes, sigma)]
+    return _placed(field, row_sizes, col_sizes, sigma, blocks)
+
+
+_BLOCK_LAYOUTS = ("diagonal", "permutation", "stack", "stacked_left", "kron_left",
+                  "kron_right", "hstack", "misaligned")
+
+
+@st.composite
+def _block_layout(draw, field, layout):
+    """(a, b) in the layout: a's column blocks are b's row blocks, except in
+    "hstack" (two blocks in one row range) and "misaligned" (a column block
+    that is half of a row block), which the block rule must pass on."""
+    small, some = st.integers(0, 3), st.integers(1, 3)
+    if layout == "diagonal":  # each block drawn once, placed count times
+        counts = draw(st.lists(st.tuples(small, small, small, small), max_size=3))
+        a = [(n, draw(_block(field, r, k))) for n, r, k, _ in counts]
+        b = [(n, draw(_block(field, k, c))) for n, _, k, c in counts]
+        return _diagonal(field, a), _diagonal(field, b)
+    k = draw(small)
+    rows, inner, cols = ([draw(small) for _ in range(k)] for _ in range(3))
+    if layout == "permutation":
+        return (draw(_block_permutation(field, rows, inner)),
+                draw(_block_permutation(field, inner, cols)))
+    if layout == "stack":  # b's blocks all at column 0, as in the unit eta
+        c = draw(small)
+        b = vstack([draw(_block(field, m, c)) for m in inner]) if k else assemble(field, 0, c, [])
+        return draw(_block_permutation(field, rows, inner)), b
+    if layout == "stacked_left":  # a's blocks all in one column block
+        m, c = draw(small), draw(small)
+        a = _placed(field, rows, [m], [0] * k, [draw(_block(field, r, m)) for r in rows])
+        return a, draw(_block_permutation(field, [m], [c]))
+    if layout == "kron_left":
+        r, m = draw(small), draw(small)
+        a = mat_kron(Matrix.identity(field, k), draw(_block(field, r, m, den=False)))
+        return a, draw(_block_permutation(field, [m] * k, cols))
+    if layout == "kron_right":
+        m, c = draw(small), draw(small)
+        b = mat_kron(Matrix.identity(field, k), draw(_block(field, m, c, den=False)))
+        return draw(_block_permutation(field, rows, [m] * k)), b
+    r, m1, m2, c = (draw(some) for _ in range(4))
+    if layout == "hstack":
+        a = hstack([draw(_block(field, r, m1)), draw(_block(field, r, m2))])
+        return a, draw(_block_permutation(field, [m1, m2], [c, c]))
+    a = draw(_block_permutation(field, [r, r], [m1, m2]))
+    return a, draw(_block_permutation(field, [m1 + m2], [c]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), fields, st.sampled_from(_BLOCK_LAYOUTS))
+def test_block_products_equal_products_of_built_copies(data, p, layout):
+    """A product of placed blocks or kron(I_k, f) equals the product of the
+    row-built operands, in == and in rows, and is canonical.  The block rule
+    keeps the product unbuilt, and the layouts it must pass on go through
+    Gustavson's product, which builds it."""
     field = Field(p)
-    small = st.integers(0, 3)
-    layout = data.draw(st.lists(st.tuples(small, small, small, small), max_size=3))
-    a_blocks = data.draw(_diagonal_blocks(field, [(n, r, k) for n, r, k, _ in layout]))
-    b_blocks = data.draw(_diagonal_blocks(field, [(n, k, c) for n, _, k, c in layout]))
-    a, b = block_diagonal(field, a_blocks), block_diagonal(field, b_blocks)
-    placed, r0, c0 = [], 0, 0
-    for n, m in a_blocks:
-        for _ in range(n):
-            placed.append((r0, c0, m))
-            r0, c0 = r0 + m.rows, c0 + m.cols
-    assert a == assemble(field, a.rows, a.cols, placed)
+    a, b = data.draw(_block_layout(field, layout))
     got = mat_mul(a, b)
+    assert _rows_built(got) == (layout in ("hstack", "misaligned"))
     _assert_same(got, mat_mul(_built(a), _built(b)))
     _assert_canonical(got)
-    # a plain operand, or a diagonal of another layout, takes the row route
-    other = _matrix(field, data.draw(sparse_rows(b.rows, 2)), 2)
-    _assert_same(mat_mul(a, other), mat_mul(_built(a), other))
-    single = block_diagonal(field, [(1, _built(b))])
-    _assert_same(mat_mul(a, single), mat_mul(_built(a), _built(b)))
+
+
+def test_the_block_rule_forms_each_pair_of_blocks_once(products):
+    f = _matrix(Q, [[1, 2], [0, 3]], 2)
+    g = _matrix(Q, [[1, 0], [2, 1]], 2, den=2)
+    a = _diagonal(Q, [(3, f), (2, g)])
+    b = _diagonal(Q, [(3, g), (2, f)])
+    got = mat_mul(a, b)
+    assert products == [(f, g), (g, f)]
+    assert not _rows_built(got)
+    assert got == _diagonal(Q, [(3, mat_mul(f, g)), (2, mat_mul(g, f))])
 
 
 def test_kron_products_with_chaining_factors_stay_factored():
@@ -864,7 +931,7 @@ def test_a_kron_read_only_by_products_leaves_its_rows_unbuilt(p):
     f = _matrix(field, [[1, 2], [0, 1]], 2)
     g = _matrix(field, [[(i * 7 + j * 3) % 5 - 2 for j in range(6)] for i in range(6)], 6)
     k = mat_kron(eye, f)
-    d = block_diagonal(field, [(3, f)])
+    d = _diagonal(field, [(3, f)])
     products = [mat_mul(g, k), mat_mul(k, g), mat_mul(k, k), mat_mul(d, d)]
     assert not any(_rows_built(m) for m in (k, d, products[2], products[3]))
     assert products[0] == mat_mul(g, _built(k)) and products[1] == mat_mul(_built(k), g)

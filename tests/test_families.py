@@ -143,6 +143,41 @@ _PINS = {
             [(1, 2), (2, 3), (3, 4), (4, 1), (1, 1)],
             "306e2902f4af584113fd876a09313134c68d601d2c44ac45ebc97dcca02f4ea1"),
     },
+    # odd, so max(3, n // 2) and max(3, (n + 1) // 2) differ (6 and 7), and at
+    # least 12, so the greps and monad_objs cycles reach budget 8
+    ("s4", "q", 13): {
+        "hreps": (
+            [1, 2, 3, 4, 6, 8, 12, 1, 2, 3, 4, 6, 8],
+            "3f5b3bc60dd26e20919c541c5b2aec534617e8c54ed6733254d9c85c1ec265da"),
+        "hmors": (
+            [(1, 2), (2, 3), (3, 4), (4, 6), (6, 8), (8, 12), (12, 1), (1, 2), (2, 3), (3, 4),
+             (4, 6), (6, 8), (8, 1)],
+            "6f4a2d6d0a896f3045153e5165e0892695ff4297240f9a9f5184056c68ddb802"),
+        "greps": (
+            [1, 2, 3, 4, 6, 8],
+            "6e0245d2fdd21a0527058dc035e0c6f30fa3a9865a016bf37d5db9e63da281b8"),
+        "gmors": (
+            [(1, 2), (2, 3), (3, 4), (4, 6), (6, 8), (8, 1)],
+            "eff5d0241aed4cac45a9b14ed050dc1c81af7e5f3b7d0738ebbf53fcc1887bac"),
+        "lam_reps": (
+            [1, 2, 3, 4, 1, 2],
+            "656cf660b2ae05ccefec3709bb3af7681fc60ad3a0f20dace7aff10ef289dd7d"),
+        "lam_homs": (
+            [(1, 2), (2, 3), (3, 4), (4, 1), (1, 2), (2, 1)],
+            "9610dc24aad6938afeea3e017ead0eb51c07ac6cb679d73463002b524771824f"),
+        "mm_objs": (
+            [1, 2, 3, 4, 6, 8, 12, 1, 2, 3, 4, 6, 8],
+            "82260604382e289cb6a782eec4de68b9c5d9702dc46d9806f2d9b12f34d1a88a"),
+        "monad_objs": (
+            [1, 2, 3, 4, 6, 8],
+            "4be29abf4cc49e712513b9cebef1a7bf348f7888fe70d56d28cf3ef44e332429"),
+        "ext_reps": (
+            [1, 2, 3, 4, 1, 2],
+            "c56a40a02e99eafbccb18b592a462670ced1c88f2f9e08be373034dca888fa99"),
+        "ext_homs": (
+            [(1, 2), (2, 3), (3, 4), (4, 1), (1, 2), (2, 1)],
+            "4b37caabadc661add58b0eb0f52c7aa42e142543f6ae3b9b2a23440c00cfe9ee"),
+    },
     ("s3", "fp:3", 3): {
         "hreps": (
             [1, 2, 3],

@@ -293,9 +293,14 @@ def test_run_matrix_rows_do_not_depend_on_worker_count():
 
 
 def test_cli_mutation_smoke(capsys):
+    assert main(["--group", "s3", "--family-size", "2"]) == 0
+    clean_header = capsys.readouterr().out.splitlines()[0]
     code = main(["--group", "s3", "--family-size", "2", "--mutation-smoke"])
     out = capsys.readouterr().out
     assert code == 0
+    # the smoke names its case by the clean report's header line
+    assert out.splitlines()[0] == clean_header
+    assert clean_header.startswith("verify group=s3 |G|=6 ") and "family=2" in clean_header
     assert "mutation smoke: PASS" in out
     for corruption in CORRUPTIONS:
         assert corruption in out
