@@ -341,10 +341,10 @@ def mat_mul(a, b):
             products, placed = {}, []
             for r0, c0, x in ab:
                 c1, z = row_blocks[c0, x.cols]
-                xz = products.get((id(x), id(z)))
-                if xz is None:
-                    xz = products[id(x), id(z)] = mat_mul(x, z)
-                placed.append((r0, c1, xz))
+                key = id(x), id(z)
+                if key not in products:
+                    products[key] = mat_mul(x, z)
+                placed.append((r0, c1, products[key]))
             return assemble(a.field, a.rows, b.cols, placed)
     out = _row_products(_product_rows(a), _product_rows(b), a.field.char)
     den = a.den * b.den
