@@ -882,13 +882,15 @@ def test_block_products_equal_products_of_built_copies(data, p, layout):
     """A product of placed blocks or kron(I_k, f) equals the product of the
     row-built operands, in == and in rows, and is canonical.  The block rule
     keeps the product unbuilt, and the layouts it must pass on go through
-    Gustavson's product, which builds it."""
+    Gustavson's product, which builds it, as does a plain operand."""
     field = Field(p)
     a, b = data.draw(_block_layout(field, layout))
     got = mat_mul(a, b)
     assert _rows_built(got) == (layout in ("hstack", "misaligned"))
     _assert_same(got, mat_mul(_built(a), _built(b)))
     _assert_canonical(got)
+    plain = _matrix(field, data.draw(sparse_rows(b.rows, 2)), 2)
+    _assert_same(mat_mul(a, plain), mat_mul(_built(a), plain))
 
 
 def test_the_block_rule_forms_each_pair_of_blocks_once(products):
