@@ -22,6 +22,9 @@ for lambda, and lambda . (id (x) eta) from ``compose``, ``tensor_mor``,
 ``lax_lambda`` and ``unit_eta`` for pi.  The comparisons live in the
 verification suite and the tests.
 
+Coind(n) and the trivial rep are plain derived ``repcat.Rep``s.  The
+action of Coind(n) is the module function ``_coind_action``, which places
+the blocks n.mat(h) of each element's coset factorization.
 Each structure map is a function of its mathematical arguments only and
 builds its own lazy source and target.  A derived rep costs nothing until
 one of its action matrices is read, so no caller shares endpoints with a
@@ -41,40 +44,32 @@ from .repcat import (
 )
 
 
-class CoindRep(Rep):
-    """A coinduced representation, remembering its H-side source.
+def _coind_action(n, cs, g):
+    """The matrix of g on Coind(n), as placed blocks.
 
-    The action matrix of g sends block column sigma(i) to block row i
-    through n.mat(h_i), where r_i g = h_i r_sigma(i) is the coset
-    factorization; it is built when g is first read.
+    Block column sigma(i) goes to block row i through n.mat(h_i), where
+    r_i g = h_i r_sigma(i) is the coset factorization.
     """
-
-    def __init__(self, source, cs, tag=""):
-        super().__init__(cs.group, source.field, self._block_action,
-                         tag=tag, dim=cs.index * source.dim)
-        self.source = source
-        self.cs = cs
-
-    def _block_action(self, gg):
-        cs, n = self.cs, self.source
-        g = cs.group
-        dn = n.dim
-        blocks = []
-        for i, r in enumerate(cs.reps):
-            x = g.mul(r, gg)
-            blocks.append((i * dn, cs.coset_of[x] * dn, n.mat(cs.fact[x][0])))
-        return assemble(self.field, self.dim, self.dim, blocks)
+    dn = n.dim
+    d = cs.index * dn
+    blocks = []
+    for i, r in enumerate(cs.reps):
+        x = cs.group.mul(r, g)
+        blocks.append((i * dn, cs.coset_of[x] * dn, n.mat(cs.fact[x][0])))
+    return assemble(n.field, d, d, blocks)
 
 
 def coind_obj(n, cs):
     """Coinduce an H-representation to G along the coset space.
 
-    Correct by construction, so not validated here; a caller that wants the
-    law certified calls ``require_valid()`` on the result.
+    A derived rep: the matrix of g is built by ``_coind_action`` when g is
+    first read.  Correct by construction, so not validated here; a caller
+    that wants the law certified calls ``require_valid()`` on the result.
     """
     if n.carrier is not cs.subgroup:
         raise RepError("representation must live over the coset space's subgroup")
-    return CoindRep(n, cs, tag=f"Coind({n.tag})" if n.tag else "Coind")
+    return Rep(cs.group, n.field, lambda g: _coind_action(n, cs, g),
+               tag=f"Coind({n.tag})" if n.tag else "Coind", dim=cs.index * n.dim)
 
 
 def coind_mor(f, cs):
@@ -97,7 +92,7 @@ def counit_eps(n, cs):
     """
     dn = n.dim
     rows = [{a: 1} for a in range(dn)]
-    mat = Matrix(n.field, dn, cs.index * dn, _normalized=True, nzrows=rows)
+    mat = Matrix(n.field, dn, cs.index * dn, rows, _normalized=True)
     return Morphism(restrict(coind_obj(n, cs), cs.subgroup), n, mat, tag="eps")
 
 
@@ -110,7 +105,7 @@ def section_xi(n, cs):
     dn = n.dim
     d = cs.index * dn
     rows = [{a: 1} for a in range(dn)] + [{} for _ in range(d - dn)]
-    mat = Matrix(n.field, d, dn, _normalized=True, nzrows=rows)
+    mat = Matrix(n.field, d, dn, rows, _normalized=True)
     return Morphism(n, restrict(coind_obj(n, cs), cs.subgroup), mat, tag="xi")
 
 
@@ -118,7 +113,7 @@ def lax_iota(cs, field):
     """The lax unit 1_G -> Coind(1_H): the all-ones column."""
     one_g = unit_rep(cs.group, field)
     tgt = coind_obj(unit_rep(cs.subgroup, field), cs)
-    mat = Matrix(field, cs.index, 1, _normalized=True, nzrows=[{0: 1} for _ in range(cs.index)])
+    mat = Matrix(field, cs.index, 1, [{0: 1} for _ in range(cs.index)], _normalized=True)
     return Morphism(one_g, tgt, mat, tag="iota")
 
 
@@ -126,7 +121,7 @@ def _lambda_matrix(field, index, dx, dy):
     """Row (r, a, b) selects column ((r, a), (r, b)) of Coind(x) (x) Coind(y)."""
     rows = [{(r * dx + a) * index * dy + r * dy + b: 1}
             for r in range(index) for a in range(dx) for b in range(dy)]
-    return Matrix(field, index * dx * dy, index * dx * index * dy, _normalized=True, nzrows=rows)
+    return Matrix(field, index * dx * dy, index * dx * index * dy, rows, _normalized=True)
 
 
 def lax_lambda(x, y, cs):

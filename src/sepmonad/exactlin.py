@@ -2,11 +2,12 @@
 
 Scalars are either arbitrary-precision rationals (stored in lowest terms
 with positive denominator, surfaced as ``fractions.Fraction``) or residues
-modulo a prime p (ints in 0..p-1).  A Matrix is read as one thing: per
-row, a dict of its nonzero integer entries, over a single positive
-denominator, in one canonical form.  Dense entry lists are accepted as
-input and split into rows at once; the dense tuple ``Matrix.nums`` is only
-a view, built when a report witness reads it.
+modulo a prime p (ints in 0..p-1), over a field that is one object per
+characteristic.  A Matrix is read as one thing: per row, a dict of its
+nonzero integer entries, over a single positive denominator, in one
+canonical form.  Only ``Matrix.from_flat`` and ``from_rows`` take dense
+entry lists, which they split into rows at once; the dense tuple
+``Matrix.nums`` is only a view, computed when a report witness reads it.
 
 The structure maps of the adjunction are block selections and block
 permutations, so almost every entry is zero.  They are built as rows of
@@ -72,25 +73,32 @@ def _is_prime(n):
 
 
 class Field:
-    """The rationals (char 0) or the prime field GF(p)."""
+    """The rationals (char 0) or the prime field GF(p), one object per characteristic.
+
+    ``Field(p)``, a pickle and a copy all return the instance made on first
+    use, so fields are compared with ``is``.  A characteristic that is not 0
+    or a proven prime raises and is never cached.
+    """
 
     __slots__ = ("char",)
+    _instances = {}
 
-    def __init__(self, char=0):
-        if char >= _MR_BOUND:
-            raise ValueError(
-                f"field characteristic {char} is not below {_MR_BOUND}, "
-                "where primality is proven by Miller-Rabin with bases up to 41"
-            )
-        if char != 0 and not _is_prime(char):
-            raise ValueError(f"field characteristic must be 0 or prime, got {char}")
-        self.char = char
+    def __new__(cls, char=0):
+        field = cls._instances.get(char)
+        if field is None:
+            if char >= _MR_BOUND:
+                raise ValueError(
+                    f"field characteristic {char} is not below {_MR_BOUND}, "
+                    "where primality is proven by Miller-Rabin with bases up to 41"
+                )
+            if char != 0 and not _is_prime(char):
+                raise ValueError(f"field characteristic must be 0 or prime, got {char}")
+            field = cls._instances[char] = object.__new__(cls)
+            field.char = char
+        return field
 
-    def __eq__(self, other):
-        return isinstance(other, Field) and self.char == other.char
-
-    def __hash__(self):
-        return hash(("Field", self.char))
+    def __reduce__(self):
+        return Field, (self.char,)
 
     def __repr__(self):
         return "QQ" if self.char == 0 else f"GF({self.char})"
@@ -133,12 +141,11 @@ class Matrix:
     equal exactly when their rows are.  A row dict is never changed once
     its matrix is built, so matrices share rows freely.
 
-    A matrix is built from rows (``nzrows=``), or from a dense row-major
-    entry sequence ``nums``, which is split into rows at once.  Either
-    way the rows go through ``_normalize_rows``, unless ``_normalized``
-    says given rows are already canonical.  ``nums`` is also a read-only
-    view: the flat tuple of all entries, built on first read for report
-    witnesses.
+    The constructor takes rows, which go through ``_normalize_rows``
+    unless ``_normalized`` says they are already canonical; dense input
+    goes through ``from_flat`` or ``from_rows``.  ``nums``, the flat
+    row-major tuple of all entries for report witnesses, is computed on
+    each read.
 
     A Kronecker product or a matrix of placed blocks is built by
     ``_factored`` and stores only its factors in ``_form``, as (row
@@ -150,25 +157,18 @@ class Matrix:
     that only products read never builds its rows.
     """
 
-    __slots__ = ("field", "rows", "cols", "den", "nzrows", "_nums", "_form")
+    __slots__ = ("field", "rows", "cols", "den", "nzrows", "_form")
 
-    def __init__(self, field, rows, cols, nums=None, den=1, _normalized=False, nzrows=None):
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        if nzrows is None:
-            if len(nums) != rows * cols:
-                raise ValueError("entry count does not match shape")
-            nzrows = [{j: v for j, v in enumerate(nums[i * cols : (i + 1) * cols]) if v}
-                      for i in range(rows)]
-            _normalized = False
-        elif len(nzrows) != rows:
+    def __init__(self, field, rows, cols, nzrows, den=1, _normalized=False):
+        if len(nzrows) != rows:
             raise ValueError("row count does not match shape")
         if not _normalized:
             nzrows, den = _normalize_rows(field, nzrows, den)
+        self.field = field
+        self.rows = rows
+        self.cols = cols
         self.nzrows = nzrows
         self.den = den
-        self._nums = None
         self._form = None
 
     @classmethod
@@ -176,7 +176,6 @@ class Matrix:
         """A matrix known by ``form`` = (row builder, *factors); rows built on first read."""
         m = object.__new__(cls)
         m.field, m.rows, m.cols, m.den = field, rows, cols, den
-        m._nums = None
         m._form = form
         return m
 
@@ -190,15 +189,13 @@ class Matrix:
 
     @property
     def nums(self):
-        """All entries as one flat row-major tuple, built on first read."""
-        if self._nums is None:
-            c = self.cols
-            flat = [0] * (self.rows * c)
-            for base, row in zip(range(0, len(flat), c or 1), self.nzrows):
-                for j, v in row.items():
-                    flat[base + j] = v
-            self._nums = tuple(flat)
-        return self._nums
+        """All entries as one flat row-major tuple, computed on each read."""
+        c = self.cols
+        flat = [0] * (self.rows * c)
+        for base, row in zip(range(0, len(flat), c or 1), self.nzrows):
+            for j, v in row.items():
+                flat[base + j] = v
+        return tuple(flat)
 
     # -- constructors -------------------------------------------------
 
@@ -217,20 +214,24 @@ class Matrix:
         den = 1
         for f in fracs:
             den = lcm(den, f.denominator)
-        nums = [int(f * den) for f in fracs]
-        return cls(field, rows, cols, nums, den)
+        return cls.from_flat(field, rows, cols, [int(f * den) for f in fracs], den)
 
     @classmethod
     def from_flat(cls, field, rows, cols, nums, den=1):
-        return cls(field, rows, cols, list(nums), den)
+        """The matrix of the row-major integer entries ``nums`` over ``den``."""
+        if len(nums) != rows * cols:
+            raise ValueError("entry count does not match shape")
+        nzrows = [{j: v for j, v in enumerate(nums[i * cols : (i + 1) * cols]) if v}
+                  for i in range(rows)]
+        return cls(field, rows, cols, nzrows, den)
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        return cls(field, rows, cols, _normalized=True, nzrows=[{} for _ in range(rows)])
+        return cls(field, rows, cols, [{} for _ in range(rows)], _normalized=True)
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, n, n, _normalized=True, nzrows=[{i: 1} for i in range(n)])
+        return cls(field, n, n, [{i: 1} for i in range(n)], _normalized=True)
 
     # -- scalar access -------------------------------------------------
 
@@ -251,7 +252,7 @@ class Matrix:
     def __eq__(self, other):
         if not (
             isinstance(other, Matrix)
-            and self.field == other.field
+            and self.field is other.field
             and self.rows == other.rows
             and self.cols == other.cols
             and self.den == other.den
@@ -273,13 +274,13 @@ class Matrix:
         for i, row in enumerate(self.nzrows):
             for j, v in row.items():
                 out[j][i] = v
-        return Matrix(self.field, self.cols, self.rows, den=self.den, _normalized=True, nzrows=out)
+        return Matrix(self.field, self.cols, self.rows, out, den=self.den, _normalized=True)
 
     def submatrix_cols(self, col_idx):
         """The distinct columns ``col_idx``, in that order, read once per nonzero."""
         at = {j: t for t, j in enumerate(col_idx)}
         out = [{at[j]: v for j, v in row.items() if j in at} for row in self.nzrows]
-        return Matrix(self.field, self.rows, len(col_idx), den=self.den, nzrows=out)
+        return Matrix(self.field, self.rows, len(col_idx), out, den=self.den)
 
 
 def _normalize_rows(field, rows, den):
@@ -303,7 +304,7 @@ def _normalize_rows(field, rows, den):
 
 
 def _check_same_field(a, b):
-    if a.field != b.field:
+    if a.field is not b.field:
         raise ValueError(f"field mismatch: {a.field} vs {b.field}")
 
 
@@ -348,7 +349,7 @@ def mat_mul(a, b):
             return assemble(a.field, a.rows, b.cols, placed)
     out = _row_products(_product_rows(a), _product_rows(b), a.field.char)
     den = a.den * b.den
-    return Matrix(a.field, a.rows, b.cols, den=den, _normalized=den == 1, nzrows=out)
+    return Matrix(a.field, a.rows, b.cols, out, den=den, _normalized=den == 1)
 
 
 def _block_rows(m):
@@ -454,7 +455,7 @@ def mat_kron(a, b):
     rows, cols = a.rows * b.rows, a.cols * b.cols
     if a.den == b.den == 1:
         return Matrix._factored(a.field, rows, cols, 1, (_KronRows, a, b))
-    return Matrix(a.field, rows, cols, den=a.den * b.den, nzrows=list(_KronRows(a, b)))
+    return Matrix(a.field, rows, cols, list(_KronRows(a, b)), den=a.den * b.den)
 
 
 class _KronRows:
@@ -502,7 +503,7 @@ def _combination(coeffs, mats):
             for acc, row in zip(rows, m.nzrows):
                 for j, v in row.items():
                     acc[j] = acc.get(j, 0) + f * v
-    return Matrix(m0.field, m0.rows, m0.cols, den=den, nzrows=rows)
+    return Matrix(m0.field, m0.rows, m0.cols, rows, den=den)
 
 
 def mat_sub(a, b):
@@ -548,7 +549,7 @@ def assemble(field, rows, cols, blocks):
     blocks = tuple(blocks)
     den = 1
     for r0, c0, m in blocks:
-        if m.field != field:
+        if m.field is not field:
             raise ValueError("field mismatch in assemble")
         if r0 + m.rows > rows or c0 + m.cols > cols:
             raise ValueError("block exceeds target shape")
@@ -594,7 +595,7 @@ def column_factor(a):
     the unique X with basis . X = a.  The rank is ``basis.cols``.
     """
     pivots, red, den = _rref(a.nzrows, a.rows, a.cols, a.field)
-    coeffs = Matrix(a.field, len(pivots), a.cols, den=den, nzrows=red)
+    coeffs = Matrix(a.field, len(pivots), a.cols, red, den=den)
     return a.submatrix_cols(pivots), coeffs
 
 
@@ -621,7 +622,7 @@ def nullspace_basis(a):
         g = 1 if p else gcd(*col.values())
         for i, v in col.items():
             out[i][idx] = v // g
-    return Matrix(a.field, n, len(free), den=1, _normalized=True, nzrows=out)
+    return Matrix(a.field, n, len(free), out, den=1, _normalized=True)
 
 
 def span_basis(b):
@@ -650,4 +651,4 @@ def span_basis(b):
         g = 1 if p else gcd(*row.values())
         for j, v in row.items():
             out[n - 1 - j][idx] = v // g
-    return Matrix(b.field, n, len(red), den=1, _normalized=True, nzrows=out)
+    return Matrix(b.field, n, len(red), out, den=1, _normalized=True)

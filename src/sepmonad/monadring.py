@@ -156,13 +156,13 @@ def standard_ring(cs, field):
     # row (c, c') of the section is e_c when c = c', else zero
     sec_rows = [{i // d: 1} if i // d == i % d else {} for i in range(d * d)]
     aa = tensor_obj(a, a)
-    mul = Morphism(aa, a, Matrix(field, d, d * d, _normalized=True, nzrows=mul_rows))
+    mul = Morphism(aa, a, Matrix(field, d, d * d, mul_rows, _normalized=True))
     unit = Morphism(
         unit_rep(cs.group, field),
         a,
-        Matrix(field, d, 1, _normalized=True, nzrows=[{0: 1} for _ in range(d)]),
+        Matrix(field, d, 1, [{0: 1} for _ in range(d)], _normalized=True),
     )
-    section = Morphism(a, aa, Matrix(field, d * d, d, _normalized=True, nzrows=sec_rows))
+    section = Morphism(a, aa, Matrix(field, d * d, d, sec_rows, _normalized=True))
     ring = RingObject(a, mul, unit, section)
     ring.require_valid("ring axioms fail")
     RingAxiomError.refuse("canonical map is not a ring isomorphism", ring_iso_failures(ring, cs))

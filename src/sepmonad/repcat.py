@@ -7,16 +7,16 @@ which ``Rep.mat`` fills from an element function on first read.
 
 Two kinds of Rep share that storage:
 
-* complete reps are built from a dict and start with the full memo: the
-  trivial rep and a caller-supplied dict.  Validation checks
+* complete reps start with the full memo of a caller-supplied dict (the
+  tests' reps and the ``rep_action`` corruption's).  Validation checks
   mat(x*g) = mat(x)*mat(g) on every edge of ``groups.generator_walk``
   over the carrier's generators, which implies the law for all pairs once
   the walk reaches every element.
 * derived reps start empty and compute an element only when it is read.
-  A tensor product, a restriction, a coinduced rep, the coset permutation
-  rep, a seeded ``random_rep`` and the image of a split idempotent are
-  fixed by data whose law is already known, so building one dense matrix
-  per element would be wasted work: the checks read a few of them.
+  The trivial rep, a tensor product, a restriction, a coinduced rep, the
+  coset permutation rep, a seeded ``random_rep`` and the image of a split
+  idempotent are fixed by data whose law is already known, so building
+  one matrix per element would be wasted work: the checks read a few.
   ``random_rep``'s permutation blocks act on the cosets that
   ``groups.right_coset_partition`` enumerates.
 
@@ -91,7 +91,7 @@ class Rep:
         """Raise RepError unless every matrix fits and the law holds on the walk."""
         for i in self.carrier.elements:
             m = self.mat(i)
-            if m.rows != self.dim or m.cols != self.dim or m.field != self.field:
+            if m.rows != self.dim or m.cols != self.dim or m.field is not self.field:
                 raise RepError(f"matrix at element {i} has wrong shape or field")
         if not self.mats[0].is_identity():
             raise RepError("identity element must act as the identity matrix")
@@ -120,7 +120,7 @@ class Morphism:
     def __init__(self, source, target, matrix, tag=""):
         if source.carrier is not target.carrier:
             raise RepError("source and target live over different carriers")
-        if source.field != target.field or matrix.field != source.field:
+        if source.field is not target.field or matrix.field is not source.field:
             raise RepError("field mismatch in morphism")
         if matrix.rows != target.dim or matrix.cols != source.dim:
             raise RepError(
@@ -158,16 +158,16 @@ def compose(f, g):
 
 
 def unit_rep(carrier, field):
-    """The one-dimensional trivial representation."""
+    """The one-dimensional trivial representation: every element acts as I_1."""
     one = Matrix.identity(field, 1)
-    return Rep(carrier, field, {i: one for i in carrier.elements}, tag="1")
+    return Rep(carrier, field, lambda i: one, tag="1", dim=1)
 
 
 def tensor_obj(x, y):
     """Tensor product with diagonal action (Kronecker on each element)."""
     if x.carrier is not y.carrier:
         raise RepError("tensor factors live over different carriers")
-    if x.field != y.field:
+    if x.field is not y.field:
         raise RepError("tensor factors over different fields")
     tag = f"({x.tag})(x)({y.tag})" if x.tag or y.tag else ""
     return Rep(x.carrier, x.field, lambda i: mat_kron(x.mat(i), y.mat(i)),
@@ -188,7 +188,7 @@ def symmetry(x, y):
     dx, dy = x.dim, y.dim
     # row (j, i) picks column (i, j)
     rows = [{i * dy + j: 1} for j in range(dy) for i in range(dx)]
-    mat = Matrix(x.field, dx * dy, dx * dy, _normalized=True, nzrows=rows)
+    mat = Matrix(x.field, dx * dy, dx * dy, rows, _normalized=True)
     return Morphism(tensor_obj(x, y), tensor_obj(y, x), mat, tag="swap")
 
 
@@ -226,7 +226,7 @@ def hom_space_basis(x, y):
     permutation form cannot pass silently either: ``rep_hom_sanity``
     certifies every seeded rep and map against its action matrices.
     """
-    if x.carrier is not y.carrier or x.field != y.field:
+    if x.carrier is not y.carrier or x.field is not y.field:
         raise RepError("hom space needs a common carrier and field")
     field = x.field
     if not x.carrier.gens:
@@ -246,7 +246,7 @@ def hom_space_basis(x, y):
         r, s = divmod(i, x.dim)
         for k, v in row.items():
             maps[k][r][s] = v
-    return [Morphism(x, y, Matrix(field, y.dim, x.dim, den=cols.den, nzrows=rows))
+    return [Morphism(x, y, Matrix(field, y.dim, x.dim, rows, den=cols.den))
             for rows in maps]
 
 
@@ -282,8 +282,7 @@ def _orbit_span(x, y):
                     orbit[t] = k
                     stack.append(t)
         k += 1
-    indicators = Matrix(x.field, len(orbit), k, _normalized=True,
-                        nzrows=[{o: 1} for o in orbit])
+    indicators = Matrix(x.field, len(orbit), k, [{o: 1} for o in orbit], _normalized=True)
     return mat_mul(mat_kron(uy, ux_inv.transpose()), indicators)
 
 
@@ -325,7 +324,7 @@ def _permute_rows(m, pi):
     rows = [None] * m.rows
     for c, r in enumerate(pi):
         rows[r] = m.nzrows[c]
-    return Matrix(m.field, m.rows, m.cols, den=m.den, _normalized=True, nzrows=rows)
+    return Matrix(m.field, m.rows, m.cols, rows, den=m.den, _normalized=True)
 
 
 def _sheared_identity(field, n, shears):
@@ -339,7 +338,7 @@ def _sheared_identity(field, n, shears):
         for k, v in u[j].items():
             row[k] = row.get(k, 0) + c * v
         u[i] = row
-    return Matrix(field, n, n, nzrows=u)
+    return Matrix(field, n, n, u)
 
 
 def random_rep(carrier, field, seed, budget):

@@ -381,7 +381,7 @@ def _with_first_entry(m, num):
     """m with the numerator of entry (0, 0) set to num, over the same den."""
     rows = list(m.nzrows)
     rows[0] = {**rows[0], 0: num}
-    return Matrix(m.field, m.rows, m.cols, den=m.den, nzrows=rows)
+    return Matrix(m.field, m.rows, m.cols, rows, den=m.den)
 
 
 def _corrupt_rep(rep):

@@ -239,7 +239,8 @@ def test_derived_reps_are_lazy_and_correct(name, field):
     h = subgroup_generated(group, default)
     cs = right_cosets(group, h)
     m = random_rep(group, field, seed=4, budget=2)
-    ux = coind_obj(random_rep(h, field, seed=5, budget=3), cs)
+    hx = random_rep(h, field, seed=5, budget=3)
+    ux = coind_obj(hx, cs)
     uy = coind_obj(random_rep(h, field, seed=6, budget=1), cs)
     derived = [ux, uy, tensor_obj(ux, uy), restrict(m, h), coset_permutation_rep(cs, field),
                random_rep(group, field, seed=7, budget=3), random_rep(h, field, seed=8, budget=3)]
@@ -257,7 +258,7 @@ def test_derived_reps_are_lazy_and_correct(name, field):
         assert len(rep.mats) == before + 1
     for rep in derived + [img]:
         rep.require_valid()
-    checked = coind_obj(ux.source, cs)
+    checked = coind_obj(hx, cs)
     checked.require_valid()
     assert len(checked.mats) == group.order
     eta = unit_eta(m, cs)

@@ -91,7 +91,8 @@ def test_invalid_action_rejected():
     bad = Morphism(
         free.action.source,
         free.action.target,
-        Matrix(Q, free.action.matrix.rows, free.action.matrix.cols, nums, free.action.matrix.den),
+        Matrix.from_flat(Q, free.action.matrix.rows, free.action.matrix.cols, nums,
+                         free.action.matrix.den),
     )
     with pytest.raises(Exception):
         AModule(ring, free.carrier, bad).require_valid()
@@ -325,7 +326,7 @@ def test_non_equivariant_module_map_is_refused():
 
 def _flat_column(m):
     """m read row-major as one column."""
-    return Matrix(m.field, m.rows * m.cols, 1, m.nums, m.den)
+    return Matrix.from_flat(m.field, m.rows * m.cols, 1, m.nums, m.den)
 
 
 def _module_map_oracle(m1, m2):

@@ -1,5 +1,7 @@
 """Exact linear algebra against hand-computed and Fraction-based oracles."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -12,6 +14,7 @@ from sepmonad.exactlin import (
     Field,
     GF,
     Matrix,
+    QQ,
     assemble,
     column_factor,
     hstack,
@@ -433,7 +436,7 @@ def _identity_cases():
     for n in (2, 3, 4):
         eye = list(Matrix.identity(Q, n).nums)
         # den 2: one half on the diagonal
-        cases.append(Matrix(Q, n, n, eye, 2))
+        cases.append(Matrix.from_flat(Q, n, n, eye, 2))
         for idx in range(n * n):
             flipped = list(eye)
             flipped[idx] = 1 - flipped[idx]
@@ -480,6 +483,26 @@ def test_field_rejects_characteristic_beyond_proven_bound():
     with pytest.raises(ValueError, match="not below"):
         parse_field(f"fp:{2**89 - 1}")
     assert Field(2**61 - 1).char == 2**61 - 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**61 - 1])
+def test_fields_are_interned(p):
+    assert Field(p) is GF(p) is parse_field(f"fp:{p}")
+    assert Field(0) is QQ is parse_field("q")
+    assert Field(p) is not QQ
+    for field in (QQ, Field(p)):
+        assert pickle.loads(pickle.dumps(field)) is field
+        assert copy.deepcopy(field) is field
+        assert copy.copy(field) is field
+    # a round trip makes no new instance and changes none
+    assert (QQ.char, Field(p).char) == (0, p)
+    # a matrix keeps its field's identity through a copy
+    m = copy.deepcopy(Matrix.identity(Field(p), 2))
+    assert m.field is Field(p) and m == Matrix.identity(GF(p), 2)
+    # a composite characteristic still raises, and is never cached
+    for _ in range(2):
+        with pytest.raises(ValueError, match="0 or prime"):
+            Field(4 * p)
 
 
 # -- row form: rows and dense entries reach the one canonical form --------
@@ -694,19 +717,25 @@ def test_empty_shapes_in_row_form():
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 5])
-def test_eliminations_leave_the_dense_view_unbuilt(p):
+def test_eliminations_leave_the_dense_view_unbuilt(monkeypatch, p):
     field = Field(p)
     den = 3 if p == 0 else 1
 
     def rows(*entries):
         return Matrix(field, len(entries), 3, den=den, nzrows=[dict(e) for e in entries])
 
+    def dense_read(m):
+        raise AssertionError("an elimination read the dense view")
+
     a = rows({0: 1, 2: 2}, {1: 1}, {0: 1, 1: 1, 2: 2})
     b = rows({0: 1}, {2: 1}, {0: 1, 2: 1})
-    results = [nullspace_basis(a), *column_factor(a), span_basis(b)]
-    assert all(isinstance(m, Matrix) for m in results)
-    for m in (a, b, *results):
-        assert m._nums is None
+    monkeypatch.setattr(Matrix, "nums", property(dense_read))
+    basis, (cols, coeffs), span = nullspace_basis(a), column_factor(a), span_basis(b)
+    monkeypatch.undo()
+    assert mat_mul(a, basis) == Matrix.zeros(field, 3, basis.cols)
+    assert mat_mul(cols, coeffs) == a
+    # b's columns (1, 0, 1) and (0, 1, 1) span the kernel of x0 + x1 - x2
+    assert span == nullspace_basis(Matrix.from_rows(field, [[1, 1, -1]]))
 
 
 @st.composite

@@ -8,7 +8,7 @@ SRC = ROOT / "src" / "sepmonad"
 
 # The input formats the tests build matrices and fields from; no module
 # of the package needs them.
-TEST_INPUT_FORMATS = {"Matrix.from_rows", "Matrix.from_flat", "GF"}
+TEST_INPUT_FORMATS = {"Matrix.from_rows", "GF"}
 
 
 def _unread_imports(path):

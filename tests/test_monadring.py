@@ -90,7 +90,7 @@ def test_invalid_ring_rejected(s3_cs, s3_ring):
     bad_mul = type(s3_ring.mul)(
         s3_ring.mul.source,
         s3_ring.mul.target,
-        Matrix(Q, s3_ring.mul.matrix.rows, s3_ring.mul.matrix.cols, nums),
+        Matrix.from_flat(Q, s3_ring.mul.matrix.rows, s3_ring.mul.matrix.cols, nums),
     )
     with pytest.raises(RingAxiomError) as err:
         RingObject(s3_ring.carrier, bad_mul, s3_ring.unit, s3_ring.section).require_valid(
@@ -175,7 +175,7 @@ def test_monad_from_invalid_ring_refused(s3_cs, s3_ring):
     bad_mul = type(s3_ring.mul)(
         s3_ring.mul.source,
         s3_ring.mul.target,
-        Matrix(Q, s3_ring.mul.matrix.rows, s3_ring.mul.matrix.cols, nums),
+        Matrix.from_flat(Q, s3_ring.mul.matrix.rows, s3_ring.mul.matrix.cols, nums),
     )
     bad = RingObject(s3_ring.carrier, bad_mul, s3_ring.unit, s3_ring.section)
     with pytest.raises(RingAxiomError):

@@ -39,7 +39,7 @@ def regular_rep(group, field):
         nums = [0] * (n * n)
         for x in group.elements:
             nums[group.mul(g, x) * n + x] = 1
-        mats[g] = Matrix(field, n, n, nums)
+        mats[g] = Matrix.from_flat(field, n, n, nums)
     reg = Rep(group, field, mats, tag="reg")
     reg.require_valid()
     return reg
