@@ -454,6 +454,44 @@ def test_changed_pi_component_is_caught_by_monad_morphism(monkeypatch, field):
     assert check.witness["context"] == "at rand[1|seed=0|mm0]: unit_triangle"
 
 
+# One targeted corruption per remaining structure map: entry (0, 0) of every
+# matrix the map returns changes, in each module that imported the map, and
+# each corruption is caught by the check that owns the map, with its witness.
+_STRUCTURE_MAP_KILLS = {
+    "unit_eta": [("triangle_identities", "triangle_counit_unit",
+                  "eps . Res(eta) at rand[1|seed=0|g0]")],
+    "counit_eps": [("triangle_identities", "triangle_counit_unit",
+                    "eps . Res(eta) at rand[1|seed=0|g0]"),
+                   ("counit_section", "counit_section", "eps . xi at rand[1|seed=0|h0]")],
+    "lax_iota": [("lambda_laws", "lambda_left_unit", "at rand[1|seed=0|l0]")],
+    "projection_pi_inverse": [("projection_formula", "projection_invertible",
+                               "pi . pi_inv at pair 0"),
+                              ("monad_morphism", "monad_morphism",
+                               "at rand[1|seed=0|mm0]: component_left_inverse")],
+    "ind_counit": [("triangle_identities", "triangle_ind", "Res(c) . xi at rand[1|seed=0|g0]")],
+}
+
+
+@pytest.mark.parametrize("field", ["q", "fp:2"])
+@pytest.mark.parametrize("name", list(_STRUCTURE_MAP_KILLS))
+def test_changed_structure_map_is_caught_by_its_check(monkeypatch, name, field):
+    real = getattr(adjunction, name)
+
+    def changed(*args):
+        mor = real(*args)
+        return Morphism(mor.source, mor.target, _changed_first_entry(mor.matrix), tag=mor.tag)
+
+    patched = [mod for mod in (suite, eilenberg, monadring) if vars(mod).get(name) is real]
+    assert suite in patched
+    for mod in patched:
+        monkeypatch.setattr(mod, name, changed)
+    kills = _STRUCTURE_MAP_KILLS[name]
+    cfg = small_cfg(field=field, family_size=2, checks=tuple(cid for cid, _, _ in kills))
+    got = [(c.id, c.status, c.witness["kind"], c.witness["context"])
+           for c in run_suite(cfg).checks]
+    assert got == [(cid, "fail", kind, context) for cid, kind, context in kills]
+
+
 # -- a check ends at its first failed identity ----------------------------
 
 
