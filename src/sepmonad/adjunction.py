@@ -68,8 +68,7 @@ def coind_obj(n, cs):
     """
     if n.carrier is not cs.subgroup:
         raise RepError("representation must live over the coset space's subgroup")
-    return Rep(cs.group, n.field, lambda g: _coind_action(n, cs, g),
-               tag=f"Coind({n.tag})" if n.tag else "Coind", dim=cs.index * n.dim)
+    return Rep(cs.group, n.field, lambda g: _coind_action(n, cs, g), cs.index * n.dim)
 
 
 def coind_mor(f, cs):
@@ -81,7 +80,7 @@ def coind_mor(f, cs):
 def unit_eta(m, cs):
     """The unit m -> Coind(Res m): a vector goes to the function g |-> g.v."""
     mat = vstack([m.mat(r) for r in cs.reps])
-    return Morphism(m, coind_obj(restrict(m, cs.subgroup), cs), mat, tag="eta")
+    return Morphism(m, coind_obj(restrict(m, cs.subgroup), cs), mat)
 
 
 def counit_eps(n, cs):
@@ -93,7 +92,7 @@ def counit_eps(n, cs):
     dn = n.dim
     rows = [{a: 1} for a in range(dn)]
     mat = Matrix(n.field, dn, cs.index * dn, rows, _normalized=True)
-    return Morphism(restrict(coind_obj(n, cs), cs.subgroup), n, mat, tag="eps")
+    return Morphism(restrict(coind_obj(n, cs), cs.subgroup), n, mat)
 
 
 def section_xi(n, cs):
@@ -106,7 +105,7 @@ def section_xi(n, cs):
     d = cs.index * dn
     rows = [{a: 1} for a in range(dn)] + [{} for _ in range(d - dn)]
     mat = Matrix(n.field, d, dn, rows, _normalized=True)
-    return Morphism(n, restrict(coind_obj(n, cs), cs.subgroup), mat, tag="xi")
+    return Morphism(n, restrict(coind_obj(n, cs), cs.subgroup), mat)
 
 
 def lax_iota(cs, field):
@@ -114,7 +113,7 @@ def lax_iota(cs, field):
     one_g = unit_rep(cs.group, field)
     tgt = coind_obj(unit_rep(cs.subgroup, field), cs)
     mat = Matrix(field, cs.index, 1, [{0: 1} for _ in range(cs.index)], _normalized=True)
-    return Morphism(one_g, tgt, mat, tag="iota")
+    return Morphism(one_g, tgt, mat)
 
 
 def _lambda_matrix(field, index, dx, dy):
@@ -133,7 +132,7 @@ def lax_lambda(x, y, cs):
     src = tensor_obj(coind_obj(x, cs), coind_obj(y, cs))
     tgt = coind_obj(tensor_obj(x, y), cs)
     mat = _lambda_matrix(x.field, cs.index, x.dim, y.dim)
-    return Morphism(src, tgt, mat, tag="lambda")
+    return Morphism(src, tgt, mat)
 
 
 def lax_lambda_composite(x, y, cs):
@@ -171,7 +170,7 @@ def _pi_blockdiag(y, x, cs, invert):
     tgt = coind_obj(tensor_obj(y, restrict(x, cs.subgroup)), cs)
     if invert:
         src, tgt = tgt, src
-    return Morphism(src, tgt, mat, tag="pi_inv" if invert else "pi")
+    return Morphism(src, tgt, mat)
 
 
 def ind_counit(x, cs):
@@ -183,4 +182,4 @@ def ind_counit(x, cs):
     """
     g = cs.group
     mat = hstack([x.mat(g.inverse(r)) for r in cs.reps])
-    return Morphism(coind_obj(restrict(x, cs.subgroup), cs), x, mat, tag="ind_counit")
+    return Morphism(coind_obj(restrict(x, cs.subgroup), cs), x, mat)

@@ -26,7 +26,8 @@ witness.  The second composite of a square pair follows from the first
 and is not formed.  Modules are certified by ``AModule.require_valid``:
 ``em_comparison`` and ``separable_summand`` certify the modules they
 build, while a free module's axioms are its certified ring's laws and are
-not checked again.  A module map is a bare matrix, certified equivariant
+not checked again.  A module's action is a bare matrix A (x) x -> x, like
+the ring's structure maps, and so is a module map, certified equivariant
 and A-linear by ``require_module_map``.  The inverse of a certified
 isomorphism is not certified again either.
 """
@@ -46,7 +47,6 @@ from .repcat import (
     Rep,
     compose,
     restrict,
-    tensor_obj,
     unit_rep,
 )
 from .adjunction import (
@@ -72,14 +72,15 @@ class EMError(IdentityError):
 class AModule:
     """A carrier representation with a ring action.
 
-    The constructor checks shapes only; ``require_valid`` certifies the
+    ``action`` is the bare matrix A (x) carrier -> carrier.  The
+    constructor checks its shape only; ``require_valid`` certifies the
     module axioms.
     """
 
     def __init__(self, ring, carrier, action, tag=""):
         da = ring.dim
         dx = carrier.dim
-        if action.matrix.rows != dx or action.matrix.cols != da * dx:
+        if action.rows != dx or action.cols != da * dx:
             raise ValueError("action must map ring(x)carrier to carrier")
         self.ring = ring
         self.carrier = carrier
@@ -102,7 +103,7 @@ def module_axiom_failures(mod):
     """Violated module identities as (name, lhs, rhs) triples."""
     a = mod.ring.carrier
     x = mod.carrier
-    rho = mod.action.matrix
+    rho = mod.action
     da, dx = a.dim, x.dim
     field = x.field
     eye_a = Matrix.identity(field, da)
@@ -110,10 +111,10 @@ def module_axiom_failures(mod):
     out = []
     _need(
         out, "action_associativity",
-        mat_mul(rho, mat_kron(mod.ring.mul.matrix, eye_x)),
+        mat_mul(rho, mat_kron(mod.ring.mul, eye_x)),
         mat_mul(rho, mat_kron(eye_a, rho)),
     )
-    _need_identity(out, "action_unitality", mat_mul(rho, mat_kron(mod.ring.unit.matrix, eye_x)))
+    _need_identity(out, "action_unitality", mat_mul(rho, mat_kron(mod.ring.unit, eye_x)))
     for g in x.carrier.gens:
         _need(
             out, f"action_equivariance@{g}",
@@ -135,35 +136,33 @@ def require_module_map(source, target, matrix):
     Morphism(source.carrier, target.carrier, matrix).require_valid()
     eye_a = Matrix.identity(matrix.field, source.ring.dim)
     out = []
-    _need(out, "A-linearity", mat_mul(matrix, source.action.matrix),
-          mat_mul(target.action.matrix, mat_kron(eye_a, matrix)))
+    _need(out, "A-linearity", mat_mul(matrix, source.action),
+          mat_mul(target.action, mat_kron(eye_a, matrix)))
     EMError.refuse("map does not commute with the actions", out)
 
 
-def free_module(ring, y, tag=""):
+def free_module(ring, y):
     """The free module A (x) y: the free algebra of the ring monad A (x) -.
 
     Its carrier and action are the monad's A (x) y and mu at y, which
     are associative, unital and equivariant exactly when the ring is, so
-    certifying the ring certifies the module.
+    certifying the ring certifies the module.  Its tag is ``free[<y's tag>]``.
     """
     ring.require_valid("refusing free module over an invalid ring")
     monad = monad_from_ring(ring)
-    return AModule(ring, monad.on_obj(y), monad.mu_at(y), tag=tag or f"free({y.tag})")
+    return AModule(ring, monad.on_obj(y), monad.mu_at(y).matrix, tag=f"free[{y.tag}]")
 
 
-def em_comparison(n, cs, ring, tag=""):
+def em_comparison(n, cs, ring):
     """The comparison module E(n) = Coind(n), acting through lambda at (1_H, n).
 
     A = Coind(1_H), and the lax multiplication Coind(1_H) (x) Coind(n) ->
     Coind(1_H (x) n) = Coind(n) multiplies pointwise: acting with the basis
     idempotent of a coset keeps that coset's coordinate block and kills
-    the others.
+    the others.  Its tag is ``E[<n's tag>]``.
     """
-    carrier = coind_obj(n, cs)
     lam = lax_lambda(unit_rep(cs.subgroup, n.field), n, cs)
-    action = Morphism(tensor_obj(ring.carrier, carrier), carrier, lam.matrix)
-    mod = AModule(ring, carrier, action, tag=tag or f"E({n.tag})")
+    mod = AModule(ring, coind_obj(n, cs), lam.matrix, tag=f"E[{n.tag}]")
     mod.require_valid()
     return mod
 
@@ -180,12 +179,13 @@ def em_mor(f, cs, source, target):
     return ef
 
 
-def split_idempotent(e, x):
-    """Split an idempotent of x through its image representation.
+def split_idempotent(e):
+    """Split an idempotent endomorphism e of a representation x through its image.
 
     Returns (image, p, m) with m . p = e and p . m = id, read off one
     column factorization e = basis . coeffs: m = basis, the independent
-    columns of e, and p = coeffs.  The caller certifies e (e . e = e and
+    columns of e, and p = coeffs.  e must have one rep as source and
+    target, or EMError is raised; the caller certifies e (e . e = e and
     equivariance), and nothing is re-checked here.  Given that, m . p = e
     by construction, and p . m = id because e . m = m and m's columns are
     independent; so p and m are equivariant, and the image, which acts by
@@ -195,12 +195,12 @@ def split_idempotent(e, x):
     row of a large carrier such as a free module's Kronecker action.  The
     ``module_idempotent`` check certifies both splitting identities.
     """
-    if e.source is not x or e.target is not x:
-        raise EMError("idempotent must be an endomorphism of the given representation")
+    x = e.source
+    if e.target is not x:
+        raise EMError("idempotent must be an endomorphism of one representation")
     basis, pmat = column_factor(e.matrix)
-    img = Rep(x.carrier, x.field, lambda g: mat_mul(mat_mul(pmat, x.mat(g)), basis),
-              tag=f"img({e.tag})" if e.tag else "img", dim=basis.cols)
-    return img, Morphism(x, img, pmat, tag="retract"), Morphism(img, x, basis, tag="include")
+    img = Rep(x.carrier, x.field, lambda g: mat_mul(mat_mul(pmat, x.mat(g)), basis), basis.cols)
+    return img, Morphism(x, img, pmat), Morphism(img, x, basis)
 
 
 def em_inverse_split(mod, cs):
@@ -218,13 +218,13 @@ def em_inverse_split(mod, cs):
     rx = restrict(x, h)
     pinv = projection_pi_inverse(unit_rep(h, field), x, cs)
     xi = section_xi(rx, cs)
-    e_mat = mat_mul(mod.action.matrix, mat_mul(pinv.matrix, xi.matrix))
-    e = Morphism(rx, rx, e_mat, tag="e")
+    e_mat = mat_mul(mod.action, mat_mul(pinv.matrix, xi.matrix))
+    e = Morphism(rx, rx, e_mat)
     e.require_valid()
     out = []
     _need(out, "e . e = e", mat_mul(e_mat, e_mat), e_mat)
     EMError.refuse("module idempotent law fails", out)
-    img, p, m = split_idempotent(e, rx)
+    img, p, m = split_idempotent(e)
     return img, p, m, e
 
 
@@ -261,7 +261,7 @@ def em_counit_iso(mod, split, cs):
     en = em_comparison(img, cs, mod.ring)
     pinv = projection_pi_inverse(unit_rep(cs.subgroup, x.field), x, cs)
     cm = coind_mor(m, cs)
-    phi_mat = mat_mul(mod.action.matrix, mat_mul(pinv.matrix, cm.matrix))
+    phi_mat = mat_mul(mod.action, mat_mul(pinv.matrix, cm.matrix))
     eta = unit_eta(x, cs)
     cp = coind_mor(p, cs)
     psi_mat = mat_mul(cp.matrix, eta.matrix)
@@ -303,20 +303,18 @@ def separable_summand(mod):
     """
     ring = mod.ring
     field = mod.carrier.field
-    rho = mod.action.matrix
+    rho = mod.action
     eye_a = Matrix.identity(field, ring.dim)
     free = free_module(ring, mod.carrier)
-    sigma_one = mat_mul(ring.section.matrix, ring.unit.matrix)
+    sigma_one = mat_mul(ring.section, ring.unit)
     s = mat_mul(mat_kron(eye_a, rho), mat_kron(sigma_one, Matrix.identity(field, mod.dim)))
     e_mat = mat_mul(s, rho)
     require_module_map(free, free, e_mat)
     out = []
     _need(out, "e . e = e", mat_mul(e_mat, e_mat), e_mat)
     EMError.refuse("separability idempotent fails", out)
-    img, p, m = split_idempotent(Morphism(free.carrier, free.carrier, e_mat, tag="summand"),
-                                 free.carrier)
-    action = Morphism(tensor_obj(ring.carrier, img), img,
-                      mat_mul(p.matrix, mat_mul(free.action.matrix, mat_kron(eye_a, m.matrix))))
+    img, p, m = split_idempotent(Morphism(free.carrier, free.carrier, e_mat))
+    action = mat_mul(p.matrix, mat_mul(free.action, mat_kron(eye_a, m.matrix)))
     summand = AModule(ring, img, action, tag="summand")
     summand.require_valid()
     return summand

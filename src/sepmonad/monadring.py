@@ -9,6 +9,9 @@ group order.  It is also Coind(1_H) with the lax structure of coinduction
 as its ring structure; in representative coordinates the two rings have
 the same matrices, so ``standard_ring`` certifies that identification as
 equalities (``ring_iso_failures``) and only one ring object is ever built.
+Its multiplication, unit and section are bare matrices, like a module's
+action: ``ring_axiom_failures`` checks their equivariance on explicit
+Kronecker products of the carrier's action, so no endpoint rep is read.
 
 Two monads act on G-representations: tensoring with the ring, and the
 coinduction-of-restriction composite whose multiplication collapses the
@@ -17,6 +20,7 @@ inner coinduction through the counit.  The projection pi identifies them;
 diagram checks live alongside the constructors.
 """
 
+from collections import namedtuple
 from functools import cached_property
 
 from .exactlin import (
@@ -61,18 +65,20 @@ class RingAxiomError(IdentityError):
 class RingObject:
     """A representation with multiplication, unit, and separability section.
 
-    The constructor checks only shapes.  ``failures``, its
+    ``mul``, ``unit`` and ``section`` are bare matrices: A (x) A -> A,
+    1 -> A and A -> A (x) A on the carrier's space.  The constructor
+    checks only their shapes.  ``failures``, its
     ``ring_axiom_failures``, is computed once, on first read;
     ``require_valid`` raises on it.
     """
 
     def __init__(self, carrier, mul, unit, section):
         da = carrier.dim
-        if mul.matrix.rows != da or mul.matrix.cols != da * da:
+        if mul.rows != da or mul.cols != da * da:
             raise ValueError("multiplication must map carrier(x)carrier to carrier")
-        if unit.matrix.rows != da or unit.matrix.cols != 1:
+        if unit.rows != da or unit.cols != 1:
             raise ValueError("unit must map the tensor unit to the carrier")
-        if section.matrix.rows != da * da or section.matrix.cols != da:
+        if section.rows != da * da or section.cols != da:
             raise ValueError("section must map the carrier to carrier(x)carrier")
         self.carrier = carrier
         self.mul = mul
@@ -110,9 +116,9 @@ def ring_axiom_failures(ring):
     da = a.dim
     field = a.field
     eye = Matrix.identity(field, da)
-    m = ring.mul.matrix
-    u = ring.unit.matrix
-    s = ring.section.matrix
+    m = ring.mul
+    u = ring.unit
+    s = ring.section
     out = []
     _need(out, "associativity", mat_mul(m, mat_kron(m, eye)), mat_mul(m, mat_kron(eye, m)))
     _need_identity(out, "unit_left", mat_mul(m, mat_kron(u, eye)))
@@ -136,7 +142,7 @@ def coset_permutation_rep(cs, field):
     """The permutation representation on right cosets, basis {e_c}."""
     d, perm = _perm_action_on_cosets(cs.group, cs.subgroup.elements)
     eye = Matrix.identity(field, d)
-    return Rep(cs.group, field, lambda g: _permute_rows(eye, perm(g)), tag="k(cosets)", dim=d)
+    return Rep(cs.group, field, lambda g: _permute_rows(eye, perm(g)), d)
 
 
 def standard_ring(cs, field):
@@ -155,14 +161,9 @@ def standard_ring(cs, field):
     mul_rows = [{c * d + c: 1} for c in range(d)]
     # row (c, c') of the section is e_c when c = c', else zero
     sec_rows = [{i // d: 1} if i // d == i % d else {} for i in range(d * d)]
-    aa = tensor_obj(a, a)
-    mul = Morphism(aa, a, Matrix(field, d, d * d, mul_rows, _normalized=True))
-    unit = Morphism(
-        unit_rep(cs.group, field),
-        a,
-        Matrix(field, d, 1, [{0: 1} for _ in range(d)], _normalized=True),
-    )
-    section = Morphism(a, aa, Matrix(field, d * d, d, sec_rows, _normalized=True))
+    mul = Matrix(field, d, d * d, mul_rows, _normalized=True)
+    unit = Matrix(field, d, 1, [{0: 1} for _ in range(d)], _normalized=True)
+    section = Matrix(field, d * d, d, sec_rows, _normalized=True)
     ring = RingObject(a, mul, unit, section)
     ring.require_valid("ring axioms fail")
     RingAxiomError.refuse("canonical map is not a ring isomorphism", ring_iso_failures(ring, cs))
@@ -181,23 +182,13 @@ def ring_iso_failures(std, cs):
     out = []
     for g in cs.group.gens:
         _need(out, f"carrier_action@{g}", std.carrier.mat(g), coind.mat(g))
-    _need(out, "multiplication_transport", std.mul.matrix, lax_lambda(one_h, one_h, cs).matrix)
-    _need(out, "unit_transport", std.unit.matrix, lax_iota(cs, std.field).matrix)
+    _need(out, "multiplication_transport", std.mul, lax_lambda(one_h, one_h, cs).matrix)
+    _need(out, "unit_transport", std.unit, lax_iota(cs, std.field).matrix)
     return out
 
 
-class Monad:
-    """An operational monad: functor data plus unit and multiplication."""
-
-    def __init__(self, name, on_obj, on_mor, eta_at, mu_at):
-        self.name = name
-        self.on_obj = on_obj
-        self.on_mor = on_mor
-        self.eta_at = eta_at
-        self.mu_at = mu_at
-
-    def __repr__(self):
-        return f"<Monad {self.name}>"
+# An operational monad: functor data plus unit and multiplication.
+Monad = namedtuple("Monad", "on_obj on_mor eta_at mu_at")
 
 
 def monad_from_adjunction(cs):
@@ -216,7 +207,7 @@ def monad_from_adjunction(cs):
     def mu_at(x):
         return coind_mor(counit_eps(restrict(x, h), cs), cs)
 
-    return Monad(f"CoindRes[{cs.index}]", on_obj, on_mor, eta_at, mu_at)
+    return Monad(on_obj, on_mor, eta_at, mu_at)
 
 
 def monad_from_ring(ring):
@@ -237,14 +228,14 @@ def monad_from_ring(ring):
 
     def eta_at(x):
         eye = Matrix.identity(x.field, x.dim)
-        return Morphism(x, on_obj(x), mat_kron(ring.unit.matrix, eye))
+        return Morphism(x, on_obj(x), mat_kron(ring.unit, eye))
 
     def mu_at(x):
         eye = Matrix.identity(x.field, x.dim)
         src = on_obj(on_obj(x))
-        return Morphism(src, on_obj(x), mat_kron(ring.mul.matrix, eye))
+        return Morphism(src, on_obj(x), mat_kron(ring.mul, eye))
 
-    return Monad(f"{a.tag or 'A'}(x)-", on_obj, on_mor, eta_at, mu_at)
+    return Monad(on_obj, on_mor, eta_at, mu_at)
 
 
 def monad_law_failures(monad, x):

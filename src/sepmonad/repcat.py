@@ -5,27 +5,24 @@ Subgroup) an invertible matrix, with mat(identity) = I and
 mat(a*b) = mat(a)*mat(b).  The matrices live in one memo dict, ``mats``,
 which ``Rep.mat`` fills from an element function on first read.
 
-Two kinds of Rep share that storage:
-
-* complete reps start with the full memo of a caller-supplied dict (the
-  tests' reps and the ``rep_action`` corruption's).  Validation checks
-  mat(x*g) = mat(x)*mat(g) on every edge of ``groups.generator_walk``
-  over the carrier's generators, which implies the law for all pairs once
-  the walk reaches every element.
-* derived reps start empty and compute an element only when it is read.
-  The trivial rep, a tensor product, a restriction, a coinduced rep, the
-  coset permutation rep, a seeded ``random_rep`` and the image of a split
-  idempotent are fixed by data whose law is already known, so building
-  one matrix per element would be wasted work: the checks read a few.
-  ``random_rep``'s permutation blocks act on the cosets that
-  ``groups.right_coset_partition`` enumerates.
+Every Rep is derived from an element function: its memo starts empty
+and an element's matrix is built only when it is read, since the checks
+read a few.  The trivial rep, a tensor product, a restriction, a
+coinduced rep, the coset permutation rep, a seeded ``random_rep`` and the
+image of a split idempotent are fixed by data whose law is already
+known; the ``rep_action`` corruption changes one matrix of a seeded rep.
+``random_rep``'s permutation blocks act on the cosets that
+``groups.right_coset_partition`` enumerates.  Validation checks
+mat(x*g) = mat(x)*mat(g) on every edge of ``groups.generator_walk`` over
+the carrier's generators, which implies the law for all pairs once the
+walk reaches every element.
 
 A seeded ``random_rep`` also keeps its permutation form
 ``perm_form = (U, U^-1, pi)``, with mat(g) = U P(pi(g)) U^-1; other reps
 have None.  ``hom_space_basis`` reads Hom(x, y) off the orbits on index
 pairs when both reps carry a form, and otherwise eliminates the stacked
 generator equations, the route kept for reps with no form, such as
-the ``rep_action`` corruption's dict rep.  ``rep_hom_sanity`` certifies
+the ``rep_action`` corruption's rep.  ``rep_hom_sanity`` certifies
 every seeded rep and map against the matrices themselves, so a wrong
 form cannot pass silently.
 
@@ -62,29 +59,19 @@ class RepError(ValueError):
 class Rep:
     """A representation: dimension plus a memo of action matrices.
 
-    ``mats`` is either a complete dict element -> matrix, which becomes the
-    memo, or a function of the element, which needs ``dim`` and fills the
-    memo on demand.  ``require_valid`` checks the law on every walk edge,
-    and so builds every matrix of a derived rep first.  ``perm_form`` is
+    ``action`` is a function of the element; ``mat`` fills the memo
+    ``mats`` from it on first read.  ``require_valid`` checks the law on
+    every walk edge, and so builds every matrix first.  ``perm_form`` is
     None unless a constructor that knows one sets it (``random_rep``).
     """
 
-    def __init__(self, carrier, field, mats, tag="", dim=None):
+    def __init__(self, carrier, field, action, dim, tag=""):
         self.carrier = carrier
         self.field = field
         self.tag = tag
-        if callable(mats):
-            if dim is None:
-                raise RepError("an element function needs the dimension")
-            self.mats = {}
-            self._action = mats
-            self.dim = dim
-        else:
-            self.mats = dict(mats)
-            if set(self.mats) != set(carrier.elements):
-                raise RepError("need exactly one matrix per carrier element")
-            self._action = self.mats.__getitem__
-            self.dim = self.mats[0].rows
+        self.mats = {}
+        self._action = action
+        self.dim = dim
         self.perm_form = None
 
     def require_valid(self):
@@ -117,7 +104,7 @@ class Rep:
 class Morphism:
     """An equivariant matrix between the spaces of two representations."""
 
-    def __init__(self, source, target, matrix, tag=""):
+    def __init__(self, source, target, matrix):
         if source.carrier is not target.carrier:
             raise RepError("source and target live over different carriers")
         if source.field is not target.field or matrix.field is not source.field:
@@ -129,7 +116,6 @@ class Morphism:
         self.source = source
         self.target = target
         self.matrix = matrix
-        self.tag = tag
 
     def require_valid(self):
         """Raise RepError unless the matrix is equivariant on the generators."""
@@ -139,15 +125,15 @@ class Morphism:
                 raise RepError(f"equivariance fails at generator {g}")
 
     def __repr__(self):
-        return f"<Morphism {self.source.dim}->{self.target.dim}{': ' + self.tag if self.tag else ''}>"
+        return f"<Morphism {self.source.dim}->{self.target.dim}>"
 
 
 def identity_mor(x):
-    return Morphism(x, x, Matrix.identity(x.field, x.dim), tag="id")
+    return Morphism(x, x, Matrix.identity(x.field, x.dim))
 
 
 def zero_mor(x, y):
-    return Morphism(x, y, Matrix.zeros(x.field, y.dim, x.dim), tag="0")
+    return Morphism(x, y, Matrix.zeros(x.field, y.dim, x.dim))
 
 
 def compose(f, g):
@@ -160,7 +146,7 @@ def compose(f, g):
 def unit_rep(carrier, field):
     """The one-dimensional trivial representation: every element acts as I_1."""
     one = Matrix.identity(field, 1)
-    return Rep(carrier, field, lambda i: one, tag="1", dim=1)
+    return Rep(carrier, field, lambda i: one, 1)
 
 
 def tensor_obj(x, y):
@@ -169,9 +155,7 @@ def tensor_obj(x, y):
         raise RepError("tensor factors live over different carriers")
     if x.field is not y.field:
         raise RepError("tensor factors over different fields")
-    tag = f"({x.tag})(x)({y.tag})" if x.tag or y.tag else ""
-    return Rep(x.carrier, x.field, lambda i: mat_kron(x.mat(i), y.mat(i)),
-               tag=tag, dim=x.dim * y.dim)
+    return Rep(x.carrier, x.field, lambda i: mat_kron(x.mat(i), y.mat(i)), x.dim * y.dim)
 
 
 def tensor_mor(f, g):
@@ -189,14 +173,14 @@ def symmetry(x, y):
     # row (j, i) picks column (i, j)
     rows = [{i * dy + j: 1} for j in range(dy) for i in range(dx)]
     mat = Matrix(x.field, dx * dy, dx * dy, rows, _normalized=True)
-    return Morphism(tensor_obj(x, y), tensor_obj(y, x), mat, tag="swap")
+    return Morphism(tensor_obj(x, y), tensor_obj(y, x), mat)
 
 
 def restrict(x, h):
     """View a representation of G as a representation of the subgroup h."""
     if hasattr(x.carrier, "parent"):
         raise RepError("restriction starts from a full-group representation")
-    return Rep(h, x.field, x.mat, tag=f"Res({x.tag})" if x.tag else "Res", dim=x.dim)
+    return Rep(h, x.field, x.mat, x.dim)
 
 
 def restrict_mor(f, h):
@@ -217,8 +201,8 @@ def hom_space_basis(x, y):
       into that canonical form by ``exactlin.span_basis``;
     * otherwise by eliminating the stacked system: one block
       kron(I_y, x(g)^T) - kron(y(g), I_x) per generator.  Within the
-      package only the ``rep_action`` corruption's dict rep comes this
-      way; the tests read it as the reference for the orbit route.
+      package only the ``rep_action`` corruption's rep comes this way;
+      the tests read it as the reference for the orbit route.
 
     Both routes give the same matrices.  The basis maps are not
     revalidated: each lies in the solution space of the generator
@@ -396,7 +380,7 @@ def random_rep(carrier, field, seed, budget):
         return [off + r for off, _, block in blocks for r in block(g)]
 
     dims = "+".join(str(d) for _, d, _ in blocks)
-    rep = Rep(carrier, field, lambda g: mat_mul(umat, _permute_rows(uinv, perm(g))),
-              dim=total, tag=f"rand[{dims}|seed={seed}]")
+    rep = Rep(carrier, field, lambda g: mat_mul(umat, _permute_rows(uinv, perm(g))), total,
+              tag=f"rand[{dims}|seed={seed}]")
     rep.perm_form = (umat, uinv, perm)
     return rep

@@ -354,10 +354,8 @@ class Ctx:
     def modules(self):
         half = (self.cfg.family_size + 1) // 2
         cyc = (1, 2, 3, 4)
-        out = [free_module(self.ring, y, tag=f"free[{y.tag}]")
-               for y in self._reps(self.group, "mf", cyc, half)]
-        out += [em_comparison(n, self.cs, self.ring, tag=f"E[{n.tag}]")
-                for n in self._reps(self.h, "mc", cyc, half)]
+        out = [free_module(self.ring, y) for y in self._reps(self.group, "mf", cyc, half)]
+        out += [em_comparison(n, self.cs, self.ring) for n in self._reps(self.h, "mc", cyc, half)]
         out.append(separable_summand(out[-1]))
         return out
 
@@ -385,17 +383,16 @@ def _with_first_entry(m, num):
 
 
 def _corrupt_rep(rep):
-    """Flip one entry of one action matrix."""
-    mats = {g: rep.mat(g) for g in rep.carrier.elements}
-    m = mats[0]
-    mats[0] = _with_first_entry(m, m.nzrows[0].get(0, 0) + m.den)
-    return Rep(rep.carrier, rep.field, mats, tag=f"{rep.tag}|corrupted")
+    """Flip one entry of the identity's action matrix; every other element keeps its own."""
+    m = rep.mat(0)
+    bad = _with_first_entry(m, m.nzrows[0].get(0, 0) + m.den)
+    return Rep(rep.carrier, rep.field, lambda g: bad if g == 0 else rep.mat(g), rep.dim,
+               tag=f"{rep.tag}|corrupted")
 
 
 def _corrupt_ring(ring):
     """Zero the structure constant mu(e_0 (x) e_0)."""
-    mul = Morphism(ring.mul.source, ring.mul.target, _with_first_entry(ring.mul.matrix, 0))
-    return RingObject(ring.carrier, mul, ring.unit, ring.section)
+    return RingObject(ring.carrier, _with_first_entry(ring.mul, 0), ring.unit, ring.section)
 
 
 def _need(kind, context, lhs, rhs):
@@ -609,7 +606,8 @@ def _check_monad_laws(ctx):
 def _check_module_idempotent(ctx):
     for mod, split in zip(ctx.modules, ctx.splits):
         if isinstance(split, Exception):
-            raise _Failed(_witness_from_error("module_idempotent", f"module {mod.tag}", split))
+            with _as_failure("module_idempotent", f"module {mod.tag}"):
+                raise split
         _, p, m, e = split
         _need_identity("module_idempotent", f"p . m at {mod.tag}", mat_mul(p.matrix, m.matrix))
         _need("module_idempotent", f"m . p = e at {mod.tag}",
@@ -699,9 +697,7 @@ def run_suite(cfg):
 
 
 def mutation_smoke(cfg, corruption):
-    """Re-run the suite with one deliberate corruption injected."""
-    if corruption not in CORRUPTIONS:
-        raise ConfigError(f"unknown corruption {corruption!r}; pick from {CORRUPTIONS}")
+    """Re-run the suite with one deliberate corruption injected; ``Ctx`` refuses an unknown one."""
     return run_suite(cfg._replace(corruption=corruption))
 
 

@@ -56,7 +56,7 @@ def test_criterion_1_structure_constants():
         ring = standard_ring(cs, Q)
         expected_dim = _brute_force_coset_count(group, h)
         ok &= ring.dim == cs.index == expected_dim
-        mul = ring.mul.matrix
+        mul = ring.mul
         d = ring.dim
         for i in range(d):
             for j in range(d):

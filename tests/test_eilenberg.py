@@ -63,7 +63,7 @@ def test_comparison_of_trivial_is_ring_as_module():
     one_h = unit_rep(cs.subgroup, Q)
     e1 = em_comparison(one_h, cs, ring)
     assert e1.dim == cs.index
-    assert e1.action.matrix == ring.mul.matrix
+    assert e1.action == ring.mul
 
 
 def test_free_module_on_trivial_recovers_unit_dim():
@@ -86,14 +86,10 @@ def test_invalid_action_rejected():
     cs, ring = _setup("s3")
     y = random_rep(cs.group, Q, seed=3, budget=2)
     free = free_module(ring, y)
-    nums = list(free.action.matrix.nums)
-    nums[0] += free.action.matrix.den
-    bad = Morphism(
-        free.action.source,
-        free.action.target,
-        Matrix.from_flat(Q, free.action.matrix.rows, free.action.matrix.cols, nums,
-                         free.action.matrix.den),
-    )
+    rho = free.action
+    nums = list(rho.nums)
+    nums[0] += rho.den
+    bad = Matrix.from_flat(Q, rho.rows, rho.cols, nums, rho.den)
     with pytest.raises(Exception):
         AModule(ring, free.carrier, bad).require_valid()
 
@@ -101,18 +97,35 @@ def test_invalid_action_rejected():
 def test_split_idempotent_identity_and_zero():
     cs, _ = _setup("s3")
     x = random_rep(cs.subgroup, Q, seed=4, budget=3)
-    img, p, m = split_idempotent(identity_mor(x), x)
+    img, p, m = split_idempotent(identity_mor(x))
     assert img.dim == x.dim
     assert mat_mul(p.matrix, m.matrix).is_identity()
-    img0, p0, m0 = split_idempotent(zero_mor(x, x), x)
+    img0, p0, m0 = split_idempotent(zero_mor(x, x))
     assert img0.dim == 0
     assert p0.matrix.rows == 0 and m0.matrix.cols == 0
+
+
+def test_split_idempotent_refuses_a_map_between_two_reps():
+    cs, _ = _setup("s3")
+    x = random_rep(cs.subgroup, Q, seed=4, budget=3)
+    # the same matrices, but a second rep object as target
+    y = Rep(x.carrier, x.field, x.mat, x.dim)
+    with pytest.raises(EMError, match="^idempotent must be an endomorphism of one representation$"):
+        split_idempotent(Morphism(x, y, Matrix.identity(Q, x.dim)))
+
+
+def test_module_tags_name_their_source_rep():
+    cs, ring = _setup("s3")
+    y = random_rep(cs.group, Q, seed=2, budget=2)
+    n = random_rep(cs.subgroup, Q, seed=1, budget=2)
+    assert free_module(ring, y).tag == f"free[{y.tag}]"
+    assert em_comparison(n, cs, ring).tag == f"E[{n.tag}]"
 
 
 def test_em_unit_iso_refuses_a_module_whose_idempotent_is_not_one():
     # split_idempotent trusts e; em_inverse_split is where e . e = e is checked
     cs, ring = _setup("c2")
-    n = Rep(cs.subgroup, Q, {0: Matrix.from_rows(Q, [[2]])}, tag="doubled")
+    n = Rep(cs.subgroup, Q, lambda h: Matrix.from_rows(Q, [[2]]), 1)
     with pytest.raises(EMError, match=r"^module idempotent law fails: e \. e = e$") as info:
         em_unit_iso(n, cs, ring)
     [(name, e2, e)] = info.value.failures
@@ -160,7 +173,7 @@ def test_free_modules_are_not_checked_again(monkeypatch, spec):
     summand = separable_summand(mod)
     assert len(free) == 3 and len(checked) == 3
     # the comparison module of Res y, then mod and its summand
-    assert checked[0].tag.startswith("E(")
+    assert checked[0].tag.startswith("E[")
     assert checked[1] is mod and checked[2] is summand
     assert not any(m is f for m in checked for f in free)
 
@@ -339,7 +352,7 @@ def _module_map_oracle(m1, m2):
     field = m1.carrier.field
     d1, d2 = m1.dim, m2.dim
     eye_a = Matrix.identity(field, m1.ring.dim)
-    rho1, rho2 = m1.action.matrix, m2.action.matrix
+    rho1, rho2 = m1.action, m2.action
     gens = m1.carrier.carrier.gens
     cols = []
     for i in range(d2):
@@ -361,8 +374,8 @@ def _summand_with_split(monkeypatch, mod):
     seen = []
     real = eilenberg.split_idempotent
 
-    def spy(e, x):
-        seen.append((e, real(e, x)))
+    def spy(e):
+        seen.append((e, real(e)))
         return seen[-1][1]
 
     with monkeypatch.context() as patch:
@@ -408,7 +421,7 @@ def test_separability_idempotent_of_the_ring_is_sigma_mu(monkeypatch, field):
     cs, ring = _setup("s4", field)
     _, e, _, _ = _summand_with_split(monkeypatch, em_comparison(unit_rep(cs.subgroup, field),
                                                                  cs, ring))
-    assert e == mat_mul(ring.section.matrix, ring.mul.matrix)
+    assert e == mat_mul(ring.section, ring.mul)
 
 
 # sha256 of separable_summand(E(n)) for the seed-0 rep n of H (its action
@@ -453,6 +466,6 @@ def test_separable_summands_are_frozen(name, spec):
     cs, mod = _seed_zero_comparison(name, parse_field(spec))
     found = separable_summand(mod)
     digest = hashlib.sha256()
-    for m in [found.action.matrix] + [found.carrier.mat(g) for g in cs.group.elements]:
+    for m in [found.action] + [found.carrier.mat(g) for g in cs.group.elements]:
         digest.update(repr((m.rows, m.cols, m.den, m.nums)).encode())
     assert digest.hexdigest() == _SUMMAND_DIGESTS[name, spec]

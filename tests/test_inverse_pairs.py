@@ -147,8 +147,7 @@ def _grown_by_a_trivial_summand(split):
     field, r = img.field, img.dim
     one = Matrix.identity(field, 1)
     grown = Rep(img.carrier, field,
-                lambda g: assemble(field, r + 1, r + 1, [(0, 0, img.mat(g)), (r, r, one)]),
-                tag="img+1", dim=r + 1)
+                lambda g: assemble(field, r + 1, r + 1, [(0, 0, img.mat(g)), (r, r, one)]), r + 1)
     pmat = vstack([p.matrix, Matrix.zeros(field, 1, p.matrix.cols)])
     mmat = hstack([m.matrix, Matrix.zeros(field, m.matrix.rows, 1)])
     return grown, Morphism(p.source, grown, pmat), Morphism(grown, m.target, mmat), e

@@ -97,8 +97,7 @@ def _wrong_carrier_action(monkeypatch):
         g = cs.group.gens[0]
         m = c.mat(g)
         bad = _with_first_entry(m, m.nzrows[0].get(0, 0) + m.den)
-        return Rep(cs.group, c.field, lambda e: bad if e == g else c.mat(e),
-                   tag="wrong", dim=c.dim)
+        return Rep(cs.group, c.field, lambda e: bad if e == g else c.mat(e), c.dim)
 
     monkeypatch.setattr(monadring, "coind_obj", wrong)
     return f"carrier_action@{load_preset('s3')[0].gens[0]}"
@@ -115,11 +114,10 @@ def _refused_iso(corrupt):
 def _module_action(monkeypatch):
     cs, ring = _setup("s3")
     free = free_module(ring, random_rep(cs.group, Q, seed=3, budget=2))
-    rho = free.action.matrix
+    rho = free.action
     rows = list(rho.nzrows)
     rows[0] = {**rows[0], 0: rows[0].get(0, 0) + rho.den}
-    bad = Morphism(free.action.source, free.action.target,
-                   Matrix(Q, rho.rows, rho.cols, den=rho.den, nzrows=rows))
+    bad = Matrix(Q, rho.rows, rho.cols, den=rho.den, nzrows=rows)
     AModule(ring, free.carrier, bad).require_valid()
 
 
@@ -134,7 +132,7 @@ def _module_map(monkeypatch):
 def _idempotent(monkeypatch):
     # the identity of H acting by 2 makes the module's e equal to 2 e_0
     cs, ring = _setup("c2")
-    n = Rep(cs.subgroup, Q, {0: Matrix.from_rows(Q, [[2]])}, tag="doubled")
+    n = Rep(cs.subgroup, Q, lambda h: Matrix.from_rows(Q, [[2]]), 1)
     em_inverse_split(em_comparison(n, cs, ring), cs)
 
 
@@ -142,8 +140,7 @@ def _separability_idempotent(monkeypatch):
     # a section of 2 sigma keeps e = s . rho equivariant and A-linear, but e . e = 2 e
     cs, ring = _setup("s3")
     assert ring.failures == []
-    sec = ring.section
-    ring.section = Morphism(sec.source, sec.target, _combination((2,), (sec.matrix,)))
+    ring.section = _combination((2,), (ring.section,))
     separable_summand(em_comparison(unit_rep(cs.subgroup, Q), cs, ring))
 
 

@@ -40,7 +40,7 @@ def regular_rep(group, field):
         for x in group.elements:
             nums[group.mul(g, x) * n + x] = 1
         mats[g] = Matrix.from_flat(field, n, n, nums)
-    reg = Rep(group, field, mats, tag="reg")
+    reg = Rep(group, field, mats.__getitem__, n, tag="reg")
     reg.require_valid()
     return reg
 
@@ -99,7 +99,7 @@ def test_invalid_rep_rejected():
     c2, _ = load_preset("c2")
     bad = {0: Matrix.identity(Q, 1), 1: Matrix.from_rows(Q, [[2]])}
     with pytest.raises(RepError):
-        Rep(c2, Q, bad).require_valid()  # 2 * 2 != 1, not a homomorphism to GL_1
+        Rep(c2, Q, bad.__getitem__, 1).require_valid()  # 2 * 2 != 1, not a homomorphism to GL_1
 
 
 def test_wrong_non_identity_element_breaks_homomorphism_law():
@@ -110,7 +110,7 @@ def test_wrong_non_identity_element_breaks_homomorphism_law():
     mats = {g: good.mat(g) for g in s3.elements}
     mats[5] = mats[4]
     with pytest.raises(RepError, match="homomorphism law fails"):
-        Rep(s3, Q, mats).require_valid()
+        Rep(s3, Q, mats.__getitem__, good.dim).require_valid()
 
 
 def test_short_generator_set_is_rejected():
@@ -119,14 +119,14 @@ def test_short_generator_set_is_rejected():
     short = Subgroup(s3, s3.elements, gens=(1,))
     one = Matrix.identity(Q, 1)
     with pytest.raises(RepError, match="does not generate"):
-        Rep(short, Q, {g: one for g in s3.elements}).require_valid()
+        Rep(short, Q, lambda g: one, 1).require_valid()
 
 
 def test_identity_must_act_as_identity():
     c2, _ = load_preset("c2")
     bad = {0: Matrix.from_rows(Q, [[-1]]), 1: Matrix.from_rows(Q, [[1]])}
     with pytest.raises(RepError):
-        Rep(c2, Q, bad).require_valid()
+        Rep(c2, Q, bad.__getitem__, 1).require_valid()
 
 
 def test_strict_associativity_of_tensor():
@@ -289,7 +289,7 @@ def test_random_hom_is_equivariant(seed, budget):
 
 def _formless(x):
     """A copy of x without its permutation form: the same matrices, the stacked route."""
-    return Rep(x.carrier, x.field, x.mat, dim=x.dim)
+    return Rep(x.carrier, x.field, x.mat, x.dim)
 
 
 def _routes(x, y):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -146,6 +147,26 @@ def test_monad_families_keep_their_budget_cycles_at_every_index(group, subgroup,
 def test_unknown_group_is_config_error():
     with pytest.raises(ConfigError):
         run_suite(SuiteConfig(group="monster", field="q"))
+
+
+def test_unknown_corruption_is_config_error():
+    named = re.escape(f"unknown corruption 'bogus'; pick from {CORRUPTIONS}")
+    with pytest.raises(ConfigError, match=f"^{named}$"):
+        run_suite(small_cfg(corruption="bogus"))
+    with pytest.raises(ConfigError, match=f"^{named}$"):
+        mutation_smoke(small_cfg(), "bogus")
+
+
+@pytest.mark.parametrize("field", ["q", "fp:2"])
+@pytest.mark.parametrize("group", ["s3", "s4"])
+def test_rep_action_corruption_changes_only_the_identity_and_builds_nothing(group, field):
+    cfg = SuiteConfig(group=group, field=field, family_size=2)
+    source = suite.Ctx(cfg).hreps[0]
+    bad = suite.Ctx(cfg._replace(corruption="rep_action")).hreps[0]
+    # a derived rep: no action matrix is built before one is read
+    assert len(bad.mats) == 0
+    assert (bad.dim, bad.tag) == (source.dim, f"{source.tag}|corrupted")
+    assert [g for g in bad.carrier.elements if bad.mat(g) != source.mat(g)] == [0]
 
 
 def test_unknown_check_is_config_error():
@@ -428,7 +449,7 @@ def test_changed_pi_block_entry_is_caught_by_projection_formula(monkeypatch, fie
         if invert:
             return mor
         bad = _changed_first_entry(mor.matrix)  # entry (0, 0) of the first block
-        return Morphism(mor.source, mor.target, bad, tag=mor.tag)
+        return Morphism(mor.source, mor.target, bad)
 
     monkeypatch.setattr(adjunction, "_pi_blockdiag", changed)
     [check] = run_suite(small_cfg(field=field, checks=("projection_formula",))).checks
@@ -444,7 +465,7 @@ def test_changed_pi_component_is_caught_by_monad_morphism(monkeypatch, field):
 
     def changed(y, x, cs):
         mor = real(y, x, cs)
-        return Morphism(mor.source, mor.target, _changed_first_entry(mor.matrix), tag=mor.tag)
+        return Morphism(mor.source, mor.target, _changed_first_entry(mor.matrix))
 
     # every component the monad morphism reads off pi, and no pi of projection_formula
     monkeypatch.setattr(monadring, "projection_pi", changed)
@@ -479,7 +500,7 @@ def test_changed_structure_map_is_caught_by_its_check(monkeypatch, name, field):
 
     def changed(*args):
         mor = real(*args)
-        return Morphism(mor.source, mor.target, _changed_first_entry(mor.matrix), tag=mor.tag)
+        return Morphism(mor.source, mor.target, _changed_first_entry(mor.matrix))
 
     patched = [mod for mod in (suite, eilenberg, monadring) if vars(mod).get(name) is real]
     assert suite in patched
@@ -511,7 +532,7 @@ def test_a_later_domain_error_does_not_replace_the_first_failure(monkeypatch):
 
     def wrong_eta(x, cs):
         eta = real(x, cs)
-        return Morphism(eta.source, eta.target, _changed_first_entry(eta.matrix), tag=eta.tag)
+        return Morphism(eta.source, eta.target, _changed_first_entry(eta.matrix))
 
     def refused(x, cs):
         raise RepError("ind_counit refused")
